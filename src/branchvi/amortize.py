@@ -17,8 +17,14 @@ import numpy as np
 
 from .data import BranchData
 from .errors import InvalidDataError, MalformedParamsError
-from .families import LocalParams
-from .gaussmath import UnconstrainedChol, tril_size
+from .families import (
+    factor_from_tree,
+    factor_gamma,
+    factor_tree,
+    init_branch,
+    local_param_size,
+    unpack_local,
+)
 from .rng import RngStream
 
 # std of a standard normal truncated to (-2, 2); draws are rescaled by it so
@@ -90,43 +96,6 @@ def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray):
         gb[l] = g.sum(axis=0)
         g = g @ mlp.weights[l]
     return gW, gb, g
-
-
-# ---------------------------------------------------------------------------
-# Local-parameter packing.
-
-
-def local_param_size(structure: str, global_dim: int, local_dim: int) -> int:
-    if structure == "dense":
-        return local_dim + local_dim * global_dim + tril_size(local_dim)
-    if structure == "block":
-        return local_dim + tril_size(local_dim)
-    if structure == "diag":
-        return 2 * local_dim
-    raise MalformedParamsError(f"unknown structure {structure!r}")
-
-
-def unpack_local(raw: np.ndarray, structure: str, global_dim: int, local_dim: int,
-                 gamma: float = 1.0) -> LocalParams:
-    """Raw layout: mu, then A row-major (dense only), then covariance entries."""
-    dz, D = local_dim, global_dim
-    mu = raw[:dz]
-    if structure == "dense":
-        A = raw[dz:dz + dz * D].reshape(dz, D)
-        chol = UnconstrainedChol(raw[dz + dz * D:], dz, gamma)
-        return LocalParams(mu, A=A, chol=chol)
-    if structure == "block":
-        return LocalParams(mu, chol=UnconstrainedChol(raw[dz:], dz, gamma))
-    return LocalParams(mu, scale_raw=raw[dz:])
-
-
-def pack_local_grad(g_mu, g_A, g_raw) -> np.ndarray:
-    """Inverse of unpack_local for gradients (raw covariance space)."""
-    parts = [g_mu]
-    if g_A is not None:
-        parts.append(g_A.ravel())
-    parts.append(g_raw)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +254,12 @@ class AmortParams:
 def init_amortized(structure: str, global_dim: int, local_dim: int, x_dim: int,
                    rng: RngStream, arch: AmortArch = AmortArch(),
                    gamma: float = 1.0) -> AmortParams:
-    from .families import init_branch
-
     v = init_branch(structure, global_dim, local_dim, 0, gamma).v
     net = net_init(structure, global_dim, local_dim, x_dim, rng, arch, gamma)
     return AmortParams(v, net)
 
 
 def amort_to_tree(params: AmortParams) -> dict:
-    from .families import factor_tree
-
     tree = factor_tree("v", params.v)
     for k, a in net_to_tree(params.net).items():
         tree[f"net.{k}"] = a
@@ -302,14 +267,7 @@ def amort_to_tree(params: AmortParams) -> dict:
 
 
 def amort_from_tree(params: AmortParams, tree: dict) -> AmortParams:
-    from .families import DiagGaussian
-    from .gaussmath import GaussianSpec
-
-    if isinstance(params.v, DiagGaussian):
-        v = DiagGaussian(tree["v.mean"], tree["v.scale_raw"], params.v.gamma)
-    else:
-        v = GaussianSpec(tree["v.mean"],
-                         UnconstrainedChol(tree["v.raw"], params.global_dim,
-                                           params.v.chol.gamma))
+    v = factor_from_tree("v", tree, params.structure, params.global_dim,
+                         factor_gamma(params.v))
     net_tree = {k[len("net."):]: a for k, a in tree.items() if k.startswith("net.")}
     return AmortParams(v, net_from_tree(params.net, net_tree))

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,13 +28,13 @@ from .errors import InvalidDataError, MalformedParamsError
 from .families import (
     BranchParams,
     JointFamily,
-    branch_to_tree,
+    factor_from_tree,
     init_branch,
     init_joint,
     joint_to_branch,
-    joint_to_tree,
+    local_param_size,
 )
-from .gaussmath import GaussianSpec, UnconstrainedChol, mvn_logpdf
+from .gaussmath import GaussianSpec, mvn_logpdf
 from .metrics import evaluate, write_report
 from .models import (
     HbdModel,
@@ -94,8 +95,20 @@ class RunConfig:
         if self.family == "joint" and self.batch_size not in (0, self.n_branches):
             raise InvalidDataError("joint families cannot be subsampled; "
                                    "batch_size must be 0 (full) or equal to n_branches")
-        if self.workers < 1:
-            raise InvalidDataError("workers must be >= 1")
+        for flag, value, ok, rule in (
+            ("--workers", self.workers, self.workers >= 1, ">= 1"),
+            ("--n-mc", self.n_mc, self.n_mc >= 1, ">= 1"),
+            ("--iters", self.iters, self.iters >= 0, ">= 0"),
+            ("--batch-size", self.batch_size, self.batch_size >= 0, ">= 0"),
+            ("--trace-every", self.trace_every, self.trace_every >= 0, ">= 0"),
+            ("--k-samples", self.k_samples, self.k_samples >= 1, ">= 1"),
+            ("--lr", self.lr, math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("--gamma", self.gamma, self.gamma > 0, "> 0"),
+            ("--test-fraction", self.test_fraction, 0 <= self.test_fraction < 1,
+             "in [0, 1)"),
+        ):
+            if not ok:
+                raise InvalidDataError(f"{flag} must be {rule}, got {value!r}")
 
 
 def parse_config_file(path: str) -> dict:
@@ -165,23 +178,36 @@ def init_params(cfg: RunConfig, model: HbdModel, data: BranchDataset, rng: RngSt
 # Checkpoints: parameter tree plus enough metadata to rebuild the container.
 
 
+def _checkpoint_meta(params):
+    """(kind, structure, dims, gamma) recorded with a checkpoint.
+
+    dims = [global_dim, local_dim, n_branches, x_dim]; n_branches is 0 for
+    amortized families and x_dim is 0 for the others.
+    """
+    if isinstance(params, JointFamily):
+        return "joint", params.structure, [params.global_dim, params.local_dim,
+                                           params.n_branches, 0], _joint_gamma(params)
+    if isinstance(params, BranchParams):
+        return "branch", params.structure, [params.global_dim, params.local_dim,
+                                            params.n_branches, 0], params.gamma
+    if isinstance(params, AmortParams):
+        return "amortized", params.structure, [params.global_dim, params.local_dim, 0,
+                                               params.net.x_dim], params.net.gamma
+    raise MalformedParamsError(f"cannot checkpoint {type(params).__name__}")
+
+
+def _joint_gamma(fam: JointFamily) -> float:
+    if fam.structure == "dense":
+        return fam.spec.chol.gamma
+    if fam.structure == "block":
+        return fam.theta_spec.chol.gamma
+    return fam.diag.gamma
+
+
 def save_checkpoint(path: str, params, *, it: int = 0, ema: float = float("nan"),
                     adam: AdamState | None = None) -> None:
+    kind, structure, dims, gamma = _checkpoint_meta(params)
     tree = {f"params.{k}": v for k, v in params_to_tree(params).items()}
-    if isinstance(params, JointFamily):
-        kind, structure = "joint", params.structure
-        dims = [params.global_dim, params.local_dim, params.n_branches, 0]
-        gamma = _joint_gamma(params)
-    elif isinstance(params, BranchParams):
-        kind, structure = "branch", params.structure
-        dims = [params.global_dim, params.local_dim, params.n_branches, 0]
-        gamma = _branch_gamma(params)
-    elif isinstance(params, AmortParams):
-        kind, structure = "amortized", params.structure
-        dims = [params.global_dim, params.local_dim, 0, params.net.x_dim]
-        gamma = params.net.gamma
-    else:
-        raise MalformedParamsError(f"cannot checkpoint {type(params).__name__}")
     tree["meta.kind"] = np.array([_KIND_CODES[kind]], dtype=float)
     tree["meta.structure"] = np.array([_STRUCT_CODES[structure]], dtype=float)
     tree["meta.dims"] = np.asarray(dims, dtype=float)
@@ -195,20 +221,6 @@ def save_checkpoint(path: str, params, *, it: int = 0, ema: float = float("nan")
     ckpt.save_tensors(path, tree)
 
 
-def _joint_gamma(fam: JointFamily) -> float:
-    if fam.structure == "dense":
-        return fam.spec.chol.gamma
-    if fam.structure == "block":
-        return fam.theta_spec.chol.gamma
-    return fam.diag.gamma
-
-
-def _branch_gamma(params: BranchParams) -> float:
-    from .families import DiagGaussian
-
-    return params.v.gamma if isinstance(params.v, DiagGaussian) else params.v.chol.gamma
-
-
 def load_checkpoint(path: str):
     """Returns (params, iter, ema, adam-or-None)."""
     tree = ckpt.load_tensors(path)
@@ -220,9 +232,11 @@ def load_checkpoint(path: str):
     if kind == "joint":
         params = params_from_tree(init_joint(structure, gdim, ldim, nb, gamma), ptree)
     elif kind == "branch":
+        if "w" not in ptree:
+            _stack_v1_locals(ptree, structure, gdim, ldim, nb)
         params = params_from_tree(init_branch(structure, gdim, ldim, nb, gamma), ptree)
     else:
-        params = AmortParams(_load_factor(structure, gdim, gamma, ptree),
+        params = AmortParams(factor_from_tree("v", ptree, structure, gdim, gamma),
                              _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
     it = int(tree["train.iter"][0])
     ema = float(tree["train.ema"][0])
@@ -232,12 +246,27 @@ def load_checkpoint(path: str):
     return params, it, ema, adam
 
 
-def _load_factor(structure, gdim, gamma, ptree):
-    from .families import DiagGaussian
+def _stack_v1_locals(ptree, structure, gdim, ldim, nb) -> None:
+    """Replace the per-branch ``w.%06d.*`` entries of older checkpoints by ``w``.
 
-    if structure == "diag":
-        return DiagGaussian(ptree["v.mean"], ptree["v.scale_raw"], gamma)
-    return GaussianSpec(ptree["v.mean"], UnconstrainedChol(ptree["v.raw"], gdim, gamma))
+    Row i concatenates branch i's entries in their original order, which is
+    the row layout of BranchParams.W, so the flat order (and any saved
+    optimizer state) is unchanged.
+    """
+    fields = {"dense": ("mu", "A", "raw"), "block": ("mu", "raw"),
+              "diag": ("mu", "scale_raw")}[structure]
+    W = np.empty((nb, local_param_size(structure, gdim, ldim)))
+    for i in range(nb):
+        keys = [f"w.{i:06d}.{f}" for f in fields]
+        missing = [k for k in keys if k not in ptree]
+        if missing:
+            raise InvalidDataError(f"checkpoint lacks params.{missing[0]}")
+        row = np.concatenate([ptree.pop(k).ravel() for k in keys])
+        if row.size != W.shape[1]:
+            raise InvalidDataError(f"checkpoint branch {i} holds {row.size} local "
+                                   f"values, expected {W.shape[1]}")
+        W[i] = row
+    ptree["w"] = W
 
 
 def _load_net(structure, gdim, ldim, x_dim, gamma, ptree):
@@ -322,6 +351,7 @@ def cmd_train(cfg: RunConfig) -> int:
     start_iter, ema, adam = 0, None, None
     if cfg.resume:
         params, start_iter, ema, adam = load_checkpoint(cfg.resume)
+        _check_resume(cfg.resume, params, cfg, model, data)
         if np.isnan(ema):
             ema = None
     else:
@@ -355,6 +385,24 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_resume(path, params, cfg: RunConfig, model: HbdModel,
+                  data: BranchDataset) -> None:
+    """Reject a checkpoint whose family or dims do not fit this run."""
+    kind, structure, dims, _ = _checkpoint_meta(params)
+    if (kind, structure) != (cfg.family, cfg.structure):
+        raise InvalidDataError(
+            f"{path}: checkpoint holds a {kind}/{structure} family; this run trains "
+            f"--family {cfg.family} --structure {cfg.structure}")
+    want = [model.global_dim, model.local_dim,
+            0 if kind == "amortized" else data.n_branches,
+            data.covariate_dim if kind == "amortized" else 0]
+    names = ("global dim", "local dim", "branches", "covariate dim")
+    bad = [f"{n} {got} != {exp}" for n, got, exp in zip(names, dims, want) if got != exp]
+    if bad:
+        raise InvalidDataError(f"{path}: checkpoint does not fit the data/config: "
+                               + ", ".join(bad))
+
+
 def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.checkpoint or not cfg.data:
         print("error: --checkpoint and --data are required for eval", file=sys.stderr)
@@ -363,8 +411,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         print(f"error: checkpoint {cfg.checkpoint} not found", file=sys.stderr)
         return 2
     train_data = load_dataset(cfg.data)
-    test_path = cfg.data.replace("_train", "_test")
-    if test_path != cfg.data and os.path.exists(test_path + ".meta"):
+    # data_train -> data_test beside it; only the basename's suffix changes.
+    head, base = os.path.split(cfg.data)
+    test_path = os.path.join(head, base[:-len("_train")] + "_test")
+    if base.endswith("_train") and os.path.exists(test_path + ".meta"):
         test_data = load_dataset(test_path)
     else:
         from .data import BranchData
@@ -431,7 +481,8 @@ def _branch_logq_at(branch: BranchParams, x: np.ndarray) -> float:
     D, dz = branch.global_dim, branch.local_dim
     theta = x[:D]
     logq = mvn_logpdf(GaussianSpec(branch.v.mean, branch.v.chol), theta)
-    for i, w in enumerate(branch.w):
+    for i in range(branch.n_branches):
+        w = branch.local(i)
         z = x[D + i * dz:D + (i + 1) * dz]
         mean = w.mu + (w.A @ theta if w.A is not None else 0.0)
         logq += mvn_logpdf(GaussianSpec(mean, w.chol), z)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortize import AmortNet, net_backward, net_forward, pack_local_grad
+from .amortize import AmortNet, net_backward, net_forward
 from .data import BranchDataset
 from .errors import EstimatorError, MalformedParamsError
 from .families import (
@@ -33,10 +33,11 @@ from .families import (
     joint_draw,
     local_draw_batch,
     local_grad_accum,
+    pack_local_grad,
 )
 from .models import HbdModel
 from .rng import RngStream
-from .trees import tree_add_, tree_scale_, tree_zeros_like
+from .trees import tree_add_, tree_scale_
 
 _STREAM_BATCH = 0
 _STREAM_GLOBAL = 1
@@ -249,29 +250,23 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
 
 def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad,
                         workers: int = 1):
-    grads = None
-    keys = None
-    if want_grad:
-        from .families import branch_to_tree
-        grads = tree_zeros_like(branch_to_tree(params))
-        keys = [(f"w.{i:06d}.mu", f"w.{i:06d}.A", f"w.{i:06d}.raw", f"w.{i:06d}.scale_raw")
-                for i in batch]
+    """Branch estimate over ``batch``; only the batch rows of W are touched.
+
+    The local gradient of branch i lands in row i of a zeroed (N, P_w)
+    buffer, which is the ``w`` entry of the gradient tree.
+    """
+    G = np.zeros_like(params.W) if want_grad else None
 
     def on_local_grad(pos, i, g_mu, g_A, g_raw):
-        kmu, kA, kraw, ksraw = keys[pos]
-        grads[kmu] += g_mu
-        if g_A is not None:
-            grads[kA] += g_A
-        grads[kraw if kraw in grads else ksraw] += g_raw
+        G[i] += pack_local_grad(g_mu, g_A, g_raw)
 
     value, g_v = _branch_core(model, params.v, data, batch, scale,
-                              lambda pos, i: params.w[i], on_local_grad,
+                              lambda pos, i: params.local(i), on_local_grad,
                               rng, n_mc, want_grad, workers)
     if want_grad:
-        for key in [k for tup in keys for k in tup if k in grads]:
-            grads[key] /= n_mc
-        grads.update(g_v)
-    return ElboEstimate(value, n_mc, np.asarray(batch)), grads
+        G[batch] /= n_mc
+        g_v["w"] = G
+    return ElboEstimate(value, n_mc, np.asarray(batch)), g_v
 
 
 # ---------------------------------------------------------------------------

@@ -81,26 +81,103 @@ class LocalParams:
             raise MalformedParamsError("A is only valid for dense conditionals")
 
 
+def local_param_size(structure: str, global_dim: int, local_dim: int) -> int:
+    if structure == "dense":
+        return local_dim + local_dim * global_dim + tril_size(local_dim)
+    if structure == "block":
+        return local_dim + tril_size(local_dim)
+    if structure == "diag":
+        return 2 * local_dim
+    raise MalformedParamsError(f"unknown structure {structure!r}")
+
+
+def unpack_local(raw: np.ndarray, structure: str, global_dim: int, local_dim: int,
+                 gamma: float = 1.0) -> LocalParams:
+    """Raw layout: mu, then A row-major (dense only), then covariance entries.
+
+    The fields are views into ``raw``.
+    """
+    dz, D = local_dim, global_dim
+    mu = raw[:dz]
+    if structure == "dense":
+        A = raw[dz:dz + dz * D].reshape(dz, D)
+        chol = UnconstrainedChol(raw[dz + dz * D:], dz, gamma)
+        return LocalParams(mu, A=A, chol=chol)
+    if structure == "block":
+        return LocalParams(mu, chol=UnconstrainedChol(raw[dz:], dz, gamma))
+    return LocalParams(mu, scale_raw=raw[dz:])
+
+
+def pack_local_grad(g_mu, g_A, g_raw) -> np.ndarray:
+    """Inverse of unpack_local for gradients (raw covariance space)."""
+    parts = [g_mu]
+    if g_A is not None:
+        parts.append(g_A.ravel())
+    parts.append(g_raw)
+    return np.concatenate(parts)
+
+
 @dataclass
 class BranchParams:
+    """Global factor v plus every branch's local parameters stacked in W.
+
+    Row i of W is branch i's locals in the packed order of ``unpack_local``:
+    [mu | A row-major | raw] for dense, [mu | raw] for block and
+    [mu | scale_raw] for diag. The properties below and ``local(i)`` are
+    views, so writes through them land in W.
+    """
+
     structure: str
     global_dim: int
     local_dim: int
     v: object             # GaussianSpec (dense/block) or DiagGaussian (diag)
-    w: list
+    W: np.ndarray         # (n_branches, local_param_size)
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
             raise MalformedParamsError(f"unknown structure {self.structure!r}")
-        for i, wi in enumerate(self.w):
-            if self.structure == "dense" and wi.A is None:
-                raise MalformedParamsError(f"w[{i}]: dense conditionals need A")
-            if self.structure != "dense" and wi.A is not None:
-                raise MalformedParamsError(f"w[{i}]: A only allowed for dense structure")
+        self.W = np.asarray(self.W, dtype=float)
+        width = local_param_size(self.structure, self.global_dim, self.local_dim)
+        if self.W.ndim != 2 or self.W.shape[1] != width:
+            raise MalformedParamsError(
+                f"W has shape {self.W.shape}, {self.structure} locals need (N, {width})")
 
     @property
     def n_branches(self) -> int:
-        return len(self.w)
+        return self.W.shape[0]
+
+    @property
+    def gamma(self) -> float:
+        return factor_gamma(self.v)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.W[:, :self.local_dim]
+
+    @property
+    def A(self) -> np.ndarray | None:
+        """(N, dz, D) coupling matrices; None outside dense."""
+        if self.structure != "dense":
+            return None
+        dz, D = self.local_dim, self.global_dim
+        return self.W[:, dz:dz + dz * D].reshape(-1, dz, D)
+
+    @property
+    def raw(self) -> np.ndarray | None:
+        """(N, tril(dz)) packed Cholesky vectors; None for diag."""
+        if self.structure == "diag":
+            return None
+        return self.W[:, self.W.shape[1] - tril_size(self.local_dim):]
+
+    @property
+    def scale_raw(self) -> np.ndarray | None:
+        """(N, dz) raw diagonal scales; None outside diag."""
+        return self.W[:, self.local_dim:] if self.structure == "diag" else None
+
+    def local(self, i) -> LocalParams:
+        """Branch i's LocalParams as views into row i of W."""
+        return unpack_local(self.W[i], self.structure, self.global_dim, self.local_dim,
+                            self.gamma)
 
 
 @dataclass
@@ -142,17 +219,10 @@ def init_joint(structure, global_dim, local_dim, n_branches, gamma: float = 1.0)
 def init_branch(structure, global_dim, local_dim, n_branches, gamma: float = 1.0) -> BranchParams:
     if structure == "diag":
         v = DiagGaussian(np.zeros(global_dim), np.zeros(global_dim), gamma)
-        w = [LocalParams(np.zeros(local_dim), scale_raw=np.zeros(local_dim))
-             for _ in range(n_branches)]
     else:
         v = _zero_spec(global_dim, gamma)
-        w = []
-        for _ in range(n_branches):
-            A = np.zeros((local_dim, global_dim)) if structure == "dense" else None
-            w.append(LocalParams(np.zeros(local_dim), A=A,
-                                 chol=UnconstrainedChol(np.zeros(tril_size(local_dim)),
-                                                        local_dim, gamma)))
-    return BranchParams(structure, global_dim, local_dim, v, w)
+    W = np.zeros((n_branches, local_param_size(structure, global_dim, local_dim)))
+    return BranchParams(structure, global_dim, local_dim, v, W)
 
 
 def _zero_spec(dim, gamma):
@@ -191,10 +261,6 @@ def _diag_draw(dg: DiagGaussian, eps):
 def _diag_backward(dg: DiagGaussian, s, eps, g_x, ent_weight):
     graw = (g_x * eps + ent_weight / s) * diag_transform_grad(dg.scale_raw, dg.gamma)
     return g_x.copy(), graw
-
-
-def factor_dim(v) -> int:
-    return v.dim
 
 
 def factor_draw(v, eps):
@@ -241,21 +307,6 @@ def branch_sample_local(w: LocalParams, theta, rng: RngStream):
     eps = rng.normal(dim)
     z, logq, _ = local_draw(w, theta, eps)
     return z, logq
-
-
-def local_backward(w: LocalParams, aux, eps, theta, g_z, ent_weight):
-    """Gradients (g_mu, g_A or None, g_raw) of the weighted estimate term."""
-    if w.scale_raw is not None:
-        dg = DiagGaussian(w.mu, w.scale_raw)
-        g_mu, g_raw = _diag_backward(dg, aux, eps, g_z, ent_weight)
-        return g_mu, None, g_raw
-    L = aux
-    gL = np.tril(np.outer(g_z, eps))
-    idx = np.arange(w.chol.dim)
-    gL[idx, idx] += ent_weight / np.diag(L)
-    g_raw = tril_map_backward(w.chol, gL)
-    g_A = np.outer(g_z, theta) if w.A is not None else None
-    return g_z.copy(), g_A, g_raw
 
 
 # ---------------------------------------------------------------------------
@@ -336,38 +387,39 @@ def joint_to_branch(fam: JointFamily) -> BranchParams:
         cov = L @ L.T
         mu = fam.spec.mean
         St = cov[:D, :D]
-        v = spec_from_moments(mu[:D], St, gamma)
+        bp = init_branch("dense", D, dz, N, gamma)
+        bp.v = spec_from_moments(mu[:D], St, gamma)
         St_inv = np.linalg.inv(St)
-        w = []
         for i in range(N):
             s = slice(D + i * dz, D + (i + 1) * dz)
             S_ti = cov[:D, s]                      # (D, dz)
             A = S_ti.T @ St_inv                    # (dz, D)
             cond_cov = cov[s, s] - A @ S_ti
             cond_cov = 0.5 * (cond_cov + cond_cov.T)
-            mu_i = mu[s] - A @ mu[:D]
-            w.append(LocalParams(mu_i, A=A,
-                                 chol=tril_unmap(np.linalg.cholesky(cond_cov), gamma)))
-        return BranchParams("dense", D, dz, v, w)
+            bp.mu[i] = mu[s] - A @ mu[:D]
+            bp.A[i] = A
+            bp.raw[i] = tril_unmap(np.linalg.cholesky(cond_cov), gamma).raw
+        return bp
     if fam.structure == "block":
         gamma = fam.theta_spec.chol.gamma
-        v = GaussianSpec(fam.theta_spec.mean.copy(),
-                         UnconstrainedChol(fam.theta_spec.chol.raw.copy(), D, gamma))
-        w = []
+        bp = init_branch("block", D, dz, N, gamma)
+        bp.v = GaussianSpec(fam.theta_spec.mean.copy(),
+                            UnconstrainedChol(fam.theta_spec.chol.raw.copy(), D, gamma))
         if N:
             Lz = tril_map(fam.locals_spec.chol)
             cov_z = Lz @ Lz.T
+            bp.mu[:] = fam.locals_spec.mean.reshape(N, dz)
             for i in range(N):
                 s = slice(i * dz, (i + 1) * dz)
                 blk = 0.5 * (cov_z[s, s] + cov_z[s, s].T)
-                w.append(LocalParams(fam.locals_spec.mean[s].copy(),
-                                     chol=tril_unmap(np.linalg.cholesky(blk), gamma)))
-        return BranchParams("block", D, dz, v, w)
-    v = DiagGaussian(fam.diag.mean[:D].copy(), fam.diag.scale_raw[:D].copy(), fam.diag.gamma)
-    w = [LocalParams(fam.diag.mean[D + i * dz:D + (i + 1) * dz].copy(),
-                     scale_raw=fam.diag.scale_raw[D + i * dz:D + (i + 1) * dz].copy())
-         for i in range(N)]
-    return BranchParams("diag", D, dz, v, w)
+                bp.raw[i] = tril_unmap(np.linalg.cholesky(blk), gamma).raw
+        return bp
+    bp = init_branch("diag", D, dz, N, fam.diag.gamma)
+    bp.v = DiagGaussian(fam.diag.mean[:D].copy(), fam.diag.scale_raw[:D].copy(),
+                        fam.diag.gamma)
+    bp.mu[:] = fam.diag.mean[D:].reshape(N, dz)
+    bp.scale_raw[:] = fam.diag.scale_raw[D:].reshape(N, dz)
+    return bp
 
 
 def assemble_joint(params: BranchParams):
@@ -382,19 +434,19 @@ def assemble_joint(params: BranchParams):
     cov = np.zeros((P, P))
     mean[:D] = mu_t
     cov[:D, :D] = cov_t
-    As, Cs = [], []
-    for wi in params.w:
-        A = wi.A if wi.A is not None else np.zeros((dz, D))
+    As = params.A if params.A is not None else np.zeros((N, dz, D))
+    Cs = []
+    for i in range(N):
+        wi = params.local(i)
         if wi.scale_raw is not None:
             C = np.diag(diag_transform(wi.scale_raw) ** 2)
         else:
             Lw = tril_map(wi.chol)
             C = Lw @ Lw.T
-        As.append(A)
         Cs.append(C)
-    for i, wi in enumerate(params.w):
+    for i in range(N):
         s = slice(D + i * dz, D + (i + 1) * dz)
-        mean[s] = wi.mu + As[i] @ mu_t
+        mean[s] = params.mu[i] + As[i] @ mu_t
         cov[:D, s] = cov_t @ As[i].T
         cov[s, :D] = As[i] @ cov_t
         for j in range(N):
@@ -426,18 +478,15 @@ def family_param_count(kind, structure, n_branches, global_dim, local_dim,
             Z = N * dz
             return D + tril_size(D) + Z + tril_size(Z)
         return 2 * P
-    if structure == "dense":
-        v = D + tril_size(D)
-        per = dz + dz * D + tril_size(dz)
-    elif structure == "block":
-        v = D + tril_size(D)
-        per = dz + tril_size(dz)
-    else:
-        v = 2 * D
-        per = 2 * dz
+    v = 2 * D if structure == "diag" else D + tril_size(D)
+    per = local_param_size(structure, D, dz)
     if kind == "branch":
         return v + N * per
     return v + net_param_count
+
+
+def factor_gamma(v) -> float:
+    return v.gamma if isinstance(v, DiagGaussian) else v.chol.gamma
 
 
 def factor_tree(prefix, v) -> dict:
@@ -446,39 +495,29 @@ def factor_tree(prefix, v) -> dict:
     return {f"{prefix}.mean": v.mean, f"{prefix}.raw": v.chol.raw}
 
 
+def factor_from_tree(prefix, tree: dict, structure: str, dim: int, gamma: float):
+    """Inverse of factor_tree: the global factor of a branch or amortized family."""
+    if structure == "diag":
+        return DiagGaussian(tree[f"{prefix}.mean"], tree[f"{prefix}.scale_raw"], gamma)
+    return GaussianSpec(tree[f"{prefix}.mean"],
+                        UnconstrainedChol(tree[f"{prefix}.raw"], dim, gamma))
+
+
 def branch_to_tree(params: BranchParams) -> dict:
+    """Three entries for any number of branches: v.mean, v.raw|v.scale_raw, w.
+
+    Flattened, ``w`` gives each branch's locals in turn, so the flat order is
+    the same as that of the per-branch ``w.%06d.*`` keys of earlier versions.
+    """
     tree = factor_tree("v", params.v)
-    for i, wi in enumerate(params.w):
-        p = f"w.{i:06d}"
-        tree[f"{p}.mu"] = wi.mu
-        if wi.A is not None:
-            tree[f"{p}.A"] = wi.A
-        if wi.chol is not None:
-            tree[f"{p}.raw"] = wi.chol.raw
-        else:
-            tree[f"{p}.scale_raw"] = wi.scale_raw
+    tree["w"] = params.W
     return tree
 
 
 def branch_from_tree(params: BranchParams, tree: dict) -> BranchParams:
     """Rebuild with the same shapes/structure but arrays taken from ``tree``."""
-    if isinstance(params.v, DiagGaussian):
-        v = DiagGaussian(tree["v.mean"], tree["v.scale_raw"], params.v.gamma)
-    else:
-        v = GaussianSpec(tree["v.mean"],
-                         UnconstrainedChol(tree["v.raw"], params.global_dim,
-                                           params.v.chol.gamma))
-    w = []
-    for i, wi in enumerate(params.w):
-        p = f"w.{i:06d}"
-        if wi.scale_raw is not None:
-            w.append(LocalParams(tree[f"{p}.mu"], scale_raw=tree[f"{p}.scale_raw"]))
-        else:
-            A = tree[f"{p}.A"] if wi.A is not None else None
-            w.append(LocalParams(tree[f"{p}.mu"], A=A,
-                                 chol=UnconstrainedChol(tree[f"{p}.raw"],
-                                                        params.local_dim, wi.chol.gamma)))
-    return BranchParams(params.structure, params.global_dim, params.local_dim, v, w)
+    v = factor_from_tree("v", tree, params.structure, params.global_dim, params.gamma)
+    return BranchParams(params.structure, params.global_dim, params.local_dim, v, tree["w"])
 
 
 def joint_to_tree(fam: JointFamily) -> dict:

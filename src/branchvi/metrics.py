@@ -110,7 +110,7 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
     elif isinstance(q, BranchParams):
         if q.n_branches != N:
             raise MalformedParamsError("family branch count must match the split")
-        active = list(enumerate(q.w))
+        active = [(i, q.local(i)) for i in range(N)]
     elif isinstance(q, JointFamily):
         if q.n_branches != N:
             raise MalformedParamsError("family branch count must match the split")

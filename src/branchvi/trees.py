@@ -29,10 +29,6 @@ def tree_unflatten(template: dict, vec: np.ndarray) -> dict:
     return out
 
 
-def tree_size(tree: dict) -> int:
-    return sum(v.size for v in tree.values())
-
-
 def tree_zeros_like(tree: dict) -> dict:
     return {name: np.zeros_like(arr) for name, arr in tree.items()}
 

@@ -19,7 +19,6 @@ from branchvi.amortize import (
     net_forward,
     net_param_count,
     net_to_tree,
-    pack_local_grad,
 )
 from branchvi.data import BranchData, BranchDataset, RatingsTable, preprocess, split
 from branchvi.estimators import (
@@ -41,6 +40,7 @@ from branchvi.families import (
     joint_from_tree,
     joint_to_branch,
     joint_to_tree,
+    pack_local_grad,
 )
 from branchvi.gaussmath import (
     GaussianSpec,
@@ -161,7 +161,8 @@ def test_criterion_3_conversion_equivalence():
         x = fam.spec.mean + gen.standard_normal(P) * 1.3
         theta = x[:D]
         lq = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
-        for i, w in enumerate(bp.w):
+        for i in range(bp.n_branches):
+            w = bp.local(i)
             z = x[D + i * dz:D + (i + 1) * dz]
             lq += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
         worst = max(worst, abs(lq - mvn_logpdf(fam.spec, x)))

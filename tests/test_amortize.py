@@ -4,7 +4,6 @@ import pytest
 from branchvi.amortize import (
     AmortArch,
     MlpWeights,
-    local_param_size,
     mlp_backward,
     mlp_forward,
     net_backward,
@@ -12,11 +11,10 @@ from branchvi.amortize import (
     net_init,
     net_param_count,
     net_to_tree,
-    pack_local_grad,
-    unpack_local,
 )
 from branchvi.data import BranchData
 from branchvi.errors import InvalidDataError, MalformedParamsError
+from branchvi.families import local_param_size, pack_local_grad, unpack_local
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
 

@@ -2,19 +2,24 @@ import csv
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchvi import checks, gaussmath
-from branchvi.checkpoint import load_tensors
+from branchvi.checkpoint import load_tensors, save_tensors
 from branchvi.cli import load_checkpoint, main, parse_config_file
 from branchvi.data import load_dataset
+from branchvi.errors import InvalidDataError
 from branchvi.families import BranchParams, JointFamily
 
 
 def _run(*argv):
     return main(list(argv))
+
+
+V1_BRANCH_DENSE = Path(__file__).parent / "fixtures" / "v1_branch_dense"
 
 
 def _read_trace(path):
@@ -168,6 +173,107 @@ class TestTrainEval:
         assert isinstance(params, AmortParams)
 
 
+    def test_eval_finds_test_split_beside_train_file(self, tmp_path):
+        gen_dir = tmp_path / "runs_train"
+        _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "3",
+             "--obs", "10", "--seed", "4", "--test-fraction", "0.2",
+             "--out-dir", str(gen_dir))
+        train_dir = tmp_path / "t"
+        _run("train", "--model", "synthetic", "--family", "branch", "--dim", "1",
+             "--data", str(gen_dir / "data_train"), "--iters", "5", "--seed", "4",
+             "--out-dir", str(train_dir))
+        eval_dir = tmp_path / "e"
+        rc = _run("eval", "--model", "synthetic", "--dim", "1",
+                  "--data", str(gen_dir / "data_train"),
+                  "--checkpoint", str(train_dir / "checkpoint.nt"),
+                  "--k-samples", "5", "--out-dir", str(eval_dir))
+        assert rc == 0
+        blob = json.loads((eval_dir / "report.json").read_text())
+        assert blob["n_test"] == load_dataset(str(gen_dir / "data_test")).n_obs > 0
+
+
+class TestResumeValidation:
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        gen = tmp_path / "gen"
+        _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "4",
+             "--obs", "3", "--seed", "8", "--out-dir", str(gen))
+        run_dir = tmp_path / "run"
+        _run("train", "--model", "synthetic", "--family", "branch", "--structure", "dense",
+             "--dim", "1", "--data", str(gen / "data"), "--iters", "3", "--seed", "8",
+             "--out-dir", str(run_dir))
+        return gen / "data", run_dir / "checkpoint.nt"
+
+    @pytest.mark.parametrize("flags, needle", [
+        (("--family", "amortized", "--structure", "dense"), "branch/dense"),
+        (("--family", "branch", "--structure", "diag"), "branch/dense"),
+        (("--family", "branch", "--structure", "dense", "--branches", "5"), "branches 4 != 5"),
+    ], ids=["kind", "structure", "n_branches"])
+    def test_mismatch_exits_2(self, checkpoint, tmp_path, capsys, flags, needle):
+        data, ckpt_path = checkpoint
+        if "--branches" in flags:
+            gen5 = tmp_path / "gen5"
+            _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "5",
+                 "--obs", "3", "--seed", "8", "--out-dir", str(gen5))
+            data = gen5 / "data"
+        capsys.readouterr()
+        rc = _run("train", "--model", "synthetic", "--dim", "1", *flags,
+                  "--data", str(data), "--iters", "6", "--resume", str(ckpt_path),
+                  "--out-dir", str(tmp_path / "resumed"))
+        assert rc == 2
+        assert needle in capsys.readouterr().err
+
+    def test_v1_checkpoint_resumes_bitwise(self, tmp_path):
+        """The fixture is a per-branch-key checkpoint after 2 iterations of
+
+            branchvi train --data data --family branch --structure dense --dim 2
+                --seed 7 --iters 2 --batch-size 2 --n-mc 3 --trace-every 1
+
+        on a 3-branch synthetic dataset (generate --dim 2 --branches 3 --obs 5
+        --seed 7). Resumed to iteration 4 it must equal a 4-iteration run.
+        """
+        assert "params.w.000000.A" in load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
+        flags = ("--model", "synthetic", "--family", "branch", "--structure", "dense",
+                 "--dim", "2", "--seed", "7", "--iters", "4", "--batch-size", "2",
+                 "--n-mc", "3", "--trace-every", "1",
+                 "--data", str(V1_BRANCH_DENSE / "data"))
+        assert _run("train", *flags, "--out-dir", str(tmp_path / "full")) == 0
+        assert _run("train", *flags, "--out-dir", str(tmp_path / "resumed"),
+                    "--resume", str(V1_BRANCH_DENSE / "checkpoint.nt")) == 0
+        full = load_tensors(tmp_path / "full" / "checkpoint.nt")
+        resumed = load_tensors(tmp_path / "resumed" / "checkpoint.nt")
+        assert list(full) == list(resumed)
+        for k in full:
+            assert np.array_equal(full[k], resumed[k], equal_nan=True), k
+
+    def test_v1_keys_stack_into_rows(self, tmp_path):
+        v1 = load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
+        params, it, _, adam = load_checkpoint(V1_BRANCH_DENSE / "checkpoint.nt")
+        assert it == 2 and adam.t == 2 and params.W.shape == (3, 2 + 4 + 3)
+        for i in range(3):
+            w = params.local(i)
+            assert np.array_equal(w.mu, v1[f"params.w.{i:06d}.mu"])
+            assert np.array_equal(w.A, v1[f"params.w.{i:06d}.A"])
+            assert np.array_equal(w.chol.raw, v1[f"params.w.{i:06d}.raw"])
+        del v1["params.w.000001.raw"]
+        save_tensors(tmp_path / "broken.nt", v1)
+        with pytest.raises(InvalidDataError, match="w.000001.raw"):
+            load_checkpoint(tmp_path / "broken.nt")
+
+
+class TestNumericValidation:
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-mc", "0"), ("--iters", "-1"), ("--batch-size", "-1"),
+        ("--trace-every", "-1"), ("--k-samples", "0"), ("--lr", "0"), ("--lr", "-0.001"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--gamma", "0"), ("--gamma", "nan"),
+        ("--test-fraction", "1"), ("--test-fraction", "-0.1"), ("--workers", "0"),
+    ])
+    def test_out_of_range_flag_exits_2(self, flag, value, capsys):
+        rc = _run("train", "--data", "unused", flag, value)
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestConvert:
     def test_convert_then_warm_start(self, tmp_path):
         gen_dir = tmp_path / "gen"
@@ -201,8 +307,8 @@ class TestConvert:
         rc = _run("convert", "--checkpoint", str(path), "--out-dir", str(tmp_path))
         assert rc == 0
         branch, _, _, _ = load_checkpoint(tmp_path / "checkpoint_branch.nt")
-        for w in branch.w:
-            assert np.allclose(w.A, 0.0, atol=1e-15)
+        for i in range(branch.n_branches):
+            assert np.allclose(branch.local(i).A, 0.0, atol=1e-15)
 
     def test_convert_rejects_branch_checkpoint(self, tmp_path):
         from branchvi.cli import save_checkpoint

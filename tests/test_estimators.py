@@ -20,7 +20,6 @@ from branchvi.estimators import (
 )
 from branchvi.families import (
     JointFamily,
-    LocalParams,
     assemble_joint,
     branch_from_tree,
     branch_to_tree,
@@ -61,8 +60,10 @@ def _oracle_matched_branch(data, oracle):
     for i, b in enumerate(data.branches):
         C = np.linalg.inv(np.eye(D) + b.x.T @ b.x)
         C = 0.5 * (C + C.T)
-        params.w[i] = LocalParams(C @ (b.x.T @ b.y), A=C.copy(),
-                                  chol=tril_unmap(np.linalg.cholesky(C)))
+        w = params.local(i)
+        w.mu[:] = C @ (b.x.T @ b.y)
+        w.A[:] = C
+        w.chol.raw[:] = tril_unmap(np.linalg.cholesky(C)).raw
     return params
 
 
@@ -180,7 +181,8 @@ class TestBranchElbo:
             x = fam.spec.mean + gen.standard_normal(P)
             theta = x[:1]
             lq_branch = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
-            for i, w in enumerate(bp.w):
+            for i in range(bp.n_branches):
+                w = bp.local(i)
                 z = x[1 + i:2 + i]
                 lq_branch += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
             assert abs(lq_branch - mvn_logpdf(fam.spec, x)) < 1e-9
@@ -224,7 +226,7 @@ class TestBranchElbo:
     def test_non_finite_density_raises_with_branch(self):
         model, data = _problem(1, 3, 2, seed=325)
         params = init_branch("dense", 1, 1, 3)
-        params.w[2].mu[:] = np.nan
+        params.local(2).mu[:] = np.nan
         with pytest.raises(EstimatorError) as exc:
             branch_elbo(model, params, data, RngStream(326))
         assert exc.value.branch == 2
@@ -292,7 +294,7 @@ class TestEstimatorUnbiasedness:
         norm_w = weights / np.sqrt(2 * np.pi)
         L0 = tril_map(params.v.chol)[0, 0]
         mu0 = params.v.mean[0]
-        w0 = params.w[0]
+        w0 = params.local(0)
         L1 = tril_map(w0.chol)[0, 0]
         elbo_quad = 0.0
         for a, wa in zip(nodes, norm_w):
@@ -337,7 +339,9 @@ class TestAmortizedElbo:
         params = init_branch("dense", 1, 1, 3)
         params.v = ap.v
         for i in range(3):
-            params.w[i], _ = net_forward(ap.net, data.branches[i])
+            w, _ = net_forward(ap.net, data.branches[i])
+            row = params.local(i)
+            row.mu[:], row.A[:], row.chol.raw[:] = w.mu, w.A, w.chol.raw
         sampler = MinibatchSampler(3, 2)
         for k in range(20):
             ea, _ = amortized_elbo(model, ap.v, ap.net, data, sampler,

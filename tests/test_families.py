@@ -135,7 +135,7 @@ class TestBranchSampling:
     def test_no_coupling_structures_ignore_theta(self, structure):
         # Table-style structure rule: without A, locals cannot depend on theta.
         params = _random_branch_params(structure, 3, 2, 1, seed=40)
-        w = params.w[0]
+        w = params.local(0)
         eps = RngStream(41).normal(2)
         z1, q1, _ = local_draw(w, np.zeros(3), eps)
         z2, q2, _ = local_draw(w, np.full(3, 9.0), eps)
@@ -143,9 +143,8 @@ class TestBranchSampling:
 
     def test_structure_field_validation(self):
         with pytest.raises(MalformedParamsError):
-            BranchParams("dense", 1, 1,
-                         init_branch("dense", 1, 1, 0).v,
-                         [LocalParams(np.zeros(1), chol=UnconstrainedChol(np.zeros(1), 1))])
+            # a block-width row (mu, raw) has no A columns for a dense family
+            BranchParams("dense", 1, 1, init_branch("dense", 1, 1, 0).v, np.zeros((1, 2)))
         with pytest.raises(MalformedParamsError):
             LocalParams(np.zeros(1))
 
@@ -154,15 +153,16 @@ class TestJointToBranch:
     def test_identity_covariance(self):
         fam = init_joint("dense", 2, 1, 2)
         bp = joint_to_branch(fam)
-        for w in bp.w:
+        for i in range(bp.n_branches):
+            w = bp.local(i)
             assert np.allclose(w.A, 0.0, atol=1e-12)
             assert np.allclose(tril_map(w.chol), np.eye(1), atol=1e-12)
 
     def test_two_dim_by_hand(self):
         spec = spec_from_moments(np.array([0.0, 0.0]), np.array([[2.0, 1.0], [1.0, 2.0]]))
         bp = joint_to_branch(JointFamily("dense", 1, 1, 1, spec=spec))
-        assert bp.w[0].A[0, 0] == pytest.approx(0.5, abs=1e-12)
-        L = tril_map(bp.w[0].chol)
+        assert bp.local(0).A[0, 0] == pytest.approx(0.5, abs=1e-12)
+        L = tril_map(bp.local(0).chol)
         assert (L @ L.T)[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_theta_marginal_preserved(self):
@@ -194,7 +194,8 @@ class TestJointToBranch:
             x = fam.spec.mean + gen.standard_normal(fam.total_dim) * 1.5
             theta = x[:D]
             lq = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
-            for i, w in enumerate(bp.w):
+            for i in range(bp.n_branches):
+                w = bp.local(i)
                 z = x[D + i * dz:D + (i + 1) * dz]
                 lq += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
             assert abs(lq - mvn_logpdf(fam.spec, x)) < 1e-9
@@ -203,18 +204,19 @@ class TestJointToBranch:
     def test_regrouping_is_exact(self, structure):
         fam = _random_joint(structure, 2, 2, 2, seed=45)
         bp = joint_to_branch(fam)
-        assert all(w.A is None for w in bp.w)
+        assert bp.A is None
+        assert all(bp.local(i).A is None for i in range(bp.n_branches))
         if structure == "diag":
             # regrouping is a re-indexing of the same per-coordinate factors
             assert np.allclose(bp.v.mean, fam.diag.mean[:2])
             assert np.allclose(bp.v.scale_raw, fam.diag.scale_raw[:2])
-            assert np.allclose(bp.w[1].mu, fam.diag.mean[4:6])
-            assert np.allclose(bp.w[1].scale_raw, fam.diag.scale_raw[4:6])
+            assert np.allclose(bp.local(1).mu, fam.diag.mean[4:6])
+            assert np.allclose(bp.local(1).scale_raw, fam.diag.scale_raw[4:6])
         else:
             Lz = tril_map(fam.locals_spec.chol)
             cov_z = Lz @ Lz.T
-            for i, w in enumerate(bp.w):
-                Lw = tril_map(w.chol)
+            for i in range(bp.n_branches):
+                Lw = tril_map(bp.local(i).chol)
                 blk = cov_z[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2]
                 assert np.allclose(Lw @ Lw.T, blk, atol=1e-10)
 
@@ -235,7 +237,8 @@ class TestJointToBranch:
         gen = RngStream(49).generator()
         for _ in range(20):
             theta = gen.standard_normal(1)
-            for w_a, w_b in zip(params.w, back.w):
+            for i in range(params.n_branches):
+                w_a, w_b = params.local(i), back.local(i)
                 m_a = w_a.mu + w_a.A @ theta
                 m_b = w_b.mu + w_b.A @ theta
                 assert np.allclose(m_a, m_b, atol=1e-9)
@@ -269,6 +272,28 @@ class TestParamCounts:
             params = init_branch(structure, 2, 3, 4)
             want = family_param_count("branch", structure, 4, 2, 3)
             assert tree_flatten(branch_to_tree(params)).size == want
+
+
+class TestStackedLocals:
+    @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
+    def test_tree_size_does_not_grow_with_branches(self, structure):
+        assert (len(branch_to_tree(init_branch(structure, 2, 2, 1)))
+                == len(branch_to_tree(init_branch(structure, 2, 2, 5000))))
+
+    @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
+    def test_local_views_write_through_to_W(self, structure):
+        params = init_branch(structure, 2, 3, 4)
+        w = params.local(2)
+        w.mu[:] = 1.0
+        if w.A is not None:
+            w.A[:] = 2.0
+        (w.chol.raw if w.chol is not None else w.scale_raw)[:] = 3.0
+        assert np.all(params.W[[0, 1, 3]] == 0.0)
+        assert np.array_equal(params.mu[2], np.full(3, 1.0))
+        if structure == "dense":
+            assert np.array_equal(params.A[2], np.full((3, 2), 2.0))
+        cov = params.scale_raw if structure == "diag" else params.raw
+        assert np.all(cov[2] == 3.0)
 
 
 class TestTreeRoundTrip:

@@ -6,7 +6,7 @@ from scipy.stats import wilcoxon
 
 from branchvi.amortize import AmortArch, init_amortized
 from branchvi.data import BranchData, BranchDataset, SplitDataset, split
-from branchvi.families import LocalParams, branch_from_tree, branch_to_tree, init_branch
+from branchvi.families import branch_from_tree, branch_to_tree, init_branch
 from branchvi.gaussmath import tril_unmap
 from branchvi.metrics import evaluate, log_mean_exp, write_report
 from branchvi.models import (
@@ -74,8 +74,10 @@ class TestEvaluate:
         params.v = oracle.posterior_global
         for i, b in enumerate(data.branches):
             C = np.linalg.inv(np.eye(1) + b.x.T @ b.x)
-            params.w[i] = LocalParams(C @ (b.x.T @ b.y), A=C.copy(),
-                                      chol=tril_unmap(np.linalg.cholesky(C)))
+            w = params.local(i)
+            w.mu[:] = C @ (b.x.T @ b.y)
+            w.A[:] = C
+            w.chol.raw[:] = tril_unmap(np.linalg.cholesky(C)).raw
         rep = evaluate(model, params, parts, k=50, rng=RngStream(505))
         assert rep.train_ll == pytest.approx(oracle.log_marginal, abs=1e-6)
         assert rep.train_elbo == pytest.approx(oracle.log_marginal, abs=1e-6)

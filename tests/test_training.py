@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from branchvi import families
+from branchvi.amortize import AmortArch, init_amortized
 from branchvi.errors import EstimatorError
-from branchvi.families import init_branch
+from branchvi.families import init_branch, init_joint
 from branchvi.models import SyntheticConfig, synthetic_forward_sample, synthetic_model
 from branchvi.optim import LrSchedule
 from branchvi.rng import RngStream
-from branchvi.training import train
+from branchvi.training import params_to_tree, train
 from branchvi.trees import tree_flatten
 from branchvi.families import branch_to_tree
 
@@ -107,3 +111,43 @@ def test_small_instance_reaches_oracle_within_budget():
     vals = np.array([branch_elbo(model, res.params, data, RngStream(712, k), n_mc=1,
                                  want_grad=False)[0].value for k in range(2000)])
     assert abs(vals.mean() - logZ) < 0.01
+
+
+def test_subsampled_step_builds_locals_for_the_batch_only(monkeypatch):
+    N, B = 5000, 4
+    cfg = SyntheticConfig(1, N, (2,) * N)
+    data, _ = synthetic_forward_sample(cfg, RngStream(720))
+    model = synthetic_model(1, N, (2,) * N)
+    built = {"n": 0}
+    orig = families.LocalParams.__post_init__
+
+    def counting(self):
+        built["n"] += 1
+        orig(self)
+
+    monkeypatch.setattr(families.LocalParams, "__post_init__", counting)
+    train(model, init_branch("dense", 1, 1, N), data, kind="branch",
+          schedule=LrSchedule(1e-2), iters=1, rng=RngStream(721), n_mc=2,
+          batch_size=B, trace_every=0)
+    assert built["n"] == B
+
+
+def _digest(params) -> str:
+    return hashlib.sha256(tree_flatten(params_to_tree(params)).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["joint", "branch", "amortized"])
+def test_train_leaves_input_params_unchanged(kind):
+    model, data = _setup()
+    if kind == "joint":
+        params = init_joint("dense", 1, 1, 3)
+    elif kind == "branch":
+        params = init_branch("dense", 1, 1, 3)
+    else:
+        params = init_amortized("dense", 1, 1, 1, RngStream(722), AmortArch((3, 3), (4, 4)))
+    before = _digest(params)
+    res = train(model, params, data, kind=kind, schedule=LrSchedule(1e-2), iters=3,
+                rng=RngStream(723), n_mc=2, batch_size=0 if kind == "joint" else 2,
+                trace_every=0)
+    assert _digest(params) == before
+    assert _digest(res.params) != before
