@@ -32,8 +32,7 @@ def main():
     cfg = PreferenceConfig(args.dim, args.branches, (args.obs,) * args.branches)
     data, _ = preference_forward_sample(cfg, RngStream(args.seed, 0))
     parts = split(data, 0.1, RngStream(args.seed, 1))
-    model = preference_model(args.dim, args.branches,
-                             tuple(b.n for b in parts.train.branches))
+    model = preference_model(args.dim)
     print(f"users {args.branches}, train ratings {parts.train.n_obs}, "
           f"test ratings {parts.test.n_obs}")
 

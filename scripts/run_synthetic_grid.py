@@ -30,7 +30,7 @@ def main():
     D, N = args.dim, args.branches
     cfg = SyntheticConfig(D, N, (args.obs,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(args.seed, 0))
-    model = synthetic_model(D, N, (args.obs,) * N)
+    model = synthetic_model(D)
     oracle = synthetic_oracle(data)
     print(f"instance: D={D} N={N} n_i={args.obs}   log p(y|x) = {oracle.log_marginal:.4f}")
 

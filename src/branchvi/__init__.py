@@ -8,7 +8,7 @@ grow with the data. Everything runs on plain numpy with hand-written
 reparameterized gradients.
 """
 
-from .data import BranchData, BranchDataset, SplitDataset
+from .data import BranchBatch, BranchData, BranchDataset, SplitDataset
 from .estimators import (
     ElboEstimate,
     MinibatchSampler,
@@ -25,6 +25,7 @@ from .rng import RngStream
 __version__ = "0.1.0"
 
 __all__ = [
+    "BranchBatch",
     "BranchData",
     "BranchDataset",
     "BranchParams",

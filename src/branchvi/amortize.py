@@ -4,14 +4,14 @@ Pipeline per branch: a feature MLP embeds each (x_ij, y_ij) pair, the
 embedding is concatenated with its elementwise square, the augmented
 vectors are mean-pooled over observations (order-invariant by
 construction), and a parameter MLP maps the pooled vector to the raw local
-parameter vector, which unpacks into LocalParams. Forward and backward
-passes are written out by hand; the tape carries exactly the activations
-the backward pass needs.
+parameter vector: one row of the packed local layout, which unpacks into
+LocalParams. Forward and backward passes are written out by hand; the tape
+carries exactly the activations the backward pass needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,6 +172,13 @@ class NetTape:
 
 def net_forward(net: AmortNet, d: BranchData):
     """Emit the local parameters for one branch; tape retained for backward."""
+    raw, tape = net_forward_row(net, d)
+    w = unpack_local(raw, net.structure, net.global_dim, net.local_dim, net.gamma)
+    return w, tape
+
+
+def net_forward_row(net: AmortNet, d: BranchData):
+    """One branch's packed local row (the BranchParams.W layout) and its tape."""
     if d.n == 0:
         raise InvalidDataError("cannot amortize an empty branch")
     H = np.concatenate([d.x, d.y[:, None]], axis=1)
@@ -181,9 +188,7 @@ def net_forward(net: AmortNet, d: BranchData):
     # to observation order (float addition is not associative otherwise).
     pooled = np.sort(aug, axis=0).sum(axis=0) / d.n
     out, param_cache = mlp_forward(net.param, pooled[None, :])
-    raw = out[0]
-    w = unpack_local(raw, net.structure, net.global_dim, net.local_dim, net.gamma)
-    return w, NetTape(feat_cache, E, param_cache, d.n)
+    return out[0], NetTape(feat_cache, E, param_cache, d.n)
 
 
 def net_backward(net: AmortNet, tape: NetTape, g_raw: np.ndarray) -> dict:

@@ -71,7 +71,7 @@ def _check_sample_density_consistency():
 def _small_problem():
     cfg = SyntheticConfig(2, 4, (3, 3, 3, 3))
     data, _ = synthetic_forward_sample(cfg, RngStream(104))
-    model = synthetic_model(2, 4, (3, 3, 3, 3))
+    model = synthetic_model(2)
     return model, data
 
 

@@ -78,7 +78,6 @@ class RunConfig:
     trace_every: int = 100
     k_samples: int = 10_000
     test_fraction: float = 0.0
-    workers: int = 1
     gamma: float = 1.0
     data: str = ""
     out_dir: str = "run"
@@ -96,7 +95,6 @@ class RunConfig:
             raise InvalidDataError("joint families cannot be subsampled; "
                                    "batch_size must be 0 (full) or equal to n_branches")
         for flag, value, ok, rule in (
-            ("--workers", self.workers, self.workers >= 1, ">= 1"),
             ("--n-mc", self.n_mc, self.n_mc >= 1, ">= 1"),
             ("--iters", self.iters, self.iters >= 0, ">= 0"),
             ("--batch-size", self.batch_size, self.batch_size >= 0, ">= 0"),
@@ -155,13 +153,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_model(cfg: RunConfig, data: BranchDataset) -> HbdModel:
-    n = tuple(max(b.n, 1) for b in data.branches)
     if cfg.model == "synthetic":
         if data.covariate_dim != cfg.dim:
             raise InvalidDataError(
                 f"dataset covariate dim {data.covariate_dim} != configured dim {cfg.dim}")
-        return synthetic_model(cfg.dim, data.n_branches, n)
-    return preference_model(cfg.dim, data.n_branches, n, gamma=cfg.gamma)
+        return synthetic_model(cfg.dim)
+    return preference_model(cfg.dim, gamma=cfg.gamma)
 
 
 def init_params(cfg: RunConfig, model: HbdModel, data: BranchDataset, rng: RngStream):
@@ -345,6 +342,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if not cfg.data:
         print("error: --data is required for train", file=sys.stderr)
         return 2
+    if cfg.iters < 1 and not cfg.resume:
+        print(f"error: --iters must be >= 1 to train, got {cfg.iters}", file=sys.stderr)
+        return 2
     data = load_dataset(cfg.data)
     model = build_model(cfg, data)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -376,8 +376,7 @@ def cmd_train(cfg: RunConfig) -> int:
                        iters=cfg.iters, rng=RngStream(cfg.seed, 1),
                        batch_size=cfg.batch_size, n_mc=cfg.n_mc,
                        trace_every=cfg.trace_every, start_iter=start_iter,
-                       adam=adam, ema=ema, on_record=on_record,
-                       workers=cfg.workers)
+                       adam=adam, ema=ema, on_record=on_record)
     save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.nt"), result.params,
                     it=cfg.iters, ema=result.ema, adam=result.adam)
     write_manifest(cfg, cfg.out_dir, "train", [cfg.data + ".bin", cfg.data + ".meta"])
@@ -505,7 +504,6 @@ def cmd_check(_cfg: RunConfig) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--iters", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,67 @@ class BranchDataset:
     @property
     def n_obs(self) -> int:
         return sum(b.n for b in self.branches)
+
+    @cached_property
+    def _all(self) -> "BranchBatch":
+        # Built on first use; the branches are not expected to change afterwards.
+        x = np.zeros((0, self.covariate_dim))
+        y = np.zeros(0)
+        if self.branches:
+            x = np.concatenate([b.x for b in self.branches])
+            y = np.concatenate([b.y for b in self.branches])
+        return BranchBatch(x, y, np.array([b.n for b in self.branches], dtype=np.int64))
+
+    def batch(self, idx) -> "BranchBatch":
+        """The observations of branches ``idx``, concatenated in that order."""
+        full = self._all
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size == self.n_branches and np.array_equal(idx, np.arange(idx.size)):
+            return full
+        counts = full.counts[idx]
+        shift = full.starts[idx] - (np.cumsum(counts) - counts)
+        rows = np.repeat(shift, counts) + np.arange(int(counts.sum()))
+        return BranchBatch(full.x[rows], full.y[rows], counts)
+
+
+@dataclass
+class BranchBatch:
+    """Observations of a batch of branches, concatenated in batch order.
+
+    Batch position j owns rows starts[j] : starts[j] + counts[j] of x and y;
+    a branch may own no rows. ``xt`` is x transposed and contiguous. Models
+    reduce per-row terms to per-branch terms with ``segment_sum``.
+    """
+
+    x: np.ndarray        # (n, x_dim)
+    y: np.ndarray        # (n,)
+    counts: np.ndarray   # (B,) rows per batch position
+
+    def __post_init__(self):
+        self.xt = np.ascontiguousarray(self.x.T)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.seg = np.repeat(np.arange(self.counts.size), self.counts)  # row -> position
+        self._nonempty = self.counts > 0
+        self._all_nonempty = bool(self._nonempty.all())
+
+    @property
+    def n_branches(self) -> int:
+        return self.counts.size
+
+    def segment_sum(self, a: np.ndarray) -> np.ndarray:
+        """Per-branch sums along the last axis: a (..., n) -> (..., B).
+
+        Each branch's rows are added in order by ``np.add.reduceat``, so a
+        branch's sum does not depend on the rest of the batch. A branch with
+        no rows sums to 0 (reduceat itself would return a neighbouring row).
+        """
+        if self._all_nonempty and self.n_branches:
+            return np.add.reduceat(a, self.starts, axis=-1)
+        out = np.zeros(a.shape[:-1] + (self.n_branches,))
+        if self._nonempty.any():
+            out[..., self._nonempty] = np.add.reduceat(a, self.starts[self._nonempty],
+                                                       axis=-1)
+        return out
 
 
 @dataclass

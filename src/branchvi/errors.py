@@ -12,12 +12,14 @@ class InvalidDataError(ValueError):
 class EstimatorError(RuntimeError):
     """A log-density evaluated non-finite inside an estimator.
 
-    Carries enough context to locate the offending term.
+    Carries enough context to locate the offending term: the branch index
+    and the MC copy, when the term has them.
     """
 
-    def __init__(self, message: str, branch: int | None = None):
+    def __init__(self, message: str, branch: int | None = None, copy: int | None = None):
         super().__init__(message)
         self.branch = branch
+        self.copy = copy
 
 
 class NonFiniteGradientError(RuntimeError):

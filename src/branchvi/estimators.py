@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortize import AmortNet, net_backward, net_forward
+from .amortize import AmortNet, net_backward, net_forward_row, net_to_tree
 from .data import BranchDataset
 from .errors import EstimatorError, MalformedParamsError
 from .families import (
@@ -31,9 +31,9 @@ from .families import (
     factor_tree,
     joint_backward,
     joint_draw,
-    local_draw_batch,
-    local_grad_accum,
-    pack_local_grad,
+    local_draw_rows,
+    local_grad_rows,
+    local_theta_grad,
 )
 from .models import HbdModel
 from .rng import RngStream
@@ -73,11 +73,20 @@ class MinibatchSampler:
         return np.sort(gen.choice(self.n_branches, size=self.batch_size, replace=False))
 
 
-def _require_finite(value, what, branch=None):
+def _check_prior_finite(value, copy):
     if not np.isfinite(value):
-        raise EstimatorError(f"non-finite {what}" +
-                             (f" at branch {branch}" if branch is not None else ""),
-                             branch=branch)
+        raise EstimatorError(f"non-finite prior log-density at MC copy {copy}", copy=copy)
+
+
+def _check_branch_finite(values, batch):
+    """values (M, B): raise for the first non-finite (copy, batch position)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        m, pos = (int(k) for k in np.argwhere(bad)[0])
+        branch = int(batch[pos])
+        raise EstimatorError(
+            f"non-finite branch log-density at branch {branch}, MC copy {m}",
+            branch=branch, copy=m)
 
 
 # ---------------------------------------------------------------------------
@@ -85,153 +94,93 @@ def _require_finite(value, what, branch=None):
 
 
 def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
-               rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True,
-               workers: int = 1):
+               rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
     """Single-family estimate: average over n_mc draws of log p - log q."""
     N = data.n_branches
     if fam.n_branches != N:
         raise MalformedParamsError(f"family built for {fam.n_branches} branches, data has {N}")
     eps_all = rng.child(_STREAM_GLOBAL).normal((n_mc, fam.total_dim))
     draws = [joint_draw(fam, eps_all[m]) for m in range(n_mc)]
-
-    def term(m, i):
-        if want_grad:
-            out = model.log_branch_grad(draws[m].theta, draws[m].z[i], data.branches[i])
-        else:
-            out = (model.log_branch(draws[m].theta, draws[m].z[i], data.branches[i]),
-                   None, None)
-        _require_finite(out[0], "branch log-density", branch=i)
-        return out
-
-    if workers > 1 and N > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        grid = [(m, i) for m in range(n_mc) for i in range(N)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(lambda mi: term(*mi), grid))
-        results = [flat[m * N:(m + 1) * N] for m in range(n_mc)]
+    THETA = np.stack([d.theta for d in draws])
+    Z = np.stack([d.z for d in draws])
+    batch = np.arange(N)
+    obs = data.batch(batch)
+    if want_grad:
+        lbs, GT, GZ = model.log_branch_grad(THETA, Z, obs)
     else:
-        results = [[term(m, i) for i in range(N)] for m in range(n_mc)]
+        lbs = model.log_branch_vals(THETA, Z, obs)
+    _check_branch_finite(lbs, batch)
 
     value = 0.0
     grads = None
-    for m in range(n_mc):
-        draw = draws[m]
-        lp, g_theta = model.log_prior_grad(draw.theta)
-        _require_finite(lp, "prior log-density")
-        g_z = np.empty_like(draw.z)
-        for i in range(N):
-            lb, gt, gz = results[m][i]
-            lp += lb
-            if want_grad:
-                g_theta = g_theta + gt
-                g_z[i] = gz
-        value += lp - draw.logq
+    for m, draw in enumerate(draws):
+        lp, g_prior = model.log_prior_grad(draw.theta)
+        _check_prior_finite(lp, m)
+        value += lp + float(np.sum(lbs[m])) - draw.logq
         if want_grad:
-            tree = joint_backward(fam, draw, g_theta, g_z, ent_weight=1.0)
+            tree = joint_backward(fam, draw, g_prior + GT[m].sum(axis=0), GZ[m],
+                                  ent_weight=1.0)
             grads = tree if grads is None else tree_add_(grads, tree)
     value /= n_mc
     if want_grad:
         tree_scale_(grads, 1.0 / n_mc)
-    return ElboEstimate(float(value), n_mc, np.arange(N)), grads
+    return ElboEstimate(float(value), n_mc, batch), grads
 
 
 # ---------------------------------------------------------------------------
 # Branch-family estimators (shared core).
 
 
-def _branch_core(model, v, data, batch, scale, local_of, on_local_grad,
-                 rng, n_mc, want_grad, workers: int = 1):
+def _branch_core(model, v, rows, structure, gamma, obs, batch, scale, rng, n_mc,
+                 want_grad):
     """Common machinery for branch / subsampled / amortized estimates.
 
-    local_of(pos, i) returns the LocalParams for branch i; on_local_grad
-    receives (pos, i, g_mu, g_A, g_raw) sums over MC copies when gradients
-    are requested. Branch terms are independent given the pre-drawn noise,
-    so with workers > 1 they evaluate on a thread pool; the reduction
-    always runs in batch-position order, making results identical for
-    every worker count. Returns (value, g_v_tree or None).
+    rows (B, P_w) are the batch's packed locals (BranchParams.W layout) with
+    the family's structure and gamma, and obs the batch's observations. All
+    copies and branches go through one batched draw, one model call and one
+    backward pass. Returns (value, g_v tree, gradient rows (B, P_w) summed
+    over copies), the last two None without ``want_grad``.
     """
     D = model.global_dim
     dz = model.local_dim
     eps_glob = rng.child(_STREAM_GLOBAL).normal((n_mc, D))
     eps_loc = rng.child(_STREAM_LOCAL).normal((n_mc, len(batch), dz))
     THETA, logq_v, aux_v = factor_draw_batch(v, eps_glob)
-
-    def branch_task(pos):
-        i = batch[pos]
-        w = local_of(pos, i)
-        EPS = eps_loc[:, pos]
-        Z, logqs, aux_w = local_draw_batch(w, THETA, EPS)
-        lbs = np.empty(n_mc)
-        if not want_grad:
-            for m in range(n_mc):
-                lbs[m] = model.log_branch(THETA[m], Z[m], data.branches[i])
-            _check_branch_finite(lbs, i)
-            return float(np.sum(lbs - logqs)), None, None
-        GT = np.empty((n_mc, D))
-        GZ = np.empty((n_mc, dz))
-        for m in range(n_mc):
-            lbs[m], GT[m], GZ[m] = model.log_branch_grad(THETA[m], Z[m], data.branches[i])
-        _check_branch_finite(lbs, i)
-        g_theta_contrib = scale * GT
-        if w.A is not None:
-            g_theta_contrib = g_theta_contrib + scale * (GZ @ w.A)
-        local_grads = local_grad_accum(w, aux_w, EPS, THETA, GZ, scale, n_mc)
-        return float(np.sum(lbs - logqs)), g_theta_contrib, local_grads
-
-    if workers > 1 and len(batch) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(branch_task, range(len(batch))))
+    Z, logq_w, aux_w = local_draw_rows(rows, structure, gamma, THETA, eps_loc)
+    if want_grad:
+        lbs, GT, GZ = model.log_branch_grad(THETA, Z, obs)
     else:
-        results = [branch_task(pos) for pos in range(len(batch))]
+        lbs = model.log_branch_vals(THETA, Z, obs)
+    _check_branch_finite(lbs, batch)
 
-    value = 0.0
-    G_THETA = np.zeros((n_mc, D)) if want_grad else None
+    lp = np.empty(n_mc)
+    G_THETA = np.empty((n_mc, D))
     for m in range(n_mc):
-        lp, g_prior = model.log_prior_grad(THETA[m])
-        _require_finite(lp, "prior log-density")
-        value += lp - logq_v[m]
-        if want_grad:
-            G_THETA[m] = g_prior
-    for pos, i in enumerate(batch):
-        term_val, g_theta_contrib, local_grads = results[pos]
-        value += scale * term_val
-        if want_grad:
-            G_THETA += g_theta_contrib
-            on_local_grad(pos, i, *local_grads)
-    value = float(value) / n_mc
+        lp[m], G_THETA[m] = model.log_prior_grad(THETA[m])
+        _check_prior_finite(lp[m], m)
+    value = float(np.sum(lp - logq_v) + scale * np.sum(lbs - logq_w)) / n_mc
     if not want_grad:
-        return value, None
+        return value, None, None
+    G_THETA += scale * (GT + local_theta_grad(rows, structure, GZ, D)).sum(axis=1)
+    G_rows = local_grad_rows(rows, structure, gamma, aux_w, THETA, eps_loc, GZ, scale, n_mc)
     g_v_mean, g_v_raw = factor_grad_accum(v, aux_v, eps_glob, G_THETA, ent_total=n_mc)
-    vtree = factor_tree("v", v)
-    keys = list(vtree.keys())
-    g_v = {keys[0]: g_v_mean / n_mc, keys[1]: g_v_raw / n_mc}
-    return value, g_v
-
-
-def _check_branch_finite(values, branch):
-    if not np.all(np.isfinite(values)):
-        raise EstimatorError(f"non-finite branch log-density at branch {branch}",
-                             branch=branch)
+    keys = list(factor_tree("v", v))
+    return value, {keys[0]: g_v_mean / n_mc, keys[1]: g_v_raw / n_mc}, G_rows
 
 
 def branch_elbo(model: HbdModel, params: BranchParams, data: BranchDataset,
-                rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True,
-                workers: int = 1):
+                rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
     """Full-sum branch estimate; one theta draw shared by all branches per copy."""
     N = data.n_branches
     if params.n_branches != N:
         raise MalformedParamsError(f"params hold {params.n_branches} branches, data has {N}")
     return _branch_params_core(model, params, data, np.arange(N), 1.0, rng, n_mc,
-                               want_grad, workers)
+                               want_grad)
 
 
 def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDataset,
                            sampler: MinibatchSampler, rng: RngStream,
-                           n_mc: int = DEFAULT_N_MC, want_grad: bool = True,
-                           workers: int = 1):
+                           n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
     """Minibatched branch estimate; local terms reweighted by N/|B|.
 
     Unbiased for the branch ELBO. With batch_size == N this reduces bitwise
@@ -244,27 +193,21 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
         raise MalformedParamsError(f"params hold {params.n_branches} branches, data has {N}")
     batch = sampler.sample(rng.child(_STREAM_BATCH))
     scale = N / len(batch)
-    return _branch_params_core(model, params, data, batch, scale, rng, n_mc,
-                               want_grad, workers)
+    return _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad)
 
 
-def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad,
-                        workers: int = 1):
+def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad):
     """Branch estimate over ``batch``; only the batch rows of W are touched.
 
     The local gradient of branch i lands in row i of a zeroed (N, P_w)
     buffer, which is the ``w`` entry of the gradient tree.
     """
-    G = np.zeros_like(params.W) if want_grad else None
-
-    def on_local_grad(pos, i, g_mu, g_A, g_raw):
-        G[i] += pack_local_grad(g_mu, g_A, g_raw)
-
-    value, g_v = _branch_core(model, params.v, data, batch, scale,
-                              lambda pos, i: params.local(i), on_local_grad,
-                              rng, n_mc, want_grad, workers)
+    value, g_v, G_rows = _branch_core(model, params.v, params.W[batch], params.structure,
+                                      params.gamma, data.batch(batch), batch, scale, rng,
+                                      n_mc, want_grad)
     if want_grad:
-        G[batch] /= n_mc
+        G = np.zeros_like(params.W)
+        G[batch] = G_rows / n_mc
         g_v["w"] = G
     return ElboEstimate(value, n_mc, np.asarray(batch)), g_v
 
@@ -275,14 +218,14 @@ def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad,
 
 def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
                    sampler: MinibatchSampler, rng: RngStream,
-                   n_mc: int = DEFAULT_N_MC, want_grad: bool = True,
-                   workers: int = 1):
+                   n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
     """Subsampled branch estimate with w_i emitted by the network.
 
     Only valid for symmetric targets. The network runs once per sampled
-    branch per call (w_i does not condition on theta); gradients flow into
-    the network through one backward pass per branch with the MC-averaged
-    upstream gradient, and into v through the usual reparameterized path.
+    branch per call (w_i does not condition on theta); its rows stack into
+    the batch's locals, and gradients flow back into the network through one
+    backward pass per branch with the MC-averaged gradient row, and into v
+    through the usual reparameterized path.
     """
     if not model.symmetric:
         raise MalformedParamsError("amortized families require a symmetric model")
@@ -292,28 +235,18 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
     batch = sampler.sample(rng.child(_STREAM_BATCH))
     scale = N / len(batch)
 
-    locals_cache = []
-    raw_grads = []
-    for i in batch:
-        w, tape = net_forward(net, data.branches[i])
-        locals_cache.append((w, tape))
-        raw_grads.append(None)
-
-    def on_local_grad(pos, i, g_mu, g_A, g_raw):
-        g = pack_local_grad(g_mu, g_A, g_raw)
-        raw_grads[pos] = g if raw_grads[pos] is None else raw_grads[pos] + g
-
-    value, g_v = _branch_core(model, v, data, batch, scale,
-                              lambda pos, i: locals_cache[pos][0], on_local_grad,
-                              rng, n_mc, want_grad, workers)
+    forward = [net_forward_row(net, data.branches[i]) for i in batch]
+    rows = np.stack([row for row, _ in forward])
+    value, g_v, G_rows = _branch_core(model, v, rows, net.structure, net.gamma,
+                                      data.batch(batch), batch, scale, rng, n_mc,
+                                      want_grad)
     if not want_grad:
         return ElboEstimate(value, n_mc, batch), None
-    from .amortize import net_to_tree
     grads = dict(g_v)
     for k, a in net_to_tree(net).items():
         grads[f"net.{k}"] = np.zeros_like(a)
-    for pos in range(len(batch)):
-        gtree = net_backward(net, locals_cache[pos][1], raw_grads[pos] / n_mc)
+    for pos, (_, tape) in enumerate(forward):
+        gtree = net_backward(net, tape, G_rows[pos] / n_mc)
         for k, a in gtree.items():
             grads[f"net.{k}"] += a
     return ElboEstimate(value, n_mc, batch), grads

@@ -27,9 +27,13 @@ from .gaussmath import (
     LOG_2PI,
     diag_transform,
     diag_transform_grad,
+    dot_last,
+    mvn_draw_batch,
     spec_from_moments,
     tril_map,
     tril_map_backward,
+    tril_map_backward_raw,
+    tril_map_raw,
     tril_size,
     tril_unmap,
 )
@@ -65,13 +69,15 @@ class DiagGaussian:
 class LocalParams:
     """Parameters of one conditional q(z_i | theta).
 
-    Dense: (mu, A, chol); block: (mu, chol); diag: (mu, scale_raw).
+    Dense: (mu, A, chol); block: (mu, chol); diag: (mu, scale_raw). ``gamma``
+    is the diagonal map's; with ``chol`` set it is taken from ``chol``.
     """
 
     mu: np.ndarray
     A: np.ndarray | None = None
     chol: UnconstrainedChol | None = None
     scale_raw: np.ndarray | None = None
+    gamma: float = 1.0
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -79,6 +85,14 @@ class LocalParams:
             raise MalformedParamsError("exactly one of chol / scale_raw must be set")
         if self.A is not None and self.scale_raw is not None:
             raise MalformedParamsError("A is only valid for dense conditionals")
+        if self.chol is not None:
+            self.gamma = self.chol.gamma
+
+    @property
+    def structure(self) -> str:
+        if self.scale_raw is not None:
+            return "diag"
+        return "dense" if self.A is not None else "block"
 
 
 def local_param_size(structure: str, global_dim: int, local_dim: int) -> int:
@@ -105,15 +119,15 @@ def unpack_local(raw: np.ndarray, structure: str, global_dim: int, local_dim: in
         return LocalParams(mu, A=A, chol=chol)
     if structure == "block":
         return LocalParams(mu, chol=UnconstrainedChol(raw[dz:], dz, gamma))
-    return LocalParams(mu, scale_raw=raw[dz:])
+    return LocalParams(mu, scale_raw=raw[dz:], gamma=gamma)
 
 
-def pack_local_grad(g_mu, g_A, g_raw) -> np.ndarray:
-    """Inverse of unpack_local for gradients (raw covariance space)."""
-    parts = [g_mu]
-    if g_A is not None:
-        parts.append(g_A.ravel())
-    parts.append(g_raw)
+def pack_local(w: LocalParams) -> np.ndarray:
+    """Inverse of unpack_local: the packed row of one conditional."""
+    parts = [w.mu]
+    if w.A is not None:
+        parts.append(w.A.ravel())
+    parts.append(w.chol.raw if w.chol is not None else w.scale_raw)
     return np.concatenate(parts)
 
 
@@ -234,46 +248,18 @@ def _zero_spec(dim, gamma):
 #
 # Every factor draw returns (x, logq, aux); the backward pass maps an
 # upstream gradient g_x on the sample plus an entropy weight (the scale on
-# the -log q term in the estimate) to gradients on (mean, raw).
-
-
-def _dense_draw(spec: GaussianSpec, eps):
-    L = tril_map(spec.chol)
-    x = spec.mean + L @ eps
-    logq = -0.5 * float(eps @ eps) - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI
-    return x, logq, L
-
-
-def _dense_backward(spec: GaussianSpec, L, eps, g_x, ent_weight):
-    gL = np.tril(np.outer(g_x, eps))
-    idx = np.arange(spec.dim)
-    gL[idx, idx] += ent_weight / np.diag(L)
-    return g_x.copy(), tril_map_backward(spec.chol, gL)
-
-
-def _diag_draw(dg: DiagGaussian, eps):
-    s = dg.scales()
-    x = dg.mean + s * eps
-    logq = -0.5 * float(eps @ eps) - float(np.sum(np.log(s))) - 0.5 * dg.dim * LOG_2PI
-    return x, logq, s
-
-
-def _diag_backward(dg: DiagGaussian, s, eps, g_x, ent_weight):
-    graw = (g_x * eps + ent_weight / s) * diag_transform_grad(dg.scale_raw, dg.gamma)
-    return g_x.copy(), graw
+# the -log q term in the estimate) to gradients on (mean, raw). The single
+# draw is the one-copy case of the batched draw below.
 
 
 def factor_draw(v, eps):
-    if isinstance(v, DiagGaussian):
-        return _diag_draw(v, eps)
-    return _dense_draw(v, eps)
+    X, logqs, aux = factor_draw_batch(v, eps[None])
+    return X[0], float(logqs[0]), aux
 
 
 def factor_backward(v, aux, eps, g_x, ent_weight):
     """Returns (g_mean, g_raw) for the factor's (mean, raw) parameters."""
-    if isinstance(v, DiagGaussian):
-        return _diag_backward(v, aux, eps, g_x, ent_weight)
-    return _dense_backward(v, aux, eps, g_x, ent_weight)
+    return factor_grad_accum(v, aux, eps[None], g_x[None], ent_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +274,14 @@ def branch_sample_global(params: BranchParams, rng: RngStream):
 
 
 def local_draw(w: LocalParams, theta, eps):
-    """z = mu + A theta + L eps (A term absent outside dense); logq from eps."""
-    if w.scale_raw is not None:
-        dg = DiagGaussian(w.mu, w.scale_raw)
-        z, logq, s = _diag_draw(dg, eps)
-        return z, logq, s
-    L = tril_map(w.chol)
-    mean = w.mu + (w.A @ theta if w.A is not None else 0.0)
-    z = mean + L @ eps
-    d = w.chol.dim
-    logq = -0.5 * float(eps @ eps) - float(np.sum(np.log(np.diag(L)))) - 0.5 * d * LOG_2PI
-    return z, logq, L
+    """z = mu + A theta + L eps (A term absent outside dense); logq from eps.
+
+    The one-copy, one-branch case of local_draw_rows.
+    """
+    Z, logqs, aux = local_draw_rows(pack_local(w)[None], w.structure, w.gamma,
+                                    np.asarray(theta, dtype=float)[None],
+                                    np.asarray(eps, dtype=float)[None, None])
+    return Z[0, 0], float(logqs[0, 0]), aux[0]
 
 
 def branch_sample_local(w: LocalParams, theta, rng: RngStream):
@@ -324,18 +307,15 @@ class JointDraw:
 
 def joint_draw(fam: JointFamily, eps) -> JointDraw:
     D, dz, N = fam.global_dim, fam.local_dim, fam.n_branches
-    if fam.structure == "dense":
-        x, logq, L = _dense_draw(fam.spec, eps)
-        return JointDraw(x[:D], x[D:].reshape(N, dz), logq, eps, L)
     if fam.structure == "block":
-        theta, lq1, Lt = _dense_draw(fam.theta_spec, eps[:D])
+        theta, lq1, Lt = factor_draw(fam.theta_spec, eps[:D])
         if fam.locals_spec is not None:
-            zflat, lq2, Lz = _dense_draw(fam.locals_spec, eps[D:])
+            zflat, lq2, Lz = factor_draw(fam.locals_spec, eps[D:])
         else:
             zflat, lq2, Lz = np.zeros(0), 0.0, None
         return JointDraw(theta, zflat.reshape(N, dz), lq1 + lq2, eps, (Lt, Lz))
-    x, logq, s = _diag_draw(fam.diag, eps)
-    return JointDraw(x[:D], x[D:].reshape(N, dz), logq, eps, s)
+    x, logq, aux = factor_draw(fam.spec if fam.structure == "dense" else fam.diag, eps)
+    return JointDraw(x[:D], x[D:].reshape(N, dz), logq, eps, aux)
 
 
 def joint_sample_logq(fam: JointFamily, rng: RngStream):
@@ -349,19 +329,19 @@ def joint_backward(fam: JointFamily, draw: JointDraw, g_theta, g_z, ent_weight=1
     D = fam.global_dim
     g_full = np.concatenate([g_theta, np.asarray(g_z).ravel()])
     if fam.structure == "dense":
-        g_mean, g_raw = _dense_backward(fam.spec, draw.aux, draw.eps, g_full, ent_weight)
+        g_mean, g_raw = factor_backward(fam.spec, draw.aux, draw.eps, g_full, ent_weight)
         return {"q.mean": g_mean, "q.raw": g_raw}
     if fam.structure == "block":
         Lt, Lz = draw.aux
-        g_mt, g_rt = _dense_backward(fam.theta_spec, Lt, draw.eps[:D], g_theta, ent_weight)
+        g_mt, g_rt = factor_backward(fam.theta_spec, Lt, draw.eps[:D], g_theta, ent_weight)
         out = {"theta.mean": g_mt, "theta.raw": g_rt}
         if fam.locals_spec is not None:
-            g_mz, g_rz = _dense_backward(fam.locals_spec, Lz, draw.eps[D:],
+            g_mz, g_rz = factor_backward(fam.locals_spec, Lz, draw.eps[D:],
                                          g_full[D:], ent_weight)
             out["locals.mean"] = g_mz
             out["locals.raw"] = g_rz
         return out
-    g_mean, g_raw = _diag_backward(fam.diag, draw.aux, draw.eps, g_full, ent_weight)
+    g_mean, g_raw = factor_backward(fam.diag, draw.aux, draw.eps, g_full, ent_weight)
     return {"q.mean": g_mean, "q.scale_raw": g_raw}
 
 
@@ -425,34 +405,25 @@ def joint_to_branch(fam: JointFamily) -> BranchParams:
 def assemble_joint(params: BranchParams):
     """Mean and covariance of the Gaussian over (theta, z) implied by branch params."""
     D, dz, N = params.global_dim, params.local_dim, params.n_branches
-    P = D + N * dz
     if isinstance(params.v, DiagGaussian):
         mu_t, cov_t = params.v.mean, np.diag(params.v.scales() ** 2)
     else:
         mu_t, cov_t = params.v.mean, params.v.cov()
-    mean = np.zeros(P)
-    cov = np.zeros((P, P))
-    mean[:D] = mu_t
-    cov[:D, :D] = cov_t
     As = params.A if params.A is not None else np.zeros((N, dz, D))
-    Cs = []
-    for i in range(N):
-        wi = params.local(i)
-        if wi.scale_raw is not None:
-            C = np.diag(diag_transform(wi.scale_raw) ** 2)
-        else:
-            Lw = tril_map(wi.chol)
-            C = Lw @ Lw.T
-        Cs.append(C)
-    for i in range(N):
-        s = slice(D + i * dz, D + (i + 1) * dz)
-        mean[s] = params.mu[i] + As[i] @ mu_t
-        cov[:D, s] = cov_t @ As[i].T
-        cov[s, :D] = As[i] @ cov_t
-        for j in range(N):
-            sj = slice(D + j * dz, D + (j + 1) * dz)
-            cov[s, sj] = As[i] @ cov_t @ As[j].T
-        cov[s, s] += Cs[i]
+    if params.structure == "diag":
+        Cs = np.zeros((N, dz, dz))
+        idx = np.arange(dz)
+        Cs[:, idx, idx] = diag_transform(params.scale_raw, params.gamma) ** 2
+    else:
+        Lw = tril_map_raw(params.raw, dz, params.gamma)
+        Cs = Lw @ Lw.transpose(0, 2, 1)
+    # Cov(z_i, theta) = A_i cov_t and Cov(z_i, z_j) = A_i cov_t A_j' + [i == j] C_i.
+    AC = (As @ cov_t).reshape(N * dz, D)
+    cov_z = AC @ As.reshape(N * dz, D).T
+    blocks = cov_z.reshape(N, dz, N, dz)
+    blocks[np.arange(N), :, np.arange(N), :] += Cs
+    mean = np.concatenate([mu_t, (params.mu + As @ mu_t).ravel()])
+    cov = np.block([[cov_t, AC.T], [AC, cov_z]])
     return mean, cov
 
 
@@ -554,9 +525,10 @@ def joint_from_tree(fam: JointFamily, tree: dict) -> JointFamily:
 
 
 # ---------------------------------------------------------------------------
-# Batched (over MC copies) draw/accumulate helpers used by the estimators.
-# Gradients enter the parameter updates only as sums over copies, so the
-# per-copy outer products collapse into single matmuls.
+# Batched draw/accumulate helpers used by the estimators: over MC copies for
+# a global factor, over (MC copy, batch branch) for branch locals. Gradients
+# enter the parameter updates only as sums over copies, so the per-copy
+# outer products collapse into single contractions.
 
 
 def factor_draw_batch(v, EPS):
@@ -567,11 +539,7 @@ def factor_draw_batch(v, EPS):
         logqs = (-0.5 * np.einsum("ij,ij->i", EPS, EPS)
                  - float(np.sum(np.log(s))) - 0.5 * v.dim * LOG_2PI)
         return X, logqs, s
-    L = tril_map(v.chol)
-    X = v.mean + EPS @ L.T
-    logqs = (-0.5 * np.einsum("ij,ij->i", EPS, EPS)
-             - float(np.sum(np.log(np.diag(L)))) - 0.5 * v.dim * LOG_2PI)
-    return X, logqs, L
+    return mvn_draw_batch(v, EPS)
 
 
 def factor_grad_accum(v, aux, EPS, G, ent_total):
@@ -588,29 +556,61 @@ def factor_grad_accum(v, aux, EPS, G, ent_total):
     return g_mean, tril_map_backward(v.chol, GL)
 
 
-def local_draw_batch(w: LocalParams, THETA, EPS):
-    """Copies of z = mu + A theta + L eps with per-copy conditional log-densities."""
-    if w.scale_raw is not None:
-        dg = DiagGaussian(w.mu, w.scale_raw)
-        return factor_draw_batch(dg, EPS)
-    L = tril_map(w.chol)
-    mean = w.mu + (THETA @ w.A.T if w.A is not None else 0.0)
-    Z = mean + EPS @ L.T
-    d = w.chol.dim
-    logqs = (-0.5 * np.einsum("ij,ij->i", EPS, EPS)
-             - float(np.sum(np.log(np.diag(L)))) - 0.5 * d * LOG_2PI)
-    return Z, logqs, L
+def local_draw_rows(rows, structure, gamma, THETA, EPS):
+    """Locals of a batch of branches for every MC copy.
+
+    rows (B, P_w) are packed locals (the layout of BranchParams.W), THETA
+    (M, D) the copies' global draws and EPS (M, B, dz) the local noise.
+    Returns Z (M, B, dz) with z = mu + A theta + L eps, the conditional
+    log-densities (M, B), and the factor state (L (B, dz, dz), or the
+    scales (B, dz) for diag) that local_grad_rows takes back.
+    """
+    dz = EPS.shape[2]
+    mu = rows[:, :dz]
+    const = -0.5 * np.einsum("mbk,mbk->mb", EPS, EPS) - 0.5 * dz * LOG_2PI
+    if structure == "diag":
+        s = diag_transform(rows[:, dz:], gamma)
+        return mu + s * EPS, const - np.sum(np.log(s), axis=1), s
+    L = tril_map_raw(rows[:, -tril_size(dz):], dz, gamma)
+    mean = mu
+    if structure == "dense":
+        mean = mu + dot_last(_rows_A(rows, dz, THETA.shape[1])[None], THETA[:, None, None, :])
+    Z = mean + dot_last(L[None], EPS[:, :, None, :])
+    logdet = np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    return Z, const - logdet, L
 
 
-def local_grad_accum(w: LocalParams, aux, EPS, THETA, GZ, scale, n_mc):
-    """Copy-summed local gradients; each copy's -log q term carries ``scale``."""
-    if w.scale_raw is not None:
-        dg = DiagGaussian(w.mu, w.scale_raw)
-        g_mu, g_raw = factor_grad_accum(dg, aux, EPS, scale * GZ, n_mc * scale)
-        return g_mu, None, g_raw
-    g_mu = scale * GZ.sum(axis=0)
-    g_A = scale * (GZ.T @ THETA) if w.A is not None else None
-    GL = scale * np.tril(GZ.T @ EPS)
-    idx = np.arange(w.chol.dim)
-    GL[idx, idx] += n_mc * scale / np.diag(aux)
-    return g_mu, g_A, tril_map_backward(w.chol, GL)
+def local_grad_rows(rows, structure, gamma, aux, THETA, EPS, GZ, scale, n_mc):
+    """Copy-summed gradient rows (B, P_w) of the batch's locals.
+
+    GZ (M, B, dz) is the upstream gradient on Z; each copy's sample term
+    and its -log q term carry ``scale``. The row layout is that of ``rows``.
+    """
+    dz = EPS.shape[2]
+    G = np.empty_like(rows)
+    G[:, :dz] = scale * GZ.sum(axis=0)
+    if structure == "diag":
+        G[:, dz:] = (((scale * GZ * EPS).sum(axis=0) + n_mc * scale / aux)
+                     * diag_transform_grad(rows[:, dz:], gamma))
+        return G
+    if structure == "dense":
+        D = THETA.shape[1]
+        G[:, dz:dz + dz * D] = scale * np.einsum("mbk,md->bkd", GZ, THETA).reshape(-1, dz * D)
+    GL = scale * np.einsum("mbk,mbl->bkl", GZ, EPS)
+    idx = np.arange(dz)
+    GL[:, idx, idx] += n_mc * scale / aux[:, idx, idx]
+    T = tril_size(dz)
+    G[:, -T:] = tril_map_backward_raw(rows[:, -T:], GL, dz, gamma)
+    return G
+
+
+def local_theta_grad(rows, structure, GZ, D):
+    """The part of d/dtheta that flows through z = mu + A theta: (M, B, D)."""
+    if structure != "dense":
+        return 0.0
+    At = _rows_A(rows, GZ.shape[2], D).transpose(0, 2, 1)
+    return dot_last(At[None], GZ[:, :, None, :])
+
+
+def _rows_A(rows, dz, D):
+    return rows[:, dz:dz + dz * D].reshape(-1, dz, D)

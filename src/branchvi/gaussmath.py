@@ -16,10 +16,10 @@ log-density at the sample never needs a triangular solve:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import MalformedParamsError
 from .rng import RngStream
@@ -53,8 +53,26 @@ def diag_transform_inv(y, gamma: float = 1.0):
     return y - gamma / y
 
 
+def dot_last(a, b):
+    """sum_k a[..., k] * b[..., k] under broadcasting, added in k order.
+
+    For the many short products of a batch this is faster than einsum, and
+    each entry's value does not depend on the other entries (a BLAS
+    product's can).
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 def tril_size(dim: int) -> int:
     return dim * (dim + 1) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _tril_indices(dim: int):
+    return np.tril_indices(dim)
 
 
 def packed_diag_indices(dim: int) -> np.ndarray:
@@ -86,12 +104,16 @@ class UnconstrainedChol:
 
 def tril_map(u: UnconstrainedChol) -> np.ndarray:
     """Realize the lower-triangular factor with strictly positive diagonal."""
-    d = u.dim
-    L = np.zeros((d, d))
-    rows, cols = np.tril_indices(d)
-    L[rows, cols] = u.raw
-    dpos = packed_diag_indices(d)
-    L[np.arange(d), np.arange(d)] = diag_transform(u.raw[dpos], u.gamma)
+    return tril_map_raw(u.raw, u.dim, u.gamma)
+
+
+def tril_map_raw(raw: np.ndarray, dim: int, gamma: float = 1.0) -> np.ndarray:
+    """tril_map over a stack of packed vectors: raw (..., tril(dim)) -> (..., dim, dim)."""
+    L = np.zeros(raw.shape[:-1] + (dim, dim))
+    rows, cols = _tril_indices(dim)
+    L[..., rows, cols] = raw
+    idx = np.arange(dim)
+    L[..., idx, idx] = diag_transform(raw[..., packed_diag_indices(dim)], gamma)
     return L
 
 
@@ -115,11 +137,16 @@ def tril_map_backward(u: UnconstrainedChol, grad_L: np.ndarray) -> np.ndarray:
     Off-diagonal entries chain with factor 1, diagonal entries with psi'.
     Only the lower triangle of ``grad_L`` is read.
     """
-    d = u.dim
-    rows, cols = np.tril_indices(d)
-    graw = grad_L[rows, cols].copy()
-    dpos = packed_diag_indices(d)
-    graw[dpos] *= diag_transform_grad(u.raw[dpos], u.gamma)
+    return tril_map_backward_raw(u.raw, grad_L, u.dim, u.gamma)
+
+
+def tril_map_backward_raw(raw: np.ndarray, grad_L: np.ndarray, dim: int,
+                          gamma: float = 1.0) -> np.ndarray:
+    """tril_map_backward over stacks: raw (..., tril(dim)), grad_L (..., dim, dim)."""
+    rows, cols = _tril_indices(dim)
+    graw = grad_L[..., rows, cols]
+    dpos = packed_diag_indices(dim)
+    graw[..., dpos] *= diag_transform_grad(raw[..., dpos], gamma)
     return graw
 
 
@@ -163,10 +190,17 @@ def mvn_draw(spec: GaussianSpec, eps: np.ndarray):
     Returns (sample, logpdf, L). The logpdf reuses ``eps`` directly, so no
     solve is performed and the value is exact at the sample.
     """
+    X, logqs, L = mvn_draw_batch(spec, eps[None])
+    return X[0], float(logqs[0]), L
+
+
+def mvn_draw_batch(spec: GaussianSpec, EPS: np.ndarray):
+    """mvn_draw for every row of EPS (M, dim): returns (X (M, dim), logpdfs (M,), L)."""
     L = tril_map(spec.chol)
-    x = spec.mean + L @ eps
-    logq = -0.5 * float(eps @ eps) - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI
-    return x, logq, L
+    X = spec.mean + EPS @ L.T
+    logqs = (-0.5 * np.einsum("ij,ij->i", EPS, EPS)
+             - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI)
+    return X, logqs, L
 
 
 def mvn_sample(spec: GaussianSpec, rng: RngStream):
@@ -181,6 +215,9 @@ def mvn_logpdf(spec: GaussianSpec, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise MalformedParamsError(f"x has shape {x.shape}, expected ({spec.dim},)")
+    # scipy.linalg is a large import that training never needs, so it loads on use.
+    from scipy.linalg import solve_triangular
+
     L = tril_map(spec.chol)
     t = solve_triangular(L, x - spec.mean, lower=True)
     return -0.5 * float(t @ t) - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amortize import AmortParams, net_forward
+from .amortize import AmortParams, net_forward_row
 from .data import SplitDataset
 from .errors import MalformedParamsError
-from .families import BranchParams, JointFamily, factor_draw, joint_draw, local_draw
+from .families import (BranchParams, JointFamily, factor_draw, joint_draw, local_draw_rows,
+                       local_param_size)
 from .models import HbdModel
 from .rng import RngStream
 
@@ -66,26 +67,14 @@ def log_mean_exp(values: np.ndarray) -> float:
     return top + float(np.log(np.mean(np.exp(values - top))))
 
 
-def _draw_assignment(q, model, active, rng_gen):
-    """One (theta, {z_i}, log q) draw for any family container."""
-    if isinstance(q, JointFamily):
-        draw = joint_draw(q, rng_gen.standard_normal(q.total_dim))
-        return draw.theta, draw.z, draw.logq
-    theta, logq, _ = factor_draw(q.v, rng_gen.standard_normal(model.global_dim))
-    zs = np.empty((len(active), model.local_dim))
-    for pos, (i, w) in enumerate(active):
-        z, lq, _ = local_draw(w, theta, rng_gen.standard_normal(model.local_dim))
-        zs[pos] = z
-        logq += lq
-    return theta, zs, logq
-
-
 def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
              rng: RngStream | None = None) -> MetricReport:
     """Metric report from K posterior samples of the trained family ``q``.
 
     ``q`` may be a JointFamily, BranchParams, or AmortParams; amortized
-    locals come from net_forward on each branch's train data.
+    locals come from the network on each branch's train data. Each draw
+    makes one batched model call over the train branches and one over the
+    test branches.
     """
     if k < 1:
         raise MalformedParamsError("k must be at least 1")
@@ -95,47 +84,49 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
     N = train.n_branches
 
     skipped: list = []
+    rows = None                 # packed locals of the active branches (branch kinds)
     if isinstance(q, AmortParams):
-        active = []
-        for i in range(N):
-            if train.branches[i].n == 0:
-                skipped.append(i)
-                continue
-            w, _ = net_forward(q.net, train.branches[i])
-            active.append((i, w))
+        skipped = [i for i in range(N) if train.branches[i].n == 0]
+        active = np.array([i for i in range(N) if train.branches[i].n > 0], dtype=np.int64)
         if skipped:
             warnings.warn(
                 f"excluding {len(skipped)} branch(es) with empty train data "
                 "from metrics (amortized locals undefined)")
-    elif isinstance(q, BranchParams):
+        rows = np.zeros((active.size, local_param_size(q.structure, q.global_dim,
+                                                        q.local_dim)))
+        for pos, i in enumerate(active):
+            rows[pos] = net_forward_row(q.net, train.branches[i])[0]
+        structure, gamma = q.net.structure, q.net.gamma
+    elif isinstance(q, (BranchParams, JointFamily)):
         if q.n_branches != N:
             raise MalformedParamsError("family branch count must match the split")
-        active = [(i, q.local(i)) for i in range(N)]
-    elif isinstance(q, JointFamily):
-        if q.n_branches != N:
-            raise MalformedParamsError("family branch count must match the split")
-        active = [(i, None) for i in range(N)]
+        active = np.arange(N)
+        if isinstance(q, BranchParams):
+            rows, structure, gamma = q.W, q.structure, q.gamma
     else:
         raise MalformedParamsError(f"unsupported family container {type(q).__name__}")
+    train_obs, test_obs = train.batch(active), test.batch(active)
+    D, dz = model.global_dim, model.local_dim
 
     gen = rng.generator()
     log_ratio = np.empty(k)
     test_loglik = np.empty(k)
     for j in range(k):
-        theta, zs, logq = _draw_assignment(q, model, active, gen)
-        lp = model.log_prior(theta)
-        lt = 0.0
-        for pos, (i, _) in enumerate(active):
-            z = zs[pos]
-            lp += model.log_branch(theta, z, train.branches[i])
-            if test.branches[i].n:
-                lt += model.log_obs(theta, z, test.branches[i])
+        if rows is None:
+            draw = joint_draw(q, gen.standard_normal(q.total_dim))
+            theta, Z, logq = draw.theta, draw.z[None], draw.logq
+        else:
+            theta, logq, _ = factor_draw(q.v, gen.standard_normal(D))
+            Z, logq_w, _ = local_draw_rows(rows, structure, gamma, theta[None],
+                                           gen.standard_normal((1, active.size, dz)))
+            logq += float(np.sum(logq_w))
+        lp = model.log_prior(theta) + float(np.sum(model.log_branch_vals(theta[None], Z,
+                                                                         train_obs)))
         log_ratio[j] = lp - logq
-        test_loglik[j] = lt
+        test_loglik[j] = float(np.sum(model.log_obs_vals(theta[None], Z, test_obs)))
 
-    active_idx = [i for i, _ in active]
-    n_train = sum(train.branches[i].n for i in active_idx)
-    n_test = sum(test.branches[i].n for i in active_idx)
+    n_train = int(train_obs.counts.sum())
+    n_test = int(test_obs.counts.sum())
     train_ll = log_mean_exp(log_ratio)
     train_elbo = float(np.mean(log_ratio))
     test_ll = log_mean_exp(test_loglik)

@@ -1,34 +1,41 @@
 """Concrete hierarchical targets exposed through a black-box interface.
 
 Every model is a bundle of callables over a global latent theta and
-per-branch locals z_i:
+per-branch locals z_i. The branch terms are batched over MC copies and
+batch branches: with THETA (M, D), Z (M, B, dz) and the batch's
+observations (a ``BranchBatch``),
 
     log_prior(theta)                      log p(theta)
-    log_branch(theta, z_i, data_i)        log p(z_i, y_i | theta, x_i)
-    log_obs(theta, z_i, data_i)           log p(y_i | theta, z_i, x_i)
+    log_prior_grad(theta)                 (log p(theta), gradient)
+    log_branch_vals(THETA, Z, obs)        log p(z_i, y_i | theta, x_i)      (M, B)
+    log_branch_grad(THETA, Z, obs)        the same plus g_theta (M, B, D), g_z (M, B, dz)
+    log_obs_vals(THETA, Z, obs)           log p(y_i | theta, z_i, x_i)      (M, B)
 
-plus matching analytic gradients. Estimators only ever touch this surface.
+Entry (m, j) depends only on copy m's theta, z_j and branch j's rows, and
+is bitwise the same whatever else the batch holds. ``HbdModel.log_branch``
+and ``HbdModel.log_obs`` are the single-branch (M = B = 1) forms.
+Estimators only ever touch this surface.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .data import BranchData, BranchDataset
+from .data import BranchBatch, BranchData, BranchDataset
 from .errors import InvalidDataError
 from .gaussmath import (
     LOG_2PI,
     GaussianSpec,
     UnconstrainedChol,
     diag_transform_grad,
+    dot_last,
     packed_diag_indices,
     spec_from_moments,
     tril_map,
+    tril_map_raw,
     tril_size,
 )
 from .rng import RngStream
@@ -43,9 +50,33 @@ class HbdModel:
     symmetric: bool
     log_prior: Callable
     log_prior_grad: Callable        # theta -> (value, grad)
-    log_branch: Callable            # (theta, z, BranchData) -> value
-    log_branch_grad: Callable       # (theta, z, BranchData) -> (value, g_theta, g_z)
-    log_obs: Callable               # (theta, z, BranchData) -> value
+    log_branch_vals: Callable       # (THETA, Z, BranchBatch) -> (M, B)
+    log_branch_grad: Callable       # (THETA, Z, BranchBatch) -> (vals, g_theta, g_z)
+    log_obs_vals: Callable          # (THETA, Z, BranchBatch) -> (M, B)
+
+    def log_branch(self, theta, z, d: BranchData) -> float:
+        """log p(z, y | theta, x) of one branch."""
+        return _single(self.log_branch_vals, theta, z, d)
+
+    def log_obs(self, theta, z, d: BranchData) -> float:
+        """log p(y | theta, z, x) of one branch."""
+        return _single(self.log_obs_vals, theta, z, d)
+
+
+def _single(fn, theta, z, d: BranchData) -> float:
+    obs = BranchBatch(d.x, d.y, np.array([d.n]))
+    return float(fn(np.asarray(theta, dtype=float)[None],
+                    np.asarray(z, dtype=float)[None, None], obs)[0, 0])
+
+
+def _rows_dot(obs: BranchBatch, Z):
+    """x_r . z_{seg(r)} for every copy and row: (M, n)."""
+    return dot_last(np.take(Z, obs.seg, axis=1), obs.x)
+
+
+def _rows_grad(obs: BranchBatch, resid):
+    """sum over branch j's rows of x_r * resid_r for every copy: (M, B, x_dim)."""
+    return obs.segment_sum(obs.xt * resid[:, None, :]).transpose(0, 2, 1)
 
 
 @dataclass
@@ -69,9 +100,8 @@ class SyntheticConfig:
 #   theta ~ N(0, I),  z_i ~ N(theta, I),  y_ij ~ N(x_ij' z_i, 1)
 
 
-def synthetic_model(D: int, N: int, n) -> HbdModel:
+def synthetic_model(D: int) -> HbdModel:
     """Hierarchical linear regression with unit covariances throughout."""
-    SyntheticConfig(D, N, tuple(n))  # shape validation only
 
     def log_prior(theta):
         return -0.5 * float(theta @ theta) - 0.5 * D * LOG_2PI
@@ -79,25 +109,26 @@ def synthetic_model(D: int, N: int, n) -> HbdModel:
     def log_prior_grad(theta):
         return log_prior(theta), -theta
 
-    def log_branch(theta, z, d: BranchData):
-        r = z - theta
-        resid = d.y - d.x @ z
-        return (-0.5 * float(r @ r) - 0.5 * float(resid @ resid)
-                - 0.5 * (D + d.n) * LOG_2PI)
+    def _parts(THETA, Z, obs: BranchBatch):
+        R = Z - THETA[:, None, :]
+        resid = obs.y - _rows_dot(obs, Z)
+        vals = (-0.5 * np.einsum("mbk,mbk->mb", R, R) - 0.5 * obs.segment_sum(resid * resid)
+                - 0.5 * (D + obs.counts) * LOG_2PI)
+        return vals, R, resid
 
-    def log_branch_grad(theta, z, d: BranchData):
-        r = z - theta
-        resid = d.y - d.x @ z
-        val = (-0.5 * float(r @ r) - 0.5 * float(resid @ resid)
-               - 0.5 * (D + d.n) * LOG_2PI)
-        return val, r, -r + d.x.T @ resid
+    def log_branch_vals(THETA, Z, obs: BranchBatch):
+        return _parts(THETA, Z, obs)[0]
 
-    def log_obs(theta, z, d: BranchData):
-        resid = d.y - d.x @ z
-        return -0.5 * float(resid @ resid) - 0.5 * d.n * LOG_2PI
+    def log_branch_grad(THETA, Z, obs: BranchBatch):
+        vals, R, resid = _parts(THETA, Z, obs)
+        return vals, R, -R + _rows_grad(obs, resid)
+
+    def log_obs_vals(THETA, Z, obs: BranchBatch):
+        resid = obs.y - _rows_dot(obs, Z)
+        return -0.5 * obs.segment_sum(resid * resid) - 0.5 * obs.counts * LOG_2PI
 
     return HbdModel(D, D, True, log_prior, log_prior_grad,
-                    log_branch, log_branch_grad, log_obs)
+                    log_branch_vals, log_branch_grad, log_obs_vals)
 
 
 @dataclass
@@ -143,6 +174,9 @@ def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
     The marginal materializes the dense (sum n_i)^2 covariance: O((sum n_i)^3),
     intended for desk-scale checks only.
     """
+    # scipy.linalg is a large import that training never needs, so it loads on use.
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
     D = data.covariate_dim
     N = data.n_branches
     if any(b.x.shape[1] != D for b in data.branches):
@@ -218,7 +252,7 @@ def preference_global_dim(D: int) -> int:
     return D + tril_size(D)
 
 
-def preference_model(D: int, N: int | None = None, n=None, gamma: float = 1.0) -> HbdModel:
+def preference_model(D: int, gamma: float = 1.0) -> HbdModel:
     """Binary preference model with a latent covariance emitted by theta.
 
     theta stacks a D-dim location with the packed D(D+1)/2 factor vector;
@@ -227,6 +261,7 @@ def preference_model(D: int, N: int | None = None, n=None, gamma: float = 1.0) -
     """
     gdim = preference_global_dim(D)
     dpos = packed_diag_indices(D)
+    rows, cols = np.tril_indices(D)
 
     def _check_binary(y):
         if y.size and not np.all((y == 0.0) | (y == 1.0)):
@@ -238,54 +273,56 @@ def preference_model(D: int, N: int | None = None, n=None, gamma: float = 1.0) -
     def log_prior_grad(theta):
         return log_prior(theta), -theta
 
-    def _local_parts(theta, z):
-        # log N(z | mu, L'L) and its gradients; Sigma^{-1} r via two solves.
-        mu = theta[:D]
-        raw = theta[D:]
-        Lfac = tril_map(UnconstrainedChol(raw, D, gamma))
-        r = z - mu
-        t = solve_triangular(Lfac, r, lower=True, trans="T")  # L' t = r
-        u = solve_triangular(Lfac, t, lower=True)             # L u = t  =>  u = Sigma^{-1} r
-        val = -0.5 * float(t @ t) - float(np.sum(np.log(np.diag(Lfac)))) - 0.5 * D * LOG_2PI
-        return val, mu, raw, Lfac, u
+    def _local_parts(THETA, Z):
+        # log N(z | mu, L'L) per (copy, branch). Sigma^{-1} r comes from two
+        # triangular solves by substitution over the D coordinates, which
+        # keeps every (copy, branch) entry independent of the batch size.
+        L = tril_map_raw(THETA[:, D:], D, gamma)                 # (M, D, D)
+        R = Z - THETA[:, None, :D]                               # (M, B, D)
+        T = np.empty_like(R)                                     # L' t = r
+        for k in range(D - 1, -1, -1):
+            acc = R[..., k] - np.einsum("mj,mbj->mb", L[:, k + 1:, k], T[..., k + 1:])
+            T[..., k] = acc / L[:, k, k][:, None]
+        U = np.empty_like(R)                                     # L u = t
+        for k in range(D):
+            acc = T[..., k] - np.einsum("mj,mbj->mb", L[:, k, :k], U[..., :k])
+            U[..., k] = acc / L[:, k, k][:, None]
+        logdet = np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        vals = (-0.5 * np.einsum("mbk,mbk->mb", T, T) - logdet[:, None]
+                - 0.5 * D * LOG_2PI)
+        return vals, L, U
 
-    def _local_grad_raw(Lfac, u, raw):
-        gL = np.tril((Lfac @ np.outer(u, u)))
-        gL[np.arange(D), np.arange(D)] -= 1.0 / np.diag(Lfac)
-        rows, cols = np.tril_indices(D)
-        graw = gL[rows, cols]
-        graw[dpos] *= diag_transform_grad(raw[dpos], gamma)
-        return graw
+    def _obs_term(Z, obs: BranchBatch):
+        # Each branch's per-observation terms are summed in sorted order
+        # (lexsort by branch, then value), so the sum is exactly invariant
+        # to permuting the observations within the branch.
+        _check_binary(obs.y)
+        eta = _rows_dot(obs, Z)
+        per_obs = obs.y * eta - _softplus(eta)
+        order = np.lexsort((per_obs, np.broadcast_to(obs.seg, per_obs.shape)), axis=-1)
+        return obs.segment_sum(np.take_along_axis(per_obs, order, axis=-1)), eta
 
-    def _obs_term(z, d: BranchData):
-        # einsum keeps each logit independent of the number of rows, and the
-        # sorted sum fixes the float reduction order, so the value is exactly
-        # invariant to permuting the observations within the branch.
-        eta = np.einsum("ij,j->i", d.x, z)
-        per_obs = d.y * eta - _softplus(eta)
-        return float(np.sum(np.sort(per_obs))), eta
+    def log_branch_vals(THETA, Z, obs: BranchBatch):
+        return _local_parts(THETA, Z)[0] + _obs_term(Z, obs)[0]
 
-    def log_branch(theta, z, d: BranchData):
-        _check_binary(d.y)
-        val, _, _, _, _ = _local_parts(theta, z)
-        obs, _ = _obs_term(z, d)
-        return val + obs
+    def log_branch_grad(THETA, Z, obs: BranchBatch):
+        vals, L, U = _local_parts(THETA, Z)
+        obs_vals, eta = _obs_term(Z, obs)
+        resid = obs.y - _sigmoid(eta)
+        # d/dL of -0.5 t't - log det L is tril(L u u') - diag(1/L_kk).
+        LU = np.einsum("mij,mbj->mbi", L, U)
+        graw = LU[..., rows] * U[..., cols]
+        inv_diag = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+        graw[..., dpos] -= inv_diag[:, None, :]
+        graw[..., dpos] *= diag_transform_grad(THETA[:, None, D + dpos], gamma)
+        g_z = -U + _rows_grad(obs, resid)
+        return vals + obs_vals, np.concatenate([U, graw], axis=2), g_z
 
-    def log_branch_grad(theta, z, d: BranchData):
-        _check_binary(d.y)
-        val, _, raw, Lfac, u = _local_parts(theta, z)
-        obs, eta = _obs_term(z, d)
-        resid = d.y - _sigmoid(eta)
-        g_theta = np.concatenate([u, _local_grad_raw(Lfac, u, raw)])
-        g_z = -u + d.x.T @ resid
-        return val + obs, g_theta, g_z
-
-    def log_obs(theta, z, d: BranchData):
-        _check_binary(d.y)
-        return _obs_term(z, d)[0]
+    def log_obs_vals(THETA, Z, obs: BranchBatch):
+        return _obs_term(Z, obs)[0]
 
     return HbdModel(gdim, D, True, log_prior, log_prior_grad,
-                    log_branch, log_branch_grad, log_obs)
+                    log_branch_vals, log_branch_grad, log_obs_vals)
 
 
 @dataclass

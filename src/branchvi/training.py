@@ -79,12 +79,12 @@ class TrainResult:
 
 
 def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
-                   batch_size: int, n_mc: int, workers: int = 1):
+                   batch_size: int, n_mc: int):
     """Bind an estimator closure (params, rng) -> (estimate, grads)."""
     N = data.n_branches
     if kind == "joint":
         def run(params, rng):
-            return joint_elbo(model, params, data, rng, n_mc, workers=workers)
+            return joint_elbo(model, params, data, rng, n_mc)
         return run
     if batch_size <= 0 or batch_size > N:
         batch_size = N
@@ -92,16 +92,14 @@ def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
     if kind == "branch":
         if batch_size == N:
             def run(params, rng):
-                return branch_elbo(model, params, data, rng, n_mc, workers=workers)
+                return branch_elbo(model, params, data, rng, n_mc)
         else:
             def run(params, rng):
-                return subsampled_branch_elbo(model, params, data, sampler, rng,
-                                              n_mc, workers=workers)
+                return subsampled_branch_elbo(model, params, data, sampler, rng, n_mc)
         return run
     if kind == "amortized":
         def run(params, rng):
-            return amortized_elbo(model, params.v, params.net, data, sampler, rng,
-                                  n_mc, workers=workers)
+            return amortized_elbo(model, params.v, params.net, data, sampler, rng, n_mc)
         return run
     raise MalformedParamsError(f"unknown family kind {kind!r}")
 
@@ -110,13 +108,13 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
           schedule: LrSchedule, iters: int, rng: RngStream,
           batch_size: int = 0, n_mc: int = 10, trace_every: int = 100,
           start_iter: int = 0, adam: AdamState | None = None,
-          ema: float | None = None, on_record=None, workers: int = 1) -> TrainResult:
+          ema: float | None = None, on_record=None) -> TrainResult:
     """Run the optimizer from start_iter to iters; returns final state.
 
     ``rng`` is the run-level stream; iteration t uses rng.child(t) so the
     trajectory is independent of how the run is segmented across resumes.
     """
-    estimator = make_estimator(kind, model, data, batch_size, n_mc, workers)
+    estimator = make_estimator(kind, model, data, batch_size, n_mc)
     template = params_to_tree(params)
     flat = tree_flatten(template)
     if adam is None:
@@ -130,7 +128,7 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
             est, grads = estimator(params, rng.child(t))
         except EstimatorError as exc:
             raise EstimatorError(
-                f"iteration {t}: {exc}", branch=exc.branch) from exc
+                f"iteration {t}: {exc}", branch=exc.branch, copy=exc.copy) from exc
         est_value = float(est.value)
         ema = est_value if ema is None else (
             EMA_SMOOTHING * est_value + (1.0 - EMA_SMOOTHING) * ema)

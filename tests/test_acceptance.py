@@ -40,7 +40,7 @@ from branchvi.families import (
     joint_from_tree,
     joint_to_branch,
     joint_to_tree,
-    pack_local_grad,
+    pack_local,
 )
 from branchvi.gaussmath import (
     GaussianSpec,
@@ -91,7 +91,7 @@ def test_criterion_1_oracle_exactness():
     D, N, n_i = 3, 10, 20
     cfg = SyntheticConfig(D, N, (n_i,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(2026))
-    model = synthetic_model(D, N, (n_i,) * N)
+    model = synthetic_model(D)
     oracle = synthetic_oracle(data)
     sched = LrSchedule(base=1e-2, drop_every=15_000, drop_factor=0.1, max_drops=2)
     res = train(model, init_branch("dense", D, D, N), data, kind="branch",
@@ -108,7 +108,7 @@ def test_criterion_2_kl_ordering():
     D, N, n_i = 1, 3, 5
     cfg = SyntheticConfig(D, N, (n_i,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(12))
-    model = synthetic_model(D, N, (n_i,) * N)
+    model = synthetic_model(D)
     logZ = synthetic_oracle(data).log_marginal
     sched = LrSchedule(base=1e-2, drop_every=6000, drop_factor=0.1, max_drops=2)
 
@@ -178,7 +178,7 @@ def test_criterion_4_subsampling_unbiasedness():
     D, N, n_i = 1, 10, 3
     cfg = SyntheticConfig(D, N, (n_i,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(700))
-    model = synthetic_model(D, N, (n_i,) * N)
+    model = synthetic_model(D)
     params = _perturb(init_branch("dense", D, D, N), branch_to_tree,
                       branch_from_tree, 701)
     sampler = MinibatchSampler(N, 3)
@@ -210,7 +210,7 @@ def test_criterion_5_amortization_adequacy():
     D, N, n_i = 2, 200, 10
     cfg = SyntheticConfig(D, N, (n_i,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(7))
-    model = synthetic_model(D, N, (n_i,) * N)
+    model = synthetic_model(D)
     logZ = synthetic_oracle(data).log_marginal
 
     sched_b = LrSchedule(base=1e-2, drop_every=4000, drop_factor=0.1, max_drops=1)
@@ -305,7 +305,7 @@ def test_criterion_6_gradient_integrity():
 
     def net_value(t):
         w, _ = net_forward(net_from_tree(ap.net, t), b)
-        return float(upstream @ pack_local_grad(w.mu, w.A, w.chol.raw))
+        return float(upstream @ pack_local(w))
 
     for key in tree:
         for j in range(tree[key].size):
@@ -320,7 +320,7 @@ def test_criterion_6_gradient_integrity():
     # all four estimators end to end with common random numbers (1e-3)
     cfg = SyntheticConfig(1, 2, (2, 2))
     data, _ = synthetic_forward_sample(cfg, RngStream(802))
-    model = synthetic_model(1, 2, (2, 2))
+    model = synthetic_model(1)
 
     def check_estimator(label, params, to_tree, from_tree, run):
         template = to_tree(params)
@@ -383,7 +383,7 @@ def test_criterion_7_permutation_size_invariance():
     dup_ok = (np.array_equal(ws.mu, wd.mu) and np.array_equal(ws.A, wd.A)
               and np.array_equal(ws.chol.raw, wd.chol.raw))
 
-    model = preference_model(3, 1, [15])
+    model = preference_model(3)
     d = BranchData(gen.standard_normal((15, 3)), (gen.random(15) < 0.5).astype(float))
     theta = gen.standard_normal(model.global_dim)
     z = gen.standard_normal(3)
@@ -404,7 +404,7 @@ def test_criterion_8_metrics_identities():
     cfg = SyntheticConfig(1, 2, (4, 4))
     data, _ = synthetic_forward_sample(cfg, RngStream(1000))
     parts = split(data, 0.25, RngStream(1001))
-    model = synthetic_model(1, 2, (4, 4))
+    model = synthetic_model(1)
     params = _perturb(init_branch("dense", 1, 1, 2), branch_to_tree,
                       branch_from_tree, 1002, scale=0.4)
 
@@ -419,7 +419,7 @@ def test_criterion_8_metrics_identities():
     se = diffs.std() / np.sqrt(reps)
     jensen_ok = diffs.mean() >= -3 * se
 
-    pref = preference_model(1, 2, (2, 2))
+    pref = preference_model(1)
     gen = RngStream(1005).generator()
     from branchvi.data import SplitDataset
 

@@ -14,7 +14,7 @@ from branchvi.amortize import (
 )
 from branchvi.data import BranchData
 from branchvi.errors import InvalidDataError, MalformedParamsError
-from branchvi.families import local_param_size, pack_local_grad, unpack_local
+from branchvi.families import local_param_size, pack_local, unpack_local
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
 
@@ -85,7 +85,7 @@ class TestNetBackward:
 
         def value(n):
             w, _ = net_forward(n, b)
-            raw = pack_local_grad(w.mu, w.A, w.chol.raw)
+            raw = pack_local(w)
             return float(upstream @ raw)
 
         _, tape = net_forward(net, b)
@@ -150,7 +150,7 @@ class TestNetInit:
         for _ in range(10):
             b = BranchData(gen.standard_normal((8, 2)), gen.standard_normal(8))
             w, _ = net_forward(net, b)
-            raw = pack_local_grad(w.mu, w.A, w.chol.raw)
+            raw = pack_local(w)
             assert np.max(np.abs(raw)) < 0.05
 
     def test_same_seed_identical(self):
@@ -178,6 +178,7 @@ class TestPacking:
             parts.append(w.A.ravel())
         parts.append(w.chol.raw if w.chol is not None else w.scale_raw)
         assert np.array_equal(np.concatenate(parts), raw)
+        assert np.array_equal(pack_local(w), raw)
 
     def test_param_count(self):
         net = net_init("dense", 1, 1, 1, RngStream(95), TINY)

@@ -266,7 +266,7 @@ class TestNumericValidation:
         ("--n-mc", "0"), ("--iters", "-1"), ("--batch-size", "-1"),
         ("--trace-every", "-1"), ("--k-samples", "0"), ("--lr", "0"), ("--lr", "-0.001"),
         ("--lr", "nan"), ("--lr", "inf"), ("--gamma", "0"), ("--gamma", "nan"),
-        ("--test-fraction", "1"), ("--test-fraction", "-0.1"), ("--workers", "0"),
+        ("--test-fraction", "1"), ("--test-fraction", "-0.1"),
     ])
     def test_out_of_range_flag_exits_2(self, flag, value, capsys):
         rc = _run("train", "--data", "unused", flag, value)
@@ -382,3 +382,16 @@ class TestPaperShapeConfig:
         assert data.covariate_dim == 10
         assert all(b.n == 100 for b in data.branches)
         assert (out / "oracle.txt").exists()
+
+
+def test_train_iters_zero_without_resume_exits_2(tmp_path, capsys):
+    gen_dir = tmp_path / "gen"
+    _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "2",
+         "--obs", "3", "--seed", "8", "--out-dir", str(gen_dir))
+    capsys.readouterr()
+    rc = _run("train", "--model", "synthetic", "--dim", "1", "--data",
+              str(gen_dir / "data"), "--iters", "0", "--out-dir", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--iters" in err and "checkpoint" not in err
+    assert not (tmp_path / "run").exists()

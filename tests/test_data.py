@@ -211,3 +211,23 @@ class TestContainer:
         save_dataset(ds, str(tmp_path / "ds"))
         back = load_dataset(str(tmp_path / "ds"))
         assert back.branches[0].n == 0 and back.branches[1].n == 2
+
+
+def test_batch_gathers_branch_rows_in_batch_order():
+    gen = RngStream(60).generator()
+    branches = [BranchData(gen.standard_normal((n, 2)), gen.standard_normal(n))
+                for n in (3, 0, 4, 2)]
+    data = BranchDataset(branches, 2)
+    full = data.batch(np.arange(4))
+    assert full.counts.tolist() == [3, 0, 4, 2] and full.starts.tolist() == [0, 3, 3, 7]
+    sub = data.batch([3, 1, 0])
+    assert sub.counts.tolist() == [2, 0, 3]
+    assert np.array_equal(sub.x, np.concatenate([branches[3].x, branches[0].x]))
+    assert np.array_equal(sub.y, np.concatenate([branches[3].y, branches[0].y]))
+    assert sub.seg.tolist() == [0, 0, 2, 2, 2]
+    sums = sub.segment_sum(sub.y[None])
+    assert sums[0, 1] == 0.0
+    assert sums[0, 0] == pytest.approx(branches[3].y.sum())
+    assert sums[0, 2] == pytest.approx(branches[0].y.sum())
+    empty = data.batch([1])
+    assert empty.segment_sum(np.zeros((2, 0))).shape == (2, 1)

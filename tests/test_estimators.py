@@ -43,7 +43,7 @@ from branchvi.trees import tree_flatten, tree_unflatten
 def _problem(D, N, n, seed):
     cfg = SyntheticConfig(D, N, (n,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(seed))
-    return synthetic_model(D, N, (n,) * N), data
+    return synthetic_model(D), data
 
 
 def _perturb(params, to_tree, from_tree, seed, scale=0.3):
@@ -145,7 +145,7 @@ class TestJointElbo:
 class TestBranchElbo:
     def test_zero_branches_matches_negative_kl(self):
         # estimate reduces to E[log p(theta) - log q_v(theta)] = -KL(q_v || prior)
-        model = synthetic_model(2, 1, [1])
+        model = synthetic_model(2)
         data = BranchDataset([], 2)
         params = init_branch("dense", 2, 2, 0)
         params = _perturb(params, branch_to_tree, branch_from_tree, 310)
@@ -211,15 +211,6 @@ class TestBranchElbo:
                           branch_from_tree, 320)
         e1, g1 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
         e2, g2 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
-        assert e1.value == e2.value
-        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
-
-    def test_worker_count_does_not_change_results(self):
-        model, data = _problem(2, 4, 3, seed=322)
-        params = _perturb(init_branch("dense", 2, 2, 4), branch_to_tree,
-                          branch_from_tree, 323)
-        e1, g1 = branch_elbo(model, params, data, RngStream(324), n_mc=4)
-        e2, g2 = branch_elbo(model, params, data, RngStream(324), n_mc=4, workers=3)
         assert e1.value == e2.value
         assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 

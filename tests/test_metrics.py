@@ -24,7 +24,7 @@ def _synthetic_setup(D=1, N=2, n=4, seed=500, test_fraction=0.25):
     cfg = SyntheticConfig(D, N, (n,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(seed))
     parts = split(data, test_fraction, RngStream(seed + 1))
-    model = synthetic_model(D, N, (n,) * N)
+    model = synthetic_model(D)
     return model, data, parts
 
 
@@ -85,7 +85,7 @@ class TestEvaluate:
     def test_half_predictor_test_ll(self):
         # zero covariates force sigmoid(0) = 1/2 for every test rating
         D, N = 1, 2
-        model = preference_model(D, N, (2, 2))
+        model = preference_model(D)
         gen = RngStream(506).generator()
         train = BranchDataset([BranchData(gen.standard_normal((2, D)),
                                           np.array([0.0, 1.0])) for _ in range(N)], D)
@@ -127,7 +127,7 @@ class TestEvaluate:
 
     def test_amortized_skips_empty_train_branches_with_warning(self):
         D, N = 1, 3
-        model = synthetic_model(D, N, (2, 2, 2))
+        model = synthetic_model(D)
         gen = RngStream(513).generator()
         train_branches = [BranchData(gen.standard_normal((2, D)), gen.standard_normal(2)),
                           BranchData(np.zeros((0, D)), np.zeros(0)),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from branchvi.data import BranchData, BranchDataset
+from branchvi.data import BranchBatch, BranchData, BranchDataset
 from branchvi.errors import InvalidDataError
 from branchvi.gaussmath import LOG_2PI, mvn_logpdf
 from branchvi.models import (
@@ -27,25 +27,32 @@ def _fd_grads(f, x, h=1e-6):
     return g
 
 
+def _grad_one(m, theta, z, d):
+    """log_branch_grad for one copy and one branch."""
+    vals, gt, gz = m.log_branch_grad(theta[None], z[None, None],
+                                     BranchBatch(d.x, d.y, np.array([d.n])))
+    return vals[0, 0], gt[0, 0], gz[0, 0]
+
+
 class TestSyntheticModel:
     def test_prior_at_zero(self):
-        m = synthetic_model(2, 1, [1])
+        m = synthetic_model(2)
         assert m.log_prior(np.zeros(2)) == pytest.approx(-1.837877, abs=1e-6)
         assert m.log_prior(np.zeros(2)) == pytest.approx(-LOG_2PI)
 
     def test_branch_at_zero(self):
-        m = synthetic_model(1, 1, [1])
+        m = synthetic_model(1)
         d = BranchData(np.array([[1.0]]), np.array([0.0]))
         # log N(0|0,1) + log N(0|0,1)
         assert m.log_branch(np.zeros(1), np.zeros(1), d) == pytest.approx(-1.837877, abs=1e-6)
 
     def test_gradients_match_central_differences(self):
         gen = RngStream(10).generator()
-        m = synthetic_model(3, 1, [5])
+        m = synthetic_model(3)
         d = BranchData(gen.standard_normal((5, 3)), gen.standard_normal(5))
         theta = gen.standard_normal(3)
         z = gen.standard_normal(3)
-        val, gt, gz = m.log_branch_grad(theta, z, d)
+        val, gt, gz = _grad_one(m, theta, z, d)
         assert val == pytest.approx(m.log_branch(theta, z, d))
         fd_t = _fd_grads(lambda t: m.log_branch(t, z, d), theta)
         fd_z = _fd_grads(lambda u: m.log_branch(theta, u, d), z)
@@ -56,7 +63,7 @@ class TestSyntheticModel:
 
     def test_log_obs_plus_local_prior_is_log_branch(self):
         gen = RngStream(11).generator()
-        m = synthetic_model(2, 1, [4])
+        m = synthetic_model(2)
         d = BranchData(gen.standard_normal((4, 2)), gen.standard_normal(4))
         theta, z = gen.standard_normal(2), gen.standard_normal(2)
         local_prior = -0.5 * float((z - theta) @ (z - theta)) - LOG_2PI
@@ -65,7 +72,7 @@ class TestSyntheticModel:
 
     def test_branch_marginalizes_to_gaussian_quadrature(self):
         # integral over z of exp(log_branch) must equal N(y | x theta, 1 + x^2)
-        m = synthetic_model(1, 1, [1])
+        m = synthetic_model(1)
         gen = RngStream(12).generator()
         for _ in range(20):
             theta, x, y = gen.standard_normal(3) * 1.5
@@ -187,20 +194,20 @@ class TestSyntheticOracle:
 
 class TestPreferenceModel:
     def test_example_values(self):
-        m = preference_model(1, 1, [1])
+        m = preference_model(1)
         d = BranchData(np.array([[0.0]]), np.array([1.0]))
         # log N(0 | 0, psi(0)^2) + log(1/2)
         assert m.log_branch(np.zeros(2), np.zeros(1), d) == pytest.approx(
             -0.918939 - 0.693147, abs=1e-6)
 
     def test_dims(self):
-        m = preference_model(3, 1, [1])
+        m = preference_model(3)
         assert m.global_dim == preference_global_dim(3) == 3 + 6
         assert m.local_dim == 3
         assert m.symmetric
 
     def test_log_sigmoid_stability(self):
-        m = preference_model(1, 1, [1])
+        m = preference_model(1)
         d = BranchData(np.array([[1.0]]), np.array([1.0]))
         val = m.log_obs(np.zeros(2), np.array([-40.0]), d)
         assert val == pytest.approx(-40.0, abs=1e-12)
@@ -208,7 +215,7 @@ class TestPreferenceModel:
         assert np.isfinite(val)
 
     def test_rejects_non_binary(self):
-        m = preference_model(1, 1, [1])
+        m = preference_model(1)
         d = BranchData(np.array([[1.0]]), np.array([0.5]))
         with pytest.raises(InvalidDataError):
             m.log_branch(np.zeros(2), np.zeros(1), d)
@@ -216,11 +223,11 @@ class TestPreferenceModel:
     def test_gradients_match_central_differences(self):
         gen = RngStream(18).generator()
         D = 2
-        m = preference_model(D, 1, [6])
+        m = preference_model(D)
         d = BranchData(gen.standard_normal((6, D)), (gen.random(6) < 0.5).astype(float))
         theta = gen.standard_normal(m.global_dim) * 0.5
         z = gen.standard_normal(D)
-        val, gt, gz = m.log_branch_grad(theta, z, d)
+        val, gt, gz = _grad_one(m, theta, z, d)
         assert val == pytest.approx(m.log_branch(theta, z, d))
         fd_t = _fd_grads(lambda t: m.log_branch(t, z, d), theta)
         fd_z = _fd_grads(lambda u: m.log_branch(theta, u, d), z)
@@ -229,7 +236,7 @@ class TestPreferenceModel:
 
     def test_permutation_invariance_exact(self):
         gen = RngStream(19).generator()
-        m = preference_model(3, 1, [20])
+        m = preference_model(3)
         d = BranchData(gen.standard_normal((20, 3)), (gen.random(20) < 0.4).astype(float))
         theta = gen.standard_normal(m.global_dim)
         z = gen.standard_normal(3)
@@ -246,3 +253,78 @@ class TestPreferenceModel:
         for a, b in zip(d1.branches, d2.branches):
             assert np.array_equal(a.y, b.y)
             assert set(np.unique(a.y)) <= {0.0, 1.0}
+
+
+def _ragged_batch(model_kind, D, counts, seed):
+    gen = RngStream(seed).generator()
+    branches = []
+    for n in counts:
+        x = gen.standard_normal((n, D))
+        y = (gen.standard_normal(n) if model_kind == "synthetic"
+             else (gen.random(n) < 0.5).astype(float))
+        branches.append(BranchData(x, y))
+    return BranchDataset(branches, D)
+
+
+def _model_and_draws(model_kind, D, M, B, seed):
+    m = synthetic_model(D) if model_kind == "synthetic" else preference_model(D, gamma=1.7)
+    gen = RngStream(seed).generator()
+    THETA = gen.standard_normal((M, m.global_dim)) * 0.5
+    Z = gen.standard_normal((M, B, m.local_dim))
+    return m, THETA, Z
+
+
+@pytest.mark.parametrize("model_kind", ["synthetic", "preference"])
+class TestBatchedSurface:
+    COUNTS = (4, 0, 11, 1, 7)
+
+    def test_matches_per_branch_terms_and_finite_differences(self, model_kind):
+        D, M = 2, 3
+        data = _ragged_batch(model_kind, D, self.COUNTS, seed=30)
+        m, THETA, Z = _model_and_draws(model_kind, D, M, data.n_branches, seed=31)
+        obs = data.batch(np.arange(data.n_branches))
+        vals, gt, gz = m.log_branch_grad(THETA, Z, obs)
+        assert vals.shape == (M, 5) and gt.shape == (M, 5, m.global_dim)
+        assert gz.shape == (M, 5, D)
+        assert np.array_equal(m.log_branch_vals(THETA, Z, obs), vals)
+        obs_vals = m.log_obs_vals(THETA, Z, obs)
+        for k in range(M):
+            for b, d in enumerate(data.branches):
+                theta, z = THETA[k], Z[k, b]
+                assert abs(vals[k, b] - m.log_branch(theta, z, d)) < 1e-12
+                assert abs(obs_vals[k, b] - m.log_obs(theta, z, d)) < 1e-12
+                fd_t = _fd_grads(lambda t: m.log_branch(t, z, d), theta)
+                fd_z = _fd_grads(lambda u: m.log_branch(theta, u, d), z)
+                assert np.allclose(gt[k, b], fd_t, rtol=1e-4, atol=1e-7)
+                assert np.allclose(gz[k, b], fd_z, rtol=1e-4, atol=1e-7)
+        assert np.all(obs_vals[:, 1] == 0.0)  # a branch without rows observes nothing
+
+    def test_branch_term_is_bitwise_the_same_alone_and_in_a_batch(self, model_kind):
+        D, M = 3, 4
+        data = _ragged_batch(model_kind, D, (12, 0, 30, 9, 1, 17), seed=32)
+        m, THETA, Z = _model_and_draws(model_kind, D, M, data.n_branches, seed=33)
+        batched = m.log_branch_grad(THETA, Z, data.batch(np.arange(data.n_branches)))
+        for b in range(data.n_branches):
+            alone = m.log_branch_grad(THETA, Z[:, b:b + 1], data.batch([b]))
+            for got, want in zip(alone, batched):
+                assert np.array_equal(got[:, 0], want[:, b])
+        # a sub-batch gathered from the concatenation gives the same bits
+        sub = [5, 2, 3]
+        part = m.log_branch_grad(THETA, Z[:, sub], data.batch(sub))
+        for got, want in zip(part, batched):
+            assert np.array_equal(got, want[:, sub])
+
+
+def test_batched_preference_value_is_bitwise_invariant_to_permuting_a_branch():
+    D, M = 3, 2
+    data = _ragged_batch("preference", D, (6, 25, 3), seed=34)
+    m, THETA, Z = _model_and_draws("preference", D, M, 3, seed=35)
+    base = m.log_branch_grad(THETA, Z, data.batch(np.arange(3)))[0]
+    gen = RngStream(36).generator()
+    for _ in range(5):
+        p = gen.permutation(25)
+        branches = list(data.branches)
+        branches[1] = BranchData(branches[1].x[p], branches[1].y[p])
+        obs = BranchDataset(branches, D).batch(np.arange(3))
+        assert np.array_equal(m.log_branch_grad(THETA, Z, obs)[0], base)
+        assert np.array_equal(m.log_branch_vals(THETA, Z, obs), base)

@@ -7,7 +7,13 @@ from branchvi import families
 from branchvi.amortize import AmortArch, init_amortized
 from branchvi.errors import EstimatorError
 from branchvi.families import init_branch, init_joint
-from branchvi.models import SyntheticConfig, synthetic_forward_sample, synthetic_model
+from branchvi.data import BranchData, BranchDataset
+from branchvi.models import (
+    SyntheticConfig,
+    preference_model,
+    synthetic_forward_sample,
+    synthetic_model,
+)
 from branchvi.optim import LrSchedule
 from branchvi.rng import RngStream
 from branchvi.training import params_to_tree, train
@@ -18,7 +24,7 @@ from branchvi.families import branch_to_tree
 def _setup(seed=700):
     cfg = SyntheticConfig(1, 3, (3, 3, 3))
     data, _ = synthetic_forward_sample(cfg, RngStream(seed))
-    return synthetic_model(1, 3, (3, 3, 3)), data
+    return synthetic_model(1), data
 
 
 def test_resume_matches_uninterrupted_run():
@@ -66,21 +72,24 @@ def test_subsampled_training_improves_elbo():
 
 def test_estimator_error_carries_iteration():
     model, data = _setup()
-    # blow up the model after a few calls to exercise the error path
+    # blow up one branch of one MC copy after a few calls to exercise the error path
     calls = {"n": 0}
     orig = model.log_branch_grad
 
-    def flaky(theta, z, d):
+    def flaky(THETA, Z, obs):
         calls["n"] += 1
-        if calls["n"] > 20:
-            return np.nan, np.zeros_like(theta), np.zeros_like(z)
-        return orig(theta, z, d)
+        vals, g_theta, g_z = orig(THETA, Z, obs)
+        if calls["n"] > 5:
+            vals[1, 2] = np.nan
+        return vals, g_theta, g_z
 
     model.log_branch_grad = flaky
-    with pytest.raises(EstimatorError, match="iteration"):
+    with pytest.raises(EstimatorError, match="iteration 5") as exc:
         train(model, init_branch("dense", 1, 1, 3), data, kind="branch",
               schedule=LrSchedule(1e-2), iters=50, rng=RngStream(704), n_mc=2,
               trace_every=0)
+    assert "branch 2" in str(exc.value) and "MC copy 1" in str(exc.value)
+    assert exc.value.branch == 2 and exc.value.copy == 1
 
 
 def test_trace_record_fields_monotone_iter():
@@ -102,7 +111,7 @@ def test_small_instance_reaches_oracle_within_budget():
 
     cfg = SyntheticConfig(1, 1, (5,))
     data, _ = synthetic_forward_sample(cfg, RngStream(710))
-    model = synthetic_model(1, 1, (5,))
+    model = synthetic_model(1)
     logZ = synthetic_oracle(data).log_marginal
     sched = LrSchedule(1e-2, drop_every=8000, drop_factor=0.1, max_drops=2)
     res = train(model, init_branch("dense", 1, 1, 1), data, kind="branch",
@@ -114,10 +123,12 @@ def test_small_instance_reaches_oracle_within_budget():
 
 
 def test_subsampled_step_builds_locals_for_the_batch_only(monkeypatch):
+    # One step works on the batch's rows of W in one batched model call;
+    # it builds no per-branch LocalParams at all.
     N, B = 5000, 4
     cfg = SyntheticConfig(1, N, (2,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(720))
-    model = synthetic_model(1, N, (2,) * N)
+    model = synthetic_model(1)
     built = {"n": 0}
     orig = families.LocalParams.__post_init__
 
@@ -126,10 +137,38 @@ def test_subsampled_step_builds_locals_for_the_batch_only(monkeypatch):
         orig(self)
 
     monkeypatch.setattr(families.LocalParams, "__post_init__", counting)
+    calls = []
+    orig_grad = model.log_branch_grad
+
+    def recording(THETA, Z, obs):
+        calls.append(Z.shape)
+        return orig_grad(THETA, Z, obs)
+
+    model.log_branch_grad = recording
     train(model, init_branch("dense", 1, 1, N), data, kind="branch",
           schedule=LrSchedule(1e-2), iters=1, rng=RngStream(721), n_mc=2,
           batch_size=B, trace_every=0)
-    assert built["n"] == B
+    assert built["n"] == 0
+    assert calls == [(2, B, 1)]
+
+
+def test_training_with_an_empty_branch_in_the_batch():
+    # n_i = 0 is legal: the branch's observation term is 0, its local prior remains.
+    gen = RngStream(730).generator()
+    branches = [BranchData(gen.standard_normal((3, 1)), gen.standard_normal(3)),
+                BranchData(np.zeros((0, 1)), np.zeros(0)),
+                BranchData(gen.standard_normal((2, 1)), gen.standard_normal(2))]
+    data = BranchDataset(branches, 1)
+    for model in (synthetic_model(1), preference_model(1)):
+        if model.global_dim == 2:
+            data = BranchDataset([BranchData(b.x, (b.y > 0).astype(float))
+                                  for b in branches], 1)
+        params = init_branch("dense", model.global_dim, 1, 3)
+        res = train(model, params, data, kind="branch", schedule=LrSchedule(1e-2),
+                    iters=200, rng=RngStream(731), n_mc=2, batch_size=2, trace_every=50)
+        assert all(np.isfinite(r.elbo) for r in res.records)
+        assert np.all(np.isfinite(res.params.W))
+        assert res.records[-1].ema_elbo > res.records[0].ema_elbo
 
 
 def _digest(params) -> str:
