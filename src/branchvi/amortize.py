@@ -5,8 +5,11 @@ embedding is concatenated with its elementwise square, the augmented
 vectors are mean-pooled over observations (order-invariant by
 construction), and a parameter MLP maps the pooled vector to the raw local
 parameter vector: one row of the packed local layout, which unpacks into
-LocalParams. Forward and backward passes are written out by hand; the tape
-carries exactly the activations the backward pass needs.
+LocalParams. The net runs over a whole batch of branches at once (one
+feature-MLP pass over the stacked observation rows, one param-MLP pass over
+the pooled rows); the one-branch forms are its B = 1 case. Forward and
+backward passes are written out by hand; the tape carries exactly the
+activations the backward pass needs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BranchData
+from .data import BranchBatch, BranchData, BranchDataset
 from .errors import InvalidDataError, MalformedParamsError
 from .families import (
     factor_from_tree,
@@ -164,59 +167,111 @@ def net_init(structure: str, global_dim: int, local_dim: int, x_dim: int,
 
 @dataclass
 class NetTape:
+    """Activations of one batched forward pass that its backward pass needs."""
+
     feat_cache: tuple
-    embed: np.ndarray      # (n, K)
+    embed: np.ndarray      # (n, K) embeddings of the batch's observation rows
     param_cache: tuple
-    n_obs: int
+    counts: np.ndarray     # (B,) observation rows per branch
+    seg: np.ndarray        # (n,) row -> batch position
 
 
-def net_forward(net: AmortNet, d: BranchData):
-    """Emit the local parameters for one branch; tape retained for backward."""
-    raw, tape = net_forward_row(net, d)
-    w = unpack_local(raw, net.structure, net.global_dim, net.local_dim, net.gamma)
-    return w, tape
+def net_forward_batch(net: AmortNet, obs: BranchBatch, branches=None):
+    """Packed local rows (B, P_w) (the BranchParams.W layout) and one tape.
 
-
-def net_forward_row(net: AmortNet, d: BranchData):
-    """One branch's packed local row (the BranchParams.W layout) and its tape."""
-    if d.n == 0:
-        raise InvalidDataError("cannot amortize an empty branch")
-    H = np.concatenate([d.x, d.y[:, None]], axis=1)
+    One feature-MLP pass over all observation rows of ``obs``, a sorted-sum
+    mean per branch, and one param-MLP pass over the B pooled rows. Both
+    MLPs are row-stable, so a branch's row is bitwise the same alone and
+    inside any batch. ``branches`` (B,) names the branches in the error for
+    an empty one (batch positions by default).
+    """
+    empty = np.flatnonzero(obs.counts == 0)
+    if empty.size:
+        j = int(empty[0])
+        name = j if branches is None else int(branches[j])
+        raise InvalidDataError(f"cannot amortize an empty branch (branch {name})")
+    H = np.concatenate([obs.x, obs.y[:, None]], axis=1)
     E, feat_cache = mlp_forward(net.feat, H, row_stable=True)
     aug = np.concatenate([E, E * E], axis=1)
     # Summing each dimension in sorted order makes the mean bitwise invariant
-    # to observation order (float addition is not associative otherwise).
-    pooled = np.sort(aug, axis=0).sum(axis=0) / d.n
-    out, param_cache = mlp_forward(net.param, pooled[None, :])
-    return out[0], NetTape(feat_cache, E, param_cache, d.n)
+    # to observation order (float addition is not associative otherwise). One
+    # sort and sum per branch: numpy has no segmented sort, and a lexsort by
+    # (branch, value) over the whole batch is about 15x slower at B = 25.
+    pooled = np.empty((obs.n_branches, aug.shape[1]))
+    for j, (s, c) in enumerate(zip(obs.starts.tolist(), obs.counts.tolist())):
+        pooled[j] = np.sort(aug[s:s + c], axis=0).sum(axis=0) / c
+    out, param_cache = mlp_forward(net.param, pooled, row_stable=True)
+    return out, NetTape(feat_cache, E, param_cache, obs.counts, obs.seg)
+
+
+def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
+    """Gradients of sum_j G[j] . row_j with respect to all weights/biases.
+
+    One reverse pass: each branch's pooled gradient spreads evenly over its
+    observation rows, and the sum over branches happens inside the weight
+    gradients' matmuls.
+    """
+    gW_p, gb_p, g_pooled = mlp_backward(net.param, tape.param_cache, G)
+    K = tape.embed.shape[1]
+    g_aug = (g_pooled / tape.counts[:, None])[tape.seg]
+    g_E = g_aug[:, :K] + 2.0 * tape.embed * g_aug[:, K:]
+    gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E)
+    return _layer_tree(gW_f, gb_f, gW_p, gb_p)
+
+
+def net_forward(net: AmortNet, d: BranchData):
+    """One branch's LocalParams and tape: net_forward_batch with B = 1."""
+    rows, tape = net_forward_batch(net, BranchBatch(d.x, d.y, np.array([d.n])))
+    w = unpack_local(rows[0], net.structure, net.global_dim, net.local_dim, net.gamma)
+    return w, tape
 
 
 def net_backward(net: AmortNet, tape: NetTape, g_raw: np.ndarray) -> dict:
-    """Gradients of (g_raw . raw output) with respect to all weights/biases."""
-    gW_p, gb_p, g_pooled = mlp_backward(net.param, tape.param_cache, g_raw[None, :])
-    K = tape.embed.shape[1]
-    g_aug = np.tile(g_pooled[0] / tape.n_obs, (tape.n_obs, 1))
-    g_E = g_aug[:, :K] + 2.0 * tape.embed * g_aug[:, K:]
-    gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E)
+    """net_backward_batch for one branch's gradient row g_raw (P_w,)."""
+    return net_backward_batch(net, tape, g_raw[None, :])
+
+
+# Observation rows per chunk of ``net_rows``: bounds a no-grad forward's
+# activations to a few MB whatever the number of branches.
+_CHUNK_ROWS = 2048
+
+
+def net_rows(net: AmortNet, data: BranchDataset, idx) -> np.ndarray:
+    """Packed local rows (len(idx), P_w) of branches ``idx``; no tape kept.
+
+    Runs net_forward_batch over consecutive chunks of ``idx`` holding at most
+    _CHUNK_ROWS observation rows (a larger branch is a chunk of its own) and
+    drops each chunk's tape. By row stability the rows are bitwise those of
+    one pass over all of ``idx``.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    counts = data.counts[idx]
+    ends = np.cumsum(counts)
+    out = np.empty((idx.size, net.param.out_dim))
+    start = 0
+    while start < idx.size:
+        limit = ends[start] - counts[start] + _CHUNK_ROWS
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        chunk = idx[start:stop]
+        out[start:stop] = net_forward_batch(net, data.batch(chunk), chunk)[0]
+        start = stop
+    return out
+
+
+def _layer_tree(feat_W, feat_b, param_W, param_b) -> dict:
     tree = {}
-    for l, (w, b) in enumerate(zip(gW_f, gb_f)):
+    for l, (w, b) in enumerate(zip(feat_W, feat_b)):
         tree[f"feat.{l}.W"] = w
         tree[f"feat.{l}.b"] = b
-    for l, (w, b) in enumerate(zip(gW_p, gb_p)):
+    for l, (w, b) in enumerate(zip(param_W, param_b)):
         tree[f"param.{l}.W"] = w
         tree[f"param.{l}.b"] = b
     return tree
 
 
 def net_to_tree(net: AmortNet) -> dict:
-    tree = {}
-    for l, (w, b) in enumerate(zip(net.feat.weights, net.feat.biases)):
-        tree[f"feat.{l}.W"] = w
-        tree[f"feat.{l}.b"] = b
-    for l, (w, b) in enumerate(zip(net.param.weights, net.param.biases)):
-        tree[f"param.{l}.W"] = w
-        tree[f"param.{l}.b"] = b
-    return tree
+    return _layer_tree(net.feat.weights, net.feat.biases, net.param.weights,
+                       net.param.biases)
 
 
 def net_from_tree(net: AmortNet, tree: dict) -> AmortNet:

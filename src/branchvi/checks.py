@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import gaussmath
-from .amortize import AmortArch, init_amortized, net_forward
-from .data import BranchData
+from .amortize import AmortArch, init_amortized, net_forward, net_forward_batch
+from .data import BranchData, BranchDataset
 from .estimators import MinibatchSampler, branch_elbo, subsampled_branch_elbo
-from .families import branch_from_tree, branch_to_tree, init_branch
+from .families import branch_from_tree, branch_to_tree, init_branch, pack_local
 from .models import SyntheticConfig, synthetic_forward_sample, synthetic_model
 from .optim import LrSchedule, lr_at
 from .rng import RngStream
@@ -123,14 +123,21 @@ def _check_subsampling_unbiased():
 
 
 def _check_net_invariance():
+    """Exact order invariance of one branch's locals, and its row bitwise the
+    same alone and inside a two-branch batch."""
     ap = init_amortized("dense", 2, 2, 2, RngStream(111), AmortArch((4, 4), (5, 5)))
     gen = RngStream(112).generator()
     b = BranchData(gen.standard_normal((6, 2)), gen.standard_normal(6))
     w1, _ = net_forward(ap.net, b)
     perm = gen.permutation(6)
     w2, _ = net_forward(ap.net, BranchData(b.x[perm], b.y[perm]))
+    other = BranchData(gen.standard_normal((3, 2)), gen.standard_normal(3))
+    data = BranchDataset([other, b], 2)
+    in_batch = net_forward_batch(ap.net, data.batch([0, 1]))[0][1]
+    alone = net_forward_batch(ap.net, data.batch([1]))[0][0]
     return (np.array_equal(w1.mu, w2.mu) and np.array_equal(w1.A, w2.A)
-            and np.array_equal(w1.chol.raw, w2.chol.raw))
+            and np.array_equal(w1.chol.raw, w2.chol.raw)
+            and np.array_equal(in_batch, alone) and np.array_equal(alone, pack_local(w1)))
 
 
 def _check_schedule():

@@ -24,7 +24,8 @@ from . import checkpoint as ckpt
 from .amortize import AmortNet, AmortParams, MlpWeights, amort_to_tree, init_amortized
 from .checks import run_checks
 from .data import BranchDataset, load_dataset, save_dataset, split
-from .errors import InvalidDataError, MalformedParamsError
+from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
+                     NonFiniteGradientError)
 from .families import (
     BranchParams,
     JointFamily,
@@ -554,6 +555,11 @@ def main(argv=None) -> int:
     except (InvalidDataError, MalformedParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (EstimatorError, NonFiniteGradientError) as exc:
+        # A diverging run: the message names the iteration (and the branch
+        # and MC copy of a non-finite log-density).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ On-disk container (documented bit-exactly in the README):
 from __future__ import annotations
 
 import csv
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,11 @@ class BranchDataset:
     @property
     def n_obs(self) -> int:
         return sum(b.n for b in self.branches)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(N,) observation rows per branch."""
+        return self._all.counts
 
     @cached_property
     def _all(self) -> "BranchBatch":
@@ -312,21 +318,54 @@ def save_dataset(ds: BranchDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> BranchDataset:
+    """Read a dataset written by save_dataset.
+
+    The .bin file is read in one pass; a short read, a negative count or
+    bytes left after the last branch raise InvalidDataError naming the file
+    and the byte offset.
+    """
     meta: dict = {}
     with open(f"{path}.meta") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            meta[key.strip()] = int(value.strip())
+            try:
+                meta[key.strip()] = int(value.strip())
+            except ValueError:
+                raise InvalidDataError(
+                    f"{path}.meta:{lineno}: expected 'key = integer', got {line!r}") from None
+    for key in ("branches", "covariate_dim"):
+        if meta.get(key, -1) < 0:
+            raise InvalidDataError(f"{path}.meta: needs a non-negative integer {key!r}")
     n_branches = meta["branches"]
     cov_dim = meta["covariate_dim"]
+    bin_path = f"{path}.bin"
+    with open(bin_path, "rb") as fh:
+        buf = fh.read()
+    end = len(buf)
     branches = []
-    with open(f"{path}.bin", "rb") as fh:
-        for _ in range(n_branches):
-            n = int(np.frombuffer(fh.read(8), dtype="<i8")[0])
-            x = np.frombuffer(fh.read(8 * n * cov_dim), dtype="<f8").reshape(n, cov_dim)
-            y = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            branches.append(BranchData(x.copy(), y.copy()))
+    off = 0
+    for i in range(n_branches):
+        if end - off < 8:
+            raise InvalidDataError(
+                f"{bin_path}: truncated at byte {end}: branch {i}'s count at byte {off} "
+                "needs 8 bytes")
+        (n,) = struct.unpack_from("<q", buf, off)
+        if n < 0:
+            raise InvalidDataError(
+                f"{bin_path}: negative observation count {n} for branch {i} at byte {off}")
+        off += 8
+        if end - off < 8 * n * (cov_dim + 1):
+            raise InvalidDataError(
+                f"{bin_path}: truncated at byte {end}: branch {i}'s {n} observations "
+                f"from byte {off} need {8 * n * (cov_dim + 1)} bytes")
+        xy = np.frombuffer(buf, "<f8", n * (cov_dim + 1), off)
+        off += 8 * n * (cov_dim + 1)
+        branches.append(BranchData(xy[:n * cov_dim].reshape(n, cov_dim).copy(),
+                                   xy[n * cov_dim:].copy()))
+    if off != end:
+        raise InvalidDataError(
+            f"{bin_path}: {end - off} trailing bytes after the last branch, at byte {off}")
     return BranchDataset(branches, cov_dim, bool(meta.get("has_covariates", 1)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortize import AmortNet, net_backward, net_forward_row, net_to_tree
+from .amortize import AmortNet, net_backward_batch, net_forward_batch, net_rows
 from .data import BranchDataset
 from .errors import EstimatorError, MalformedParamsError
 from .families import (
@@ -221,11 +221,12 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
                    n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
     """Subsampled branch estimate with w_i emitted by the network.
 
-    Only valid for symmetric targets. The network runs once per sampled
-    branch per call (w_i does not condition on theta); its rows stack into
-    the batch's locals, and gradients flow back into the network through one
-    backward pass per branch with the MC-averaged gradient row, and into v
-    through the usual reparameterized path.
+    Only valid for symmetric targets. The network makes one forward pass
+    over the batch's stacked observations per call (w_i does not condition
+    on theta), and gradients flow back into it through one backward pass
+    with the MC-averaged gradient rows, and into v through the usual
+    reparameterized path. Without ``want_grad`` the rows come from the
+    chunked, tape-free ``net_rows``.
     """
     if not model.symmetric:
         raise MalformedParamsError("amortized families require a symmetric model")
@@ -235,18 +236,16 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
     batch = sampler.sample(rng.child(_STREAM_BATCH))
     scale = N / len(batch)
 
-    forward = [net_forward_row(net, data.branches[i]) for i in batch]
-    rows = np.stack([row for row, _ in forward])
-    value, g_v, G_rows = _branch_core(model, v, rows, net.structure, net.gamma,
-                                      data.batch(batch), batch, scale, rng, n_mc,
-                                      want_grad)
+    obs = data.batch(batch)
+    if want_grad:
+        rows, tape = net_forward_batch(net, obs, batch)
+    else:
+        rows = net_rows(net, data, batch)
+    value, g_v, G_rows = _branch_core(model, v, rows, net.structure, net.gamma, obs,
+                                      batch, scale, rng, n_mc, want_grad)
     if not want_grad:
         return ElboEstimate(value, n_mc, batch), None
     grads = dict(g_v)
-    for k, a in net_to_tree(net).items():
-        grads[f"net.{k}"] = np.zeros_like(a)
-    for pos, (_, tape) in enumerate(forward):
-        gtree = net_backward(net, tape, G_rows[pos] / n_mc)
-        for k, a in gtree.items():
-            grads[f"net.{k}"] += a
+    for k, a in net_backward_batch(net, tape, G_rows / n_mc).items():
+        grads[f"net.{k}"] = a
     return ElboEstimate(value, n_mc, batch), grads

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amortize import AmortParams, net_forward_row
+from .amortize import AmortParams, net_rows
 from .data import SplitDataset
 from .errors import MalformedParamsError
-from .families import (BranchParams, JointFamily, factor_draw, joint_draw, local_draw_rows,
-                       local_param_size)
+from .families import BranchParams, JointFamily, factor_draw, joint_draw, local_draw_rows
 from .models import HbdModel
 from .rng import RngStream
 
@@ -72,9 +71,9 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
     """Metric report from K posterior samples of the trained family ``q``.
 
     ``q`` may be a JointFamily, BranchParams, or AmortParams; amortized
-    locals come from the network on each branch's train data. Each draw
-    makes one batched model call over the train branches and one over the
-    test branches.
+    locals come from the network on each branch's train data, run once in
+    bounded chunks (``net_rows``). Each draw makes one batched model call
+    over the train branches and one over the test branches.
     """
     if k < 1:
         raise MalformedParamsError("k must be at least 1")
@@ -86,16 +85,13 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
     skipped: list = []
     rows = None                 # packed locals of the active branches (branch kinds)
     if isinstance(q, AmortParams):
-        skipped = [i for i in range(N) if train.branches[i].n == 0]
-        active = np.array([i for i in range(N) if train.branches[i].n > 0], dtype=np.int64)
+        skipped = np.flatnonzero(train.counts == 0).tolist()
+        active = np.flatnonzero(train.counts > 0)
         if skipped:
             warnings.warn(
                 f"excluding {len(skipped)} branch(es) with empty train data "
                 "from metrics (amortized locals undefined)")
-        rows = np.zeros((active.size, local_param_size(q.structure, q.global_dim,
-                                                        q.local_dim)))
-        for pos, i in enumerate(active):
-            rows[pos] = net_forward_row(q.net, train.branches[i])[0]
+        rows = net_rows(q.net, train, active)
         structure, gamma = q.net.structure, q.net.gamma
     elif isinstance(q, (BranchParams, JointFamily)):
         if q.n_branches != N:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .amortize import AmortParams, amort_from_tree, amort_to_tree
 from .data import BranchDataset
-from .errors import EstimatorError, MalformedParamsError
+from .errors import EstimatorError, MalformedParamsError, NonFiniteGradientError
 from .estimators import (
     MinibatchSampler,
     amortized_elbo,
@@ -133,7 +133,10 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
         ema = est_value if ema is None else (
             EMA_SMOOTHING * est_value + (1.0 - EMA_SMOOTHING) * ema)
         gflat = np.concatenate([grads[k].ravel() for k in template]) if template else np.zeros(0)
-        adam, flat = adam_step(adam, flat, gflat, lr)
+        try:
+            adam, flat = adam_step(adam, flat, gflat, lr)
+        except NonFiniteGradientError as exc:
+            raise NonFiniteGradientError(f"iteration {t}: {exc}") from exc
         params = params_from_tree(params, tree_unflatten(template, flat))
         template = params_to_tree(params)
         if trace_every and (t % trace_every == 0 or t == iters - 1):

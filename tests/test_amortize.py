@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from branchvi import amortize
 from branchvi.amortize import (
     AmortArch,
     MlpWeights,
     mlp_backward,
     mlp_forward,
     net_backward,
+    net_backward_batch,
     net_forward,
+    net_forward_batch,
     net_init,
     net_param_count,
+    net_rows,
     net_to_tree,
 )
-from branchvi.data import BranchData
+from branchvi.data import BranchData, BranchDataset
 from branchvi.errors import InvalidDataError, MalformedParamsError
 from branchvi.families import local_param_size, pack_local, unpack_local
 from branchvi.rng import RngStream
@@ -125,6 +129,83 @@ class TestNetBackward:
     def test_mlp_shapes_validated(self):
         with pytest.raises(MalformedParamsError):
             MlpWeights([np.zeros((3, 2)), np.zeros((4, 5))], [np.zeros(3), np.zeros(4)])
+
+
+def _ragged(seed, x_dim=2):
+    """Branches with n_i = 1 and n_i >= 50 among them."""
+    return BranchDataset([_branch(seed + k, n=n, x_dim=x_dim)
+                          for k, n in enumerate((1, 57, 4, 1, 50, 9))], x_dim)
+
+
+class TestBatchedNet:
+    def test_rows_bitwise_alone_in_batch_and_reordered(self):
+        net = net_init("dense", 2, 2, 2, RngStream(160))
+        data = _ragged(161)
+        idx = np.arange(data.n_branches)
+        rows, _ = net_forward_batch(net, data.batch(idx))
+        order = np.array([4, 0, 5, 2, 1, 3])
+        rows_perm, _ = net_forward_batch(net, data.batch(order))
+        for i in idx:
+            alone = pack_local(net_forward(net, data.branches[i])[0])
+            assert np.array_equal(rows[i], alone), i
+            assert np.array_equal(rows_perm[np.flatnonzero(order == i)[0]], alone), i
+            assert np.array_equal(net_forward_batch(net, data.batch([i]))[0][0], alone), i
+
+    def test_chunked_rows_equal_one_pass(self, monkeypatch):
+        net = net_init("block", 1, 2, 2, RngStream(162))
+        data = _ragged(163)
+        idx = np.array([5, 1, 0, 4, 3, 2])
+        whole, _ = net_forward_batch(net, data.batch(idx))
+        for budget in (1, 3, 60, 10_000):
+            monkeypatch.setattr(amortize, "_CHUNK_ROWS", budget)
+            assert np.array_equal(net_rows(net, data, idx), whole), budget
+
+    def test_backward_is_sum_of_per_branch_passes(self):
+        net = net_init("dense", 2, 2, 2, RngStream(164))
+        data = _ragged(165)
+        idx = np.arange(data.n_branches)
+        G = RngStream(166).normal((idx.size, local_param_size("dense", 2, 2)))
+        _, tape = net_forward_batch(net, data.batch(idx))
+        batched = net_backward_batch(net, tape, G)
+        summed = None
+        for i in idx:
+            g = net_backward(net, net_forward(net, data.branches[i])[1], G[i])
+            summed = g if summed is None else {k: summed[k] + g[k] for k in g}
+        for key in summed:
+            scale = max(np.max(np.abs(summed[key])), 1e-300)
+            assert np.max(np.abs(batched[key] - summed[key])) <= 1e-12 * scale, key
+
+    def test_backward_matches_central_differences(self):
+        net = net_init("dense", 1, 1, 1, RngStream(167), TINY)
+        data = BranchDataset([_branch(168, n=1, x_dim=1), _branch(169, n=3, x_dim=1)], 1)
+        obs = data.batch([1, 0])
+        G = RngStream(170).normal((2, local_param_size("dense", 1, 1)))
+        _, tape = net_forward_batch(net, obs)
+        grads = net_backward_batch(net, tape, G)
+        tree = net_to_tree(net)
+        h = 1e-6
+        from branchvi.amortize import net_from_tree
+
+        def value(t):
+            return float(np.sum(G * net_forward_batch(net_from_tree(net, t), obs)[0]))
+
+        for key in tree:
+            for j in range(tree[key].size):
+                tp = {k: v.copy() for k, v in tree.items()}
+                tm = {k: v.copy() for k, v in tree.items()}
+                tp[key].flat[j] += h
+                tm[key].flat[j] -= h
+                fd = (value(tp) - value(tm)) / (2 * h)
+                assert grads[key].flat[j] == pytest.approx(fd, rel=1e-4, abs=1e-7), key
+
+    def test_empty_branch_in_batch_names_it(self):
+        net = net_init("diag", 1, 1, 1, RngStream(171), TINY)
+        data = BranchDataset([_branch(172, n=2, x_dim=1), BranchData(np.zeros((0, 1)),
+                                                                     np.zeros(0))], 1)
+        with pytest.raises(InvalidDataError, match="empty branch.*branch 1"):
+            net_forward_batch(net, data.batch([0, 1]), [0, 1])
+        with pytest.raises(InvalidDataError, match="empty branch.*branch 1"):
+            net_rows(net, data, [0, 1])
 
 
 class TestNetInit:

@@ -395,3 +395,44 @@ def test_train_iters_zero_without_resume_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "--iters" in err and "checkpoint" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("where", ["value", "gradient"])
+def test_diverging_train_exits_1_without_traceback(where, tmp_path, monkeypatch, capsys):
+    # A NaN branch log-density (EstimatorError) or a NaN gradient
+    # (NonFiniteGradientError) from the 4th step on ends the run with exit 1.
+    from branchvi import cli
+
+    gen_dir = tmp_path / "gen"
+    _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "3",
+         "--obs", "4", "--seed", "8", "--out-dir", str(gen_dir))
+    orig_build = cli.build_model
+
+    def poisoned_build(cfg, data):
+        model = orig_build(cfg, data)
+        orig = model.log_branch_grad
+        calls = {"n": 0}
+
+        def poisoned(THETA, Z, obs):
+            vals, g_theta, g_z = orig(THETA, Z, obs)
+            calls["n"] += 1
+            if calls["n"] > 3:
+                (vals if where == "value" else g_z)[1, 2] = np.nan
+            return vals, g_theta, g_z
+
+        model.log_branch_grad = poisoned
+        return model
+
+    monkeypatch.setattr(cli, "build_model", poisoned_build)
+    capsys.readouterr()
+    rc = _run("train", "--model", "synthetic", "--dim", "1", "--data",
+              str(gen_dir / "data"), "--iters", "10", "--n-mc", "2",
+              "--out-dir", str(tmp_path / "run"))
+    out = capsys.readouterr()
+    assert rc == 1
+    if where == "value":
+        assert "error: iteration 3: non-finite branch log-density at branch 2, MC copy 1" \
+            in out.err
+    else:
+        assert "error: iteration 3: non-finite gradient" in out.err
+    assert "Traceback" not in out.err + out.out

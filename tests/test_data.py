@@ -231,3 +231,66 @@ def test_batch_gathers_branch_rows_in_batch_order():
     assert sums[0, 2] == pytest.approx(branches[0].y.sum())
     empty = data.batch([1])
     assert empty.segment_sum(np.zeros((2, 0))).shape == (2, 1)
+
+
+class TestContainerValidation:
+    """Corrupt .bin files raise InvalidDataError naming the file and byte offset."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        # two branches, covariate dim 2: branch 0 is its count at [0, 8), x at
+        # [8, 40) and y at [40, 56); branch 1 runs from 56 to 56 + 8 + 3 * 24 = 136
+        ds = BranchDataset([BranchData(np.ones((2, 2)), np.ones(2)),
+                            BranchData(np.zeros((3, 2)), np.zeros(3))], 2)
+        path = str(tmp_path / "ds")
+        save_dataset(ds, path)
+        return path
+
+    def _rewrite(self, path, mutate):
+        with open(f"{path}.bin", "rb") as fh:
+            raw = bytearray(fh.read())
+        with open(f"{path}.bin", "wb") as fh:
+            fh.write(mutate(raw))
+
+    def test_intact_file_loads(self, saved):
+        assert load_dataset(saved).n_obs == 5
+
+    def test_truncated_at_a_count(self, saved):
+        self._rewrite(saved, lambda raw: raw[:60])
+        with pytest.raises(InvalidDataError, match=r"ds\.bin: truncated at byte 60: "
+                                                   r"branch 1's count at byte 56"):
+            load_dataset(saved)
+
+    def test_truncated_mid_array(self, saved):
+        self._rewrite(saved, lambda raw: raw[:20])
+        with pytest.raises(InvalidDataError, match=r"ds\.bin: truncated at byte 20: "
+                                                   r"branch 0's 2 observations from byte 8"):
+            load_dataset(saved)
+
+    def test_negative_count(self, saved):
+        def negate(raw):
+            raw[56:64] = np.int64(-3).astype("<i8").tobytes()
+            return raw
+
+        self._rewrite(saved, negate)
+        with pytest.raises(InvalidDataError,
+                           match=r"ds\.bin: negative observation count -3 for branch 1 "
+                                 r"at byte 56"):
+            load_dataset(saved)
+
+    def test_trailing_bytes(self, saved):
+        self._rewrite(saved, lambda raw: raw + b"\0" * 5)
+        with pytest.raises(InvalidDataError,
+                           match=r"ds\.bin: 5 trailing bytes after the last branch, at byte 136"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("meta, needle", [
+        ("covariate_dim = 2\n", "'branches'"),
+        ("branches = two\ncovariate_dim = 2\n", r"ds\.meta:1: expected 'key = integer'"),
+        ("branches = -1\ncovariate_dim = 2\n", "'branches'"),
+    ])
+    def test_bad_meta(self, saved, meta, needle):
+        with open(f"{saved}.meta", "w") as fh:
+            fh.write(meta)
+        with pytest.raises(InvalidDataError, match=needle):
+            load_dataset(saved)

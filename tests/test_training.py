@@ -51,6 +51,29 @@ def test_resume_matches_uninterrupted_run():
         assert rec.elbo == pytest.approx(by_iter[rec.iter].elbo, abs=1e-9)
 
 
+def test_amortized_resume_matches_uninterrupted_run():
+    model, data = _setup()
+    sched = LrSchedule(1e-2, drop_every=100, drop_factor=0.1, max_drops=1)
+
+    def fresh():
+        return init_amortized("dense", 1, 1, 1, RngStream(706), AmortArch((3, 3), (4, 4)))
+
+    common = dict(kind="amortized", schedule=sched, rng=RngStream(707), n_mc=3,
+                  batch_size=2, trace_every=50)
+    full = train(model, fresh(), data, iters=200, **common)
+    first = train(model, fresh(), data, iters=100, **common)
+    second = train(model, first.params, data, iters=200, start_iter=100,
+                   adam=first.adam, ema=first.ema, **common)
+
+    assert second.ema == pytest.approx(full.ema, abs=1e-9)
+    f_full = tree_flatten(params_to_tree(full.params))
+    f_resumed = tree_flatten(params_to_tree(second.params))
+    assert np.allclose(f_full, f_resumed, atol=1e-12)
+    by_iter = {r.iter: r for r in full.records}
+    for rec in second.records:
+        assert rec.elbo == pytest.approx(by_iter[rec.iter].elbo, abs=1e-9)
+
+
 def test_same_seed_reproduces_trajectory():
     model, data = _setup()
     sched = LrSchedule(1e-2)
