@@ -59,22 +59,17 @@ class MlpWeights:
         return self.weights[-1].shape[0]
 
 
-def mlp_forward(mlp: MlpWeights, H: np.ndarray, row_stable: bool = False):
-    """Rows of H are independent inputs; returns (output, cache).
-
-    With ``row_stable`` the matmul runs through einsum, whose per-row
-    reduction order does not depend on the number of rows; BLAS GEMM kernels
-    do, which would make a row's output differ bitwise between batch sizes.
-    Required wherever exact permutation/duplication invariance is promised.
-    """
+def mlp_forward(mlp: MlpWeights, H: np.ndarray):
+    """Rows of H are independent inputs; returns (output, cache)."""
     n_layers = len(mlp.weights)
     inputs, masks = [], []
     for l, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(H)
-        if row_stable:
-            a = np.einsum("ij,kj->ik", H, W) + b
-        else:
-            a = H @ W.T + b
+        # einsum's per-row reduction order does not depend on the number of
+        # rows (BLAS GEMM kernels' does), so a row's output is bitwise the
+        # same in any batch: exact permutation/duplication invariance rests
+        # on this.
+        a = np.einsum("ij,kj->ik", H, W) + b
         if l < n_layers - 1:
             mask = a >= 0
             masks.append(mask)
@@ -172,26 +167,24 @@ class NetTape:
     feat_cache: tuple
     embed: np.ndarray      # (n, K) embeddings of the batch's observation rows
     param_cache: tuple
-    counts: np.ndarray     # (B,) observation rows per branch
-    seg: np.ndarray        # (n,) row -> batch position
+    obs: BranchBatch       # the batch the pass ran over
 
 
-def net_forward_batch(net: AmortNet, obs: BranchBatch, branches=None):
+def net_forward_batch(net: AmortNet, obs: BranchBatch, branches):
     """Packed local rows (B, P_w) (the BranchParams.W layout) and one tape.
 
     One feature-MLP pass over all observation rows of ``obs``, a sorted-sum
     mean per branch, and one param-MLP pass over the B pooled rows. Both
     MLPs are row-stable, so a branch's row is bitwise the same alone and
-    inside any batch. ``branches`` (B,) names the branches in the error for
-    an empty one (batch positions by default).
+    inside any batch. ``branches`` (B,) are the dataset indices of the batch
+    positions; the error for an empty branch names its index.
     """
     empty = np.flatnonzero(obs.counts == 0)
     if empty.size:
-        j = int(empty[0])
-        name = j if branches is None else int(branches[j])
-        raise InvalidDataError(f"cannot amortize an empty branch (branch {name})")
+        raise InvalidDataError(
+            f"cannot amortize an empty branch (branch {int(branches[empty[0]])})")
     H = np.concatenate([obs.x, obs.y[:, None]], axis=1)
-    E, feat_cache = mlp_forward(net.feat, H, row_stable=True)
+    E, feat_cache = mlp_forward(net.feat, H)
     aug = np.concatenate([E, E * E], axis=1)
     # Summing each dimension in sorted order makes the mean bitwise invariant
     # to observation order (float addition is not associative otherwise). One
@@ -200,8 +193,8 @@ def net_forward_batch(net: AmortNet, obs: BranchBatch, branches=None):
     pooled = np.empty((obs.n_branches, aug.shape[1]))
     for j, (s, c) in enumerate(zip(obs.starts.tolist(), obs.counts.tolist())):
         pooled[j] = np.sort(aug[s:s + c], axis=0).sum(axis=0) / c
-    out, param_cache = mlp_forward(net.param, pooled, row_stable=True)
-    return out, NetTape(feat_cache, E, param_cache, obs.counts, obs.seg)
+    out, param_cache = mlp_forward(net.param, pooled)
+    return out, NetTape(feat_cache, E, param_cache, obs)
 
 
 def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
@@ -213,7 +206,7 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
     """
     gW_p, gb_p, g_pooled = mlp_backward(net.param, tape.param_cache, G)
     K = tape.embed.shape[1]
-    g_aug = (g_pooled / tape.counts[:, None])[tape.seg]
+    g_aug = (g_pooled / tape.obs.counts[:, None])[tape.obs.seg]
     g_E = g_aug[:, :K] + 2.0 * tape.embed * g_aug[:, K:]
     gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E)
     return _layer_tree(gW_f, gb_f, gW_p, gb_p)
@@ -221,7 +214,9 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
 
 def net_forward(net: AmortNet, d: BranchData):
     """One branch's LocalParams and tape: net_forward_batch with B = 1."""
-    rows, tape = net_forward_batch(net, BranchBatch(d.x, d.y, np.array([d.n])))
+    if d.n == 0:
+        raise InvalidDataError("cannot amortize an empty branch")
+    rows, tape = net_forward_batch(net, BranchBatch(d.x, d.y, np.array([d.n])), [0])
     w = unpack_local(rows[0], net.structure, net.global_dim, net.local_dim, net.gamma)
     return w, tape
 

@@ -133,8 +133,8 @@ def _check_net_invariance():
     w2, _ = net_forward(ap.net, BranchData(b.x[perm], b.y[perm]))
     other = BranchData(gen.standard_normal((3, 2)), gen.standard_normal(3))
     data = BranchDataset([other, b], 2)
-    in_batch = net_forward_batch(ap.net, data.batch([0, 1]))[0][1]
-    alone = net_forward_batch(ap.net, data.batch([1]))[0][0]
+    in_batch = net_forward_batch(ap.net, data.batch([0, 1]), [0, 1])[0][1]
+    alone = net_forward_batch(ap.net, data.batch([1]), [1])[0][0]
     return (np.array_equal(w1.mu, w2.mu) and np.array_equal(w1.A, w2.A)
             and np.array_equal(w1.chol.raw, w2.chol.raw)
             and np.array_equal(in_batch, alone) and np.array_equal(alone, pack_local(w1)))

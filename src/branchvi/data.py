@@ -320,9 +320,10 @@ def save_dataset(ds: BranchDataset, path: str) -> None:
 def load_dataset(path: str) -> BranchDataset:
     """Read a dataset written by save_dataset.
 
-    The .bin file is read in one pass; a short read, a negative count or
-    bytes left after the last branch raise InvalidDataError naming the file
-    and the byte offset.
+    The .bin file is read in one pass into one buffer, and each branch's x
+    and y are views into it, so loading holds the data once. A short read, a
+    negative count or bytes left after the last branch raise InvalidDataError
+    naming the file and the byte offset.
     """
     meta: dict = {}
     with open(f"{path}.meta") as fh:
@@ -343,7 +344,7 @@ def load_dataset(path: str) -> BranchDataset:
     cov_dim = meta["covariate_dim"]
     bin_path = f"{path}.bin"
     with open(bin_path, "rb") as fh:
-        buf = fh.read()
+        buf = np.fromfile(fh, dtype=np.uint8)  # writable, unlike bytes
     end = len(buf)
     branches = []
     off = 0
@@ -363,8 +364,7 @@ def load_dataset(path: str) -> BranchDataset:
                 f"from byte {off} need {8 * n * (cov_dim + 1)} bytes")
         xy = np.frombuffer(buf, "<f8", n * (cov_dim + 1), off)
         off += 8 * n * (cov_dim + 1)
-        branches.append(BranchData(xy[:n * cov_dim].reshape(n, cov_dim).copy(),
-                                   xy[n * cov_dim:].copy()))
+        branches.append(BranchData(xy[:n * cov_dim].reshape(n, cov_dim), xy[n * cov_dim:]))
     if off != end:
         raise InvalidDataError(
             f"{bin_path}: {end - off} trailing bytes after the last branch, at byte {off}")

@@ -142,20 +142,20 @@ class TestBatchedNet:
         net = net_init("dense", 2, 2, 2, RngStream(160))
         data = _ragged(161)
         idx = np.arange(data.n_branches)
-        rows, _ = net_forward_batch(net, data.batch(idx))
+        rows, _ = net_forward_batch(net, data.batch(idx), idx)
         order = np.array([4, 0, 5, 2, 1, 3])
-        rows_perm, _ = net_forward_batch(net, data.batch(order))
+        rows_perm, _ = net_forward_batch(net, data.batch(order), order)
         for i in idx:
             alone = pack_local(net_forward(net, data.branches[i])[0])
             assert np.array_equal(rows[i], alone), i
             assert np.array_equal(rows_perm[np.flatnonzero(order == i)[0]], alone), i
-            assert np.array_equal(net_forward_batch(net, data.batch([i]))[0][0], alone), i
+            assert np.array_equal(net_forward_batch(net, data.batch([i]), [i])[0][0], alone), i
 
     def test_chunked_rows_equal_one_pass(self, monkeypatch):
         net = net_init("block", 1, 2, 2, RngStream(162))
         data = _ragged(163)
         idx = np.array([5, 1, 0, 4, 3, 2])
-        whole, _ = net_forward_batch(net, data.batch(idx))
+        whole, _ = net_forward_batch(net, data.batch(idx), idx)
         for budget in (1, 3, 60, 10_000):
             monkeypatch.setattr(amortize, "_CHUNK_ROWS", budget)
             assert np.array_equal(net_rows(net, data, idx), whole), budget
@@ -165,7 +165,7 @@ class TestBatchedNet:
         data = _ragged(165)
         idx = np.arange(data.n_branches)
         G = RngStream(166).normal((idx.size, local_param_size("dense", 2, 2)))
-        _, tape = net_forward_batch(net, data.batch(idx))
+        _, tape = net_forward_batch(net, data.batch(idx), idx)
         batched = net_backward_batch(net, tape, G)
         summed = None
         for i in idx:
@@ -178,16 +178,17 @@ class TestBatchedNet:
     def test_backward_matches_central_differences(self):
         net = net_init("dense", 1, 1, 1, RngStream(167), TINY)
         data = BranchDataset([_branch(168, n=1, x_dim=1), _branch(169, n=3, x_dim=1)], 1)
-        obs = data.batch([1, 0])
+        idx = [1, 0]
+        obs = data.batch(idx)
         G = RngStream(170).normal((2, local_param_size("dense", 1, 1)))
-        _, tape = net_forward_batch(net, obs)
+        _, tape = net_forward_batch(net, obs, idx)
         grads = net_backward_batch(net, tape, G)
         tree = net_to_tree(net)
         h = 1e-6
         from branchvi.amortize import net_from_tree
 
         def value(t):
-            return float(np.sum(G * net_forward_batch(net_from_tree(net, t), obs)[0]))
+            return float(np.sum(G * net_forward_batch(net_from_tree(net, t), obs, idx)[0]))
 
         for key in tree:
             for j in range(tree[key].size):
