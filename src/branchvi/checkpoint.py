@@ -11,9 +11,13 @@ Layout (all integers little-endian, documented in the README):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
+
+from .errors import InvalidDataError
 
 MAGIC = b"BVNT"
 VERSION = 1
@@ -36,20 +40,52 @@ def save_tensors(path, tree: dict) -> None:
 
 
 def load_tensors(path) -> dict:
+    """Read a file written by save_tensors.
+
+    A bad magic or version, a short read at any field, a negative dimension,
+    a name that is not UTF-8 and bytes left after the last tensor raise
+    InvalidDataError naming the file and the byte offset.
+    """
     tree = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def need(n, what):
+            off = fh.tell()
+            if size - off < n:
+                raise InvalidDataError(
+                    f"{path}: truncated at byte {size}: {what} at byte {off} needs {n} bytes")
+            return off
+
+        def unpack(fmt, what):
+            n = struct.calcsize(fmt)
+            return need(n, what), struct.unpack(fmt, fh.read(n))
+
+        need(4, "magic")
         if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a named-tensor file")
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise InvalidDataError(f"{path}: not a named-tensor file (no {MAGIC!r} at byte 0)")
+        off, (version,) = unpack("<I", "version")
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
-            n_vals = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_vals), dtype="<f8")
-            tree[name] = data.reshape(shape).copy()
+            raise InvalidDataError(f"{path}: unsupported version {version} at byte {off}")
+        _, (count,) = unpack("<Q", "tensor count")
+        for j in range(count):
+            _, (name_len,) = unpack("<I", f"tensor {j}'s name length")
+            off = need(name_len, f"tensor {j}'s name")
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise InvalidDataError(
+                    f"{path}: tensor {j}'s name at byte {off} is not UTF-8") from None
+            _, (ndim,) = unpack("<I", f"tensor {name!r}'s ndim")
+            off, shape = unpack(f"<{ndim}q", f"tensor {name!r}'s shape")
+            if min(shape, default=0) < 0:
+                raise InvalidDataError(
+                    f"{path}: negative dimension in shape {shape} of {name!r} at byte {off}")
+            n_vals = math.prod(shape)
+            need(8 * n_vals, f"tensor {name!r}'s {n_vals} values")
+            tree[name] = np.fromfile(fh, dtype="<f8", count=n_vals).reshape(shape)
+        if fh.tell() != size:
+            raise InvalidDataError(
+                f"{path}: {size - fh.tell()} trailing bytes after the last tensor, "
+                f"at byte {fh.tell()}")
     return tree

@@ -23,7 +23,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .amortize import AmortNet, AmortParams, MlpWeights, amort_to_tree, init_amortized
 from .checks import run_checks
-from .data import BranchDataset, load_dataset, save_dataset, split
+from .data import BranchData, BranchDataset, SplitDataset, load_dataset, save_dataset, split
 from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
                      NonFiniteGradientError)
 from .families import (
@@ -222,25 +222,37 @@ def save_checkpoint(path: str, params, *, it: int = 0, ema: float = float("nan")
 def load_checkpoint(path: str):
     """Returns (params, iter, ema, adam-or-None)."""
     tree = ckpt.load_tensors(path)
-    kind = _KIND_NAMES[int(tree["meta.kind"][0])]
-    structure = _STRUCT_NAMES[int(tree["meta.structure"][0])]
-    gdim, ldim, nb, x_dim = (int(v) for v in tree["meta.dims"])
-    gamma = float(tree["meta.gamma"][0])
+
+    def entry(key, size=1):
+        if key not in tree or tree[key].size != size:
+            raise InvalidDataError(f"{path}: checkpoint needs a {size}-value {key!r}")
+        return tree[key].ravel()
+
+    codes = entry("meta.kind")[0], entry("meta.structure")[0]
+    if codes[0] not in _KIND_NAMES or codes[1] not in _STRUCT_NAMES:
+        raise InvalidDataError(f"{path}: unknown kind/structure codes {tuple(map(float, codes))}")
+    kind, structure = _KIND_NAMES[codes[0]], _STRUCT_NAMES[codes[1]]
+    gdim, ldim, nb, x_dim = (int(v) for v in entry("meta.dims", 4))
+    gamma = float(entry("meta.gamma")[0])
+    it = int(entry("train.iter")[0])
+    ema = float(entry("train.ema")[0])
     ptree = {k[len("params."):]: v for k, v in tree.items() if k.startswith("params.")}
-    if kind == "joint":
-        params = params_from_tree(init_joint(structure, gdim, ldim, nb, gamma), ptree)
-    elif kind == "branch":
-        if "w" not in ptree:
-            _stack_v1_locals(ptree, structure, gdim, ldim, nb)
-        params = params_from_tree(init_branch(structure, gdim, ldim, nb, gamma), ptree)
-    else:
-        params = AmortParams(factor_from_tree("v", ptree, structure, gdim, gamma),
-                             _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
-    it = int(tree["train.iter"][0])
-    ema = float(tree["train.ema"][0])
+    try:
+        if kind == "joint":
+            params = params_from_tree(init_joint(structure, gdim, ldim, nb, gamma), ptree)
+        elif kind == "branch":
+            if "w" not in ptree:
+                _stack_v1_locals(ptree, structure, gdim, ldim, nb)
+            params = params_from_tree(init_branch(structure, gdim, ldim, nb, gamma), ptree)
+        else:
+            params = AmortParams(factor_from_tree("v", ptree, structure, gdim, gamma),
+                                 _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
+    except KeyError as exc:
+        raise InvalidDataError(f"{path}: checkpoint lacks 'params.{exc.args[0]}'") from None
     adam = None
     if "opt.m" in tree:
-        adam = AdamState(tree["opt.m"], tree["opt.s"], int(tree["opt.t"][0]))
+        m = tree["opt.m"]
+        adam = AdamState(m, entry("opt.s", m.size), int(entry("opt.t")[0]))
     return params, it, ema, adam
 
 
@@ -255,11 +267,7 @@ def _stack_v1_locals(ptree, structure, gdim, ldim, nb) -> None:
               "diag": ("mu", "scale_raw")}[structure]
     W = np.empty((nb, local_param_size(structure, gdim, ldim)))
     for i in range(nb):
-        keys = [f"w.{i:06d}.{f}" for f in fields]
-        missing = [k for k in keys if k not in ptree]
-        if missing:
-            raise InvalidDataError(f"checkpoint lacks params.{missing[0]}")
-        row = np.concatenate([ptree.pop(k).ravel() for k in keys])
+        row = np.concatenate([ptree.pop(f"w.{i:06d}.{f}").ravel() for f in fields])
         if row.size != W.shape[1]:
             raise InvalidDataError(f"checkpoint branch {i} holds {row.size} local "
                                    f"values, expected {W.shape[1]}")
@@ -417,14 +425,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     if base.endswith("_train") and os.path.exists(test_path + ".meta"):
         test_data = load_dataset(test_path)
     else:
-        from .data import BranchData
-
         empty = [BranchData(np.zeros((0, train_data.covariate_dim)), np.zeros(0))
                  for _ in range(train_data.n_branches)]
         test_data = BranchDataset(empty, train_data.covariate_dim,
                                   train_data.has_covariates)
-    from .data import SplitDataset
-
     split_ds = SplitDataset(train_data, test_data)
     model = build_model(cfg, train_data)
     params, _, _, _ = load_checkpoint(cfg.checkpoint)
@@ -552,7 +556,7 @@ def main(argv=None) -> int:
                "convert": cmd_convert, "check": cmd_check}[args.command]
     try:
         return handler(cfg)
-    except (InvalidDataError, MalformedParamsError) as exc:
+    except (InvalidDataError, MalformedParamsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimatorError, NonFiniteGradientError) as exc:

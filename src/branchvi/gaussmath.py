@@ -173,11 +173,6 @@ class GaussianSpec:
         return L @ L.T
 
 
-def standard_spec(dim: int, gamma: float = 1.0) -> GaussianSpec:
-    """N(0, I): zero mean and zero raw vector (psi(0) = sqrt(gamma))."""
-    return GaussianSpec(np.zeros(dim), UnconstrainedChol(np.zeros(tril_size(dim)), dim, gamma))
-
-
 def spec_from_moments(mean: np.ndarray, cov: np.ndarray, gamma: float = 1.0) -> GaussianSpec:
     """Build a spec whose realized covariance equals ``cov`` (via Cholesky)."""
     L = np.linalg.cholesky(cov)

@@ -166,66 +166,36 @@ class SyntheticOracle:
 def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
     """Exact posterior over theta, conditionals over z_i, and log p(y | x).
 
-    With X_i the (n_i, D) covariate matrix of branch i:
-      theta | y, x   Gaussian with precision I + sum_i X_i' (I + X_i X_i')^{-1} X_i
-      z_i | theta    N((I + X_i'X_i)^{-1} (X_i'y_i + theta), (I + X_i'X_i)^{-1})
-      y | x          N(0, S) with S_ii = I + 2 X_i X_i' and S_ij = X_i X_j'.
-
-    The marginal materializes the dense (sum n_i)^2 covariance: O((sum n_i)^3),
-    intended for desk-scale checks only.
+    Everything comes from per-branch statistics G_i = X_i'X_i, b_i = X_i'y_i
+    and y_i'y_i of the (n_i, D) covariates X_i, through K_i = I + G_i
+    (Woodbury and the matrix determinant lemma on I + X_i X_i'):
+      theta | y, x   precision I + sum_i G_i K_i^{-1}, linear term sum_i K_i^{-1} b_i
+      z_i | theta    N(K_i^{-1} (b_i + theta), K_i^{-1})
+      log p(y | x)   sum_i [-(y_i'y_i - b_i'K_i^{-1}b_i)/2 - log|K_i|/2 - n_i log(2 pi)/2]
+                     + lin' prec^{-1} lin / 2 - log|prec| / 2
+    Cost O(sum n_i D^2 + N D^3); branches with no rows contribute nothing.
     """
-    # scipy.linalg is a large import that training never needs, so it loads on use.
-    from scipy.linalg import cho_factor, cho_solve, solve_triangular
-
-    D = data.covariate_dim
-    N = data.n_branches
-    if any(b.x.shape[1] != D for b in data.branches):
-        raise InvalidDataError("branches disagree on covariate dimension")
-
-    prec = np.eye(D)
-    lin = np.zeros(D)
-    for b in data.branches:
-        C = np.eye(b.n) + b.x @ b.x.T
-        cf = cho_factor(C, lower=True)
-        CinvX = cho_solve(cf, b.x)
-        prec += b.x.T @ CinvX
-        lin += CinvX.T @ b.y
+    obs = data.batch(np.arange(data.n_branches))
+    eye = np.eye(data.covariate_dim)
+    G = obs.segment_sum(obs.xt[:, None, :] * obs.xt[None, :, :]).transpose(2, 0, 1)
+    b = obs.segment_sum(obs.xt * obs.y).T                      # (N, D)
+    K = eye + G
+    Kinv = np.linalg.inv(K)
+    Kinv = 0.5 * (Kinv + Kinv.transpose(0, 2, 1))
+    Kinv_b = np.einsum("nij,nj->ni", Kinv, b)
+    prec = eye + np.einsum("nij,njk->ik", G, Kinv)
+    lin = Kinv_b.sum(axis=0)
     cov_theta = np.linalg.inv(prec)
     cov_theta = 0.5 * (cov_theta + cov_theta.T)
-    mean_theta = cov_theta @ lin
-    posterior_global = spec_from_moments(mean_theta, cov_theta)
-
-    local_cov = []
-    local_lin = []
-    for b in data.branches:
-        P = np.eye(D) + b.x.T @ b.x
-        Pc = np.linalg.inv(P)
-        Pc = 0.5 * (Pc + Pc.T)
-        local_cov.append(Pc)
-        local_lin.append(b.x.T @ b.y)
+    posterior_global = spec_from_moments(cov_theta @ lin, cov_theta)
 
     def posterior_local(theta, i):
-        mean = local_cov[i] @ (local_lin[i] + theta)
-        return spec_from_moments(mean, local_cov[i])
+        return spec_from_moments(Kinv[i] @ (b[i] + theta), Kinv[i])
 
-    sizes = [b.n for b in data.branches]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    M = int(offsets[-1])
-    S = np.zeros((M, M))
-    for i, bi in enumerate(data.branches):
-        si = slice(offsets[i], offsets[i + 1])
-        S[si, si] = np.eye(bi.n) + 2.0 * bi.x @ bi.x.T
-        for j in range(i + 1, N):
-            bj = data.branches[j]
-            sj = slice(offsets[j], offsets[j + 1])
-            block = bi.x @ bj.x.T
-            S[si, sj] = block
-            S[sj, si] = block.T
-    y_all = np.concatenate([b.y for b in data.branches])
-    Ls = np.linalg.cholesky(S)
-    t = solve_triangular(Ls, y_all, lower=True)
-    log_marginal = (-0.5 * float(t @ t) - float(np.sum(np.log(np.diag(Ls))))
-                    - 0.5 * M * LOG_2PI)
+    log_marginal = float(
+        -0.5 * (obs.y @ obs.y - np.einsum("ni,ni->", b, Kinv_b))
+        - 0.5 * np.linalg.slogdet(K)[1].sum() - 0.5 * obs.y.size * LOG_2PI
+        + 0.5 * lin @ posterior_global.mean - 0.5 * np.linalg.slogdet(prec)[1])
     return SyntheticOracle(posterior_global, posterior_local, log_marginal)
 
 

@@ -17,13 +17,7 @@ import numpy as np
 from .amortize import AmortParams, amort_from_tree, amort_to_tree
 from .data import BranchDataset
 from .errors import EstimatorError, MalformedParamsError, NonFiniteGradientError
-from .estimators import (
-    MinibatchSampler,
-    amortized_elbo,
-    branch_elbo,
-    joint_elbo,
-    subsampled_branch_elbo,
-)
+from .estimators import MinibatchSampler, amortized_elbo, joint_elbo, subsampled_branch_elbo
 from .families import (
     BranchParams,
     JointFamily,
@@ -90,12 +84,10 @@ def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
         batch_size = N
     sampler = MinibatchSampler(N, batch_size)
     if kind == "branch":
-        if batch_size == N:
-            def run(params, rng):
-                return branch_elbo(model, params, data, rng, n_mc)
-        else:
-            def run(params, rng):
-                return subsampled_branch_elbo(model, params, data, sampler, rng, n_mc)
+        # At batch_size == N the sampler draws no randomness and the scale is
+        # 1, so this is bitwise the full-sum branch_elbo.
+        def run(params, rng):
+            return subsampled_branch_elbo(model, params, data, sampler, rng, n_mc)
         return run
     if kind == "amortized":
         def run(params, rng):

@@ -1,8 +1,16 @@
+import math
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from branchvi.checkpoint import load_tensors, save_tensors
+from branchvi.errors import InvalidDataError
 from branchvi.rng import RngStream
+
+REAL = Path(__file__).parent / "fixtures" / "v1_branch_dense" / "checkpoint.nt"
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -34,6 +42,81 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_tensors(path)
+
+
+def _field_starts(buf):
+    """(field, byte offset) of every field of a named-tensor file, in file order."""
+    fields = [("magic", 0), ("version", 4), ("count", 8)]
+    (count,) = struct.unpack_from("<Q", buf, 8)
+    off = 16
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", buf, off)
+        fields += [("name_len", off), ("name", off + 4)]
+        off += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", buf, off)
+        fields.append(("ndim", off))
+        off += 4
+        shape = struct.unpack_from(f"<{ndim}q", buf, off)
+        fields += [("shape", off + 8 * k) for k in range(ndim)]
+        off += 8 * ndim
+        fields.append(("payload", off))
+        off += 8 * math.prod(shape)
+    assert off == len(buf)
+    return fields
+
+
+def _rejects(path, *needles):
+    with pytest.raises(InvalidDataError) as info:
+        load_tensors(path)
+    msg = str(info.value)
+    assert str(path) in msg
+    for needle in needles:
+        assert re.search(needle, msg), msg
+
+
+@pytest.mark.parametrize("field", ["magic", "version", "count", "name_len", "name",
+                                   "ndim", "shape", "payload"])
+def test_truncation_at_each_field_is_rejected(field, tmp_path):
+    buf = REAL.read_bytes()
+    starts = [off for name, off in _field_starts(buf) if name == field]
+    assert starts
+    path = tmp_path / "cut.nt"
+    for off in starts:
+        for cut in (off, off + 1):
+            path.write_bytes(buf[:cut])
+            _rejects(path, rf"truncated at byte {cut}\b", r"at byte \d+ needs \d+ bytes")
+
+
+def test_invalid_headers_are_rejected(tmp_path):
+    buf = REAL.read_bytes()
+    path = tmp_path / "bad.nt"
+    path.write_bytes(b"NOPE" + buf[4:])
+    _rejects(path, "not a named-tensor file", "byte 0")
+    path.write_bytes(buf[:4] + struct.pack("<I", 7) + buf[8:])
+    _rejects(path, "unsupported version 7 at byte 4")
+
+
+def test_trailing_bytes_are_rejected(tmp_path):
+    buf = REAL.read_bytes()
+    path = tmp_path / "long.nt"
+    path.write_bytes(buf + b"\x00" * 3)
+    _rejects(path, f"3 trailing bytes after the last tensor, at byte {len(buf)}")
+
+
+def test_negative_dimension_and_bad_name_are_rejected(tmp_path):
+    buf = bytearray(REAL.read_bytes())
+    fields = _field_starts(bytes(buf))
+    shape_off = next(off for name, off in fields if name == "shape")
+    path = tmp_path / "neg.nt"
+    neg = buf.copy()
+    neg[shape_off:shape_off + 8] = struct.pack("<q", -2)
+    path.write_bytes(bytes(neg))
+    _rejects(path, rf"negative dimension in shape \(-2,.* at byte {shape_off}")
+    name_off = next(off for name, off in fields if name == "name")
+    bad = buf.copy()
+    bad[name_off] = 0xFF
+    path.write_bytes(bytes(bad))
+    _rejects(path, f"name at byte {name_off} is not UTF-8")
 
 
 def test_empty_tree(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -436,3 +437,85 @@ def test_diverging_train_exits_1_without_traceback(where, tmp_path, monkeypatch,
     else:
         assert "error: iteration 3: non-finite gradient" in out.err
     assert "Traceback" not in out.err + out.out
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture()
+    def trained(self, tmp_path):
+        gen = tmp_path / "gen"
+        _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "3",
+             "--obs", "4", "--seed", "8", "--out-dir", str(gen))
+        run_dir = tmp_path / "run"
+        _run("train", "--model", "synthetic", "--dim", "1", "--data", str(gen / "data"),
+             "--iters", "3", "--seed", "8", "--out-dir", str(run_dir))
+        return gen / "data", run_dir / "checkpoint.nt"
+
+    @staticmethod
+    def _eval_and_resume(data, path, tmp_path, capsys):
+        """stderr of `eval --checkpoint path` and `train --resume path`, each exiting 2."""
+        errs = []
+        for argv in (("eval", "--checkpoint", str(path), "--k-samples", "10"),
+                     ("train", "--iters", "6", "--resume", str(path))):
+            capsys.readouterr()
+            rc = _run(*argv, "--model", "synthetic", "--dim", "1", "--data", str(data),
+                      "--out-dir", str(tmp_path / argv[0]))
+            out = capsys.readouterr()
+            assert rc == 2, argv
+            assert out.err.startswith("error: ") and "Traceback" not in out.err + out.out
+            errs.append(out.err)
+        return errs
+
+    def test_truncated_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        data, ckpt_path = trained
+        cut = tmp_path / "cut.nt"
+        cut.write_bytes(ckpt_path.read_bytes()[:100])
+        for err in self._eval_and_resume(data, cut, tmp_path, capsys):
+            assert f"{cut}: truncated at byte 100" in err
+
+    def test_bad_magic_exits_2(self, trained, tmp_path, capsys):
+        data, ckpt_path = trained
+        bad = tmp_path / "bad.nt"
+        bad.write_bytes(b"XXXX" + ckpt_path.read_bytes()[4:])
+        for err in self._eval_and_resume(data, bad, tmp_path, capsys):
+            assert "not a named-tensor file" in err
+
+    def test_missing_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        data, _ = trained
+        missing = tmp_path / "missing.nt"
+        for err in self._eval_and_resume(data, missing, tmp_path, capsys):
+            assert str(missing) in err
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda t: t.pop("meta.kind"), "'meta.kind'"),
+        (lambda t: t.pop("meta.gamma"), "'meta.gamma'"),
+        (lambda t: t.update({"meta.dims": np.zeros(3)}), "'meta.dims'"),
+        (lambda t: t.update({"meta.kind": np.array([7.0])}),
+         "unknown kind/structure codes (7.0, 0.0)"),
+        (lambda t: t.update({"meta.structure": np.array([0.5])}),
+         "unknown kind/structure codes (1.0, 0.5)"),
+        (lambda t: t.pop("params.w"), "lacks 'params.w.000000.mu'"),
+        (lambda t: t.pop("params.v.raw"), "lacks 'params.v.raw'"),
+        (lambda t: t.pop("opt.s"), "'opt.s'"),
+    ], ids=["no-kind", "no-gamma", "short-dims", "bad-kind", "bad-structure", "no-w",
+            "no-v-raw", "no-opt-s"])
+    def test_bad_meta_exits_2(self, trained, tmp_path, capsys, edit, needle):
+        data, ckpt_path = trained
+        tree = load_tensors(ckpt_path)
+        edit(tree)
+        bad = tmp_path / "meta.nt"
+        save_tensors(bad, tree)
+        with pytest.raises(InvalidDataError, match=re.escape(needle)):
+            load_checkpoint(bad)
+        for err in self._eval_and_resume(data, bad, tmp_path, capsys):
+            assert needle in err
+
+
+def test_generate_oracle_at_scale(tmp_path):
+    # 5000 branches x 20 observations: the closed-form oracle stays cheap.
+    out = tmp_path / "big"
+    rc = _run("generate", "--model", "synthetic", "--branches", "5000", "--obs", "20",
+              "--seed", "4", "--out-dir", str(out))
+    assert rc == 0
+    log_marginal = float((out / "oracle.txt").read_text().split("=")[1])
+    assert np.isfinite(log_marginal)
+    assert load_tensors(out / "oracle.nt")["posterior_cov"].shape == (2, 2)

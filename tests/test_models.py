@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+import branchvi
 
 from branchvi.data import BranchBatch, BranchData, BranchDataset
 from branchvi.errors import InvalidDataError
@@ -190,6 +197,92 @@ class TestSyntheticOracle:
         kl, _ = quad(lambda t: q_pdf(t) * (log_q(t) - log_post(t)),
                      mu_q - 12 * sd_q, mu_q + 12 * sd_q, limit=200)
         assert elbo + kl == pytest.approx(o.log_marginal, abs=1e-4)
+
+
+def _dense_oracle(data):
+    """Reference oracle from the joint Gaussian of u = (theta, z_1..z_N) and y.
+
+    theta ~ N(0, I) and z_i = theta + eta_i give Cov(u) = 11' (x) I + diag(0, I, ..);
+    y = H u + noise with branch i's rows X_i in z_i's columns, so y ~ N(0, S) with
+    the dense (sum n_i)^2 covariance S = H Cov(u) H' + I. Conditioning the joint
+    gives the posteriors. O((sum n_i)^3): small instances only.
+    Returns (log_marginal, theta mean, theta cov, local(theta, i) -> (mean, cov)).
+    """
+    D, N = data.covariate_dim, data.n_branches
+    cov_u = np.kron(np.ones((N + 1, N + 1)) + np.diag([0.0] + [1.0] * N), np.eye(D))
+    H = np.zeros((data.n_obs, (N + 1) * D))
+    row = 0
+    for i, b in enumerate(data.branches):
+        H[row:row + b.n, (i + 1) * D:(i + 2) * D] = b.x
+        row += b.n
+    y = np.concatenate([b.y for b in data.branches])
+    S = H @ cov_u @ H.T + np.eye(data.n_obs)
+    log_marginal = (-0.5 * y @ np.linalg.solve(S, y) - 0.5 * np.linalg.slogdet(S)[1]
+                    - 0.5 * data.n_obs * LOG_2PI)
+    gain = np.linalg.solve(S, H @ cov_u).T
+    mean_u = gain @ y
+    cov_post = cov_u - gain @ H @ cov_u
+    t = slice(0, D)
+
+    def local(theta, i):
+        z = slice((i + 1) * D, (i + 2) * D)
+        reg = np.linalg.solve(cov_post[t, t], cov_post[t, z]).T
+        return (mean_u[z] + reg @ (theta - mean_u[t]),
+                cov_post[z, z] - reg @ cov_post[t, z])
+
+    return log_marginal, mean_u[t], cov_post[t, t], local
+
+
+class TestOracleAgainstDenseReference:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_ragged_branches_with_an_empty_one(self, D):
+        gen = RngStream(18, D).generator()
+        counts = [3, 0, 7, 1, 4, 2]
+        data = BranchDataset([BranchData(gen.standard_normal((n, D)),
+                                         gen.standard_normal(n) * 2.0) for n in counts], D)
+        o = synthetic_oracle(data)
+        log_marginal, mean, cov, local = _dense_oracle(data)
+        assert o.log_marginal == pytest.approx(log_marginal, rel=1e-10)
+        assert np.allclose(o.posterior_global.mean, mean, rtol=0, atol=1e-10)
+        assert np.allclose(o.posterior_global.cov(), cov, rtol=0, atol=1e-10)
+        theta = gen.standard_normal(D)
+        for i in range(len(counts)):
+            spec = o.posterior_local(theta, i)
+            ref_mean, ref_cov = local(theta, i)
+            assert np.allclose(spec.mean, ref_mean, rtol=0, atol=1e-10)
+            assert np.allclose(spec.cov(), ref_cov, rtol=0, atol=1e-10)
+        # the empty branch keeps its prior given theta
+        assert np.allclose(o.posterior_local(theta, 1).mean, theta, rtol=0, atol=1e-12)
+
+    def test_many_branches_in_small_memory(self):
+        cfg = SyntheticConfig(2, 20_000, (10,) * 20_000)
+        data, _ = synthetic_forward_sample(cfg, RngStream(19))
+        tracemalloc.start()
+        try:
+            o = synthetic_oracle(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(o.log_marginal)
+        assert peak < 50e6
+
+    def test_oracle_does_not_import_scipy(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from branchvi.models import SyntheticConfig, synthetic_forward_sample, "
+            "synthetic_oracle\n"
+            "from branchvi.rng import RngStream\n"
+            "data, _ = synthetic_forward_sample(SyntheticConfig(2, 3, (4, 5, 6)), "
+            "RngStream(1))\n"
+            "o = synthetic_oracle(data)\n"
+            "o.posterior_local(np.zeros(2), 1).cov()\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(branchvi.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPreferenceModel:

@@ -16,7 +16,8 @@ from branchvi.models import (
 )
 from branchvi.optim import LrSchedule
 from branchvi.rng import RngStream
-from branchvi.training import params_to_tree, train
+from branchvi.estimators import branch_elbo
+from branchvi.training import make_estimator, params_to_tree, train
 from branchvi.trees import tree_flatten
 from branchvi.families import branch_to_tree
 
@@ -213,3 +214,17 @@ def test_train_leaves_input_params_unchanged(kind):
                 trace_every=0)
     assert _digest(params) == before
     assert _digest(res.params) != before
+
+
+@pytest.mark.parametrize("batch_size", [0, 3])
+def test_full_batch_branch_estimator_is_branch_elbo_bitwise(batch_size):
+    model, data = _setup()
+    params = init_branch("dense", 1, 1, 3)
+    params.W[:] = RngStream(724).generator().standard_normal(params.W.shape)
+    est, grads = make_estimator("branch", model, data, batch_size, 4)(params, RngStream(725))
+    ref, ref_grads = branch_elbo(model, params, data, RngStream(725), 4)
+    assert est.value == ref.value
+    assert np.array_equal(est.batch, ref.batch)
+    assert set(grads) == set(ref_grads)
+    for k in grads:
+        assert np.array_equal(grads[k], ref_grads[k]), k
