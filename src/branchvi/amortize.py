@@ -10,6 +10,11 @@ feature-MLP pass over the stacked observation rows, one param-MLP pass over
 the pooled rows); the one-branch forms are its B = 1 case. Forward and
 backward passes are written out by hand; the tape carries exactly the
 activations the backward pass needs.
+
+Every forward product runs on fixed blocks of _BLOCK_ROWS rows (one stacked
+BLAS call per layer), so a row's output is bitwise independent of the batch
+around it; the exact permutation and duplication invariance of the net, and
+the equality of chunked and one-pass no-grad forwards, rest on this.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ class MlpWeights:
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
             raise MalformedParamsError("weights and biases must pair up")
+        if not 0.0 <= self.slope <= 1.0:  # _leaky_gain relies on it
+            raise MalformedParamsError(f"leaky-ReLU slope must lie in [0, 1], got {self.slope}")
         for l in range(1, len(self.weights)):
             if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
                 raise MalformedParamsError(f"layer {l} input width does not chain")
@@ -59,25 +66,41 @@ class MlpWeights:
         return self.weights[-1].shape[0]
 
 
+# Rows per BLAS call in mlp_forward. A GEMM kernel's reduction order can
+# depend on the number of rows it is given (einsum's does not, but it is
+# several times slower), so every call gets exactly this many.
+_BLOCK_ROWS = 64
+
+
 def mlp_forward(mlp: MlpWeights, H: np.ndarray):
-    """Rows of H are independent inputs; returns (output, cache)."""
+    """Rows of H are independent inputs; returns (output, cache).
+
+    The rows are zero-padded once to whole _BLOCK_ROWS blocks and every layer
+    is one stacked product over the (blocks, _BLOCK_ROWS, width) array; the
+    output and the cached activations are the first n rows.
+    """
+    n = H.shape[0]
     n_layers = len(mlp.weights)
+    X = np.zeros((-(-n // _BLOCK_ROWS), _BLOCK_ROWS, H.shape[1]))
+    X.reshape(-1, H.shape[1])[:n] = H
     inputs, masks = [], []
     for l, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        inputs.append(H)
-        # einsum's per-row reduction order does not depend on the number of
-        # rows (BLAS GEMM kernels' does), so a row's output is bitwise the
-        # same in any batch: exact permutation/duplication invariance rests
-        # on this.
-        a = np.einsum("ij,kj->ik", H, W) + b
+        inputs.append(X.reshape(-1, X.shape[2])[:n])
+        X = np.matmul(X, W.T)
+        X += b
         if l < n_layers - 1:
-            mask = a >= 0
-            masks.append(mask)
-            H = np.where(mask, a, mlp.slope * a)
+            mask = X >= 0
+            masks.append(mask.reshape(-1, mask.shape[2])[:n])
+            X *= _leaky_gain(mask, mlp.slope)
         else:
             masks.append(None)
-            H = a
-    return H, (inputs, masks)
+    return X.reshape(-1, X.shape[2])[:n], (inputs, masks)
+
+
+def _leaky_gain(mask, slope):
+    """1 where ``mask``, else slope. For slope in [0, 1], a * gain is bitwise
+    np.where(mask, a, slope * a) without np.where's per-element branch."""
+    return np.maximum(mask, slope)
 
 
 def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray):
@@ -89,7 +112,7 @@ def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray):
     g = g_out
     for l in range(n_layers - 1, -1, -1):
         if masks[l] is not None:
-            g = np.where(masks[l], g, mlp.slope * g)
+            g = g * _leaky_gain(masks[l], mlp.slope)
         gW[l] = g.T @ inputs[l]
         gb[l] = g.sum(axis=0)
         g = g @ mlp.weights[l]
@@ -118,6 +141,9 @@ class AmortNet:
     gamma: float = 1.0
 
     def __post_init__(self):
+        if self.feat.in_dim != self.x_dim + 1:
+            raise MalformedParamsError(
+                f"feature-net input width {self.feat.in_dim} != x_dim + 1 = {self.x_dim + 1}")
         if self.param.in_dim != 2 * self.feat.out_dim:
             raise MalformedParamsError(
                 "param-net input must be twice the embedding width (square concat)")

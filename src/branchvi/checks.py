@@ -1,16 +1,19 @@
 """Fast self-diagnostic suite behind the ``check`` subcommand.
 
-Each check prints one PASS/FAIL line; the suite is meant to finish in well
-under a minute and to catch corrupted math (a flipped gamma, a broken
-gradient) rather than to re-run the full test suite.
+Each check prints one PASS/FAIL line with its time; the suite is meant to
+finish in well under a minute and to catch corrupted math (a flipped gamma,
+a broken gradient) rather than to re-run the full test suite.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from . import gaussmath
-from .amortize import AmortArch, init_amortized, net_forward, net_forward_batch
+from . import amortize, gaussmath
+from .amortize import (AmortArch, MlpWeights, init_amortized, mlp_forward, net_forward,
+                       net_forward_batch)
 from .data import BranchData, BranchDataset
 from .estimators import MinibatchSampler, branch_elbo, subsampled_branch_elbo
 from .families import branch_from_tree, branch_to_tree, init_branch, pack_local
@@ -123,8 +126,9 @@ def _check_subsampling_unbiased():
 
 
 def _check_net_invariance():
-    """Exact order invariance of one branch's locals, and its row bitwise the
-    same alone and inside a two-branch batch."""
+    """Exact order invariance of one branch's locals, its row bitwise the same
+    alone and inside a two-branch batch, and every default-architecture
+    layer's output row the same alone and at each position of a GEMM block."""
     ap = init_amortized("dense", 2, 2, 2, RngStream(111), AmortArch((4, 4), (5, 5)))
     gen = RngStream(112).generator()
     b = BranchData(gen.standard_normal((6, 2)), gen.standard_normal(6))
@@ -135,9 +139,23 @@ def _check_net_invariance():
     data = BranchDataset([other, b], 2)
     in_batch = net_forward_batch(ap.net, data.batch([0, 1]), [0, 1])[0][1]
     alone = net_forward_batch(ap.net, data.batch([1]), [1])[0][0]
-    return (np.array_equal(w1.mu, w2.mu) and np.array_equal(w1.A, w2.A)
+    if not (np.array_equal(w1.mu, w2.mu) and np.array_equal(w1.A, w2.A)
             and np.array_equal(w1.chol.raw, w2.chol.raw)
-            and np.array_equal(in_batch, alone) and np.array_equal(alone, pack_local(w1)))
+            and np.array_equal(in_batch, alone) and np.array_equal(alone, pack_local(w1))):
+        return False
+    net = init_amortized("dense", 2, 2, 2, RngStream(113)).net
+    block = amortize._BLOCK_ROWS
+    for W, bias in zip(net.feat.weights + net.param.weights, net.feat.biases + net.param.biases):
+        layer = MlpWeights([W], [bias])
+        row = gen.standard_normal(W.shape[1])
+        H = gen.standard_normal((block, W.shape[1]))
+        want = mlp_forward(layer, row[None, :])[0][0]
+        for p in range(block):
+            H[p] = row
+            if not np.array_equal(mlp_forward(layer, H)[0][p], want):
+                return False
+            H[p] = gen.standard_normal(W.shape[1])
+    return True
 
 
 def _check_schedule():
@@ -160,19 +178,16 @@ CHECKS = [
 
 
 def run_checks(out=print) -> int:
-    """Run the suite; returns the number of failures."""
+    """Run the suite, one ``PASS|FAIL name (t ms)`` line per check; returns
+    the number of failures."""
     failures = 0
     for name, fn in CHECKS:
+        t0 = time.perf_counter()
         try:
-            ok = fn()
+            ok, note = fn(), ""
         except Exception as exc:  # a crash is a failure with context
-            ok = False
-            out(f"FAIL {name} (exception: {exc})")
-            failures += 1
-            continue
-        if ok:
-            out(f"PASS {name}")
-        else:
-            out(f"FAIL {name}")
-            failures += 1
+            ok, note = False, f" (exception: {exc})"
+        ms = (time.perf_counter() - t0) * 1e3
+        out(f"{'PASS' if ok else 'FAIL'} {name} ({ms:.1f} ms){note}")
+        failures += not ok
     return failures

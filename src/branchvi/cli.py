@@ -30,6 +30,7 @@ from .families import (
     BranchParams,
     JointFamily,
     factor_from_tree,
+    family_param_count,
     init_branch,
     init_joint,
     joint_to_branch,
@@ -56,6 +57,9 @@ _KIND_CODES = {"joint": 0, "branch": 1, "amortized": 2}
 _STRUCT_CODES = {"dense": 0, "block": 1, "diag": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _STRUCT_NAMES = {v: k for k, v in _STRUCT_CODES.items()}
+# Checkpoint counts (dims, iterations) are stored as float64, which holds
+# every whole number up to 2**53 exactly.
+_MAX_COUNT = 2 ** 53
 
 TRACE_COLUMNS = ("iter", "wall_seconds", "lr", "elbo", "ema_elbo")
 
@@ -232,11 +236,31 @@ def load_checkpoint(path: str):
     if codes[0] not in _KIND_NAMES or codes[1] not in _STRUCT_NAMES:
         raise InvalidDataError(f"{path}: unknown kind/structure codes {tuple(map(float, codes))}")
     kind, structure = _KIND_NAMES[codes[0]], _STRUCT_NAMES[codes[1]]
-    gdim, ldim, nb, x_dim = (int(v) for v in entry("meta.dims", 4))
+
+    def counts(key, size=1):
+        values = [float(v) for v in entry(key, size)]
+        for v in values:
+            # is_integer() is False for NaN and the infinities
+            if not (v.is_integer() and 0 <= v <= _MAX_COUNT):
+                raise InvalidDataError(
+                    f"{path}: {key!r} must hold whole numbers in [0, 2**53], got {v!r}")
+        return [int(v) for v in values]
+
+    gdim, ldim, nb, x_dim = counts("meta.dims", 4)
     gamma = float(entry("meta.gamma")[0])
-    it = int(entry("train.iter")[0])
+    it = counts("train.iter")[0]
     ema = float(entry("train.ema")[0])
     ptree = {k[len("params."):]: v for k, v in tree.items() if k.startswith("params.")}
+    # The family is allocated from the dims before the stored arrays are
+    # matched against it (a missing or misshapen one is named below), so a
+    # checkpoint never makes the loader allocate more values than it holds.
+    held = sum(v.size for v in tree.values())
+    net = sum(v.size for k, v in ptree.items() if k.startswith("net."))
+    want = family_param_count(kind, structure, nb, gdim, ldim, net)
+    if want > held:
+        raise InvalidDataError(
+            f"{path}: 'meta.dims' {[gdim, ldim, nb, x_dim]} describe a {kind}/{structure} "
+            f"family of {want} values; the checkpoint holds {held}")
     try:
         if kind == "joint":
             params = params_from_tree(init_joint(structure, gdim, ldim, nb, gamma), ptree)
@@ -252,7 +276,7 @@ def load_checkpoint(path: str):
     adam = None
     if "opt.m" in tree:
         m = tree["opt.m"]
-        adam = AdamState(m, entry("opt.s", m.size), int(entry("opt.t")[0]))
+        adam = AdamState(m, entry("opt.s", m.size), counts("opt.t")[0])
     return params, it, ema, adam
 
 

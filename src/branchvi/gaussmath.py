@@ -216,8 +216,3 @@ def mvn_logpdf(spec: GaussianSpec, x: np.ndarray) -> float:
     L = tril_map(spec.chol)
     t = solve_triangular(L, x - spec.mean, lower=True)
     return -0.5 * float(t @ t) - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI
-
-
-def gaussian_entropy(spec: GaussianSpec) -> float:
-    L = tril_map(spec.chol)
-    return 0.5 * spec.dim * (1.0 + LOG_2PI) + float(np.sum(np.log(np.diag(L))))

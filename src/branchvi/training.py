@@ -10,7 +10,7 @@ the estimate with smoothing 0.001.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,8 +109,10 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     estimator = make_estimator(kind, model, data, batch_size, n_mc)
     template = params_to_tree(params)
     flat = tree_flatten(template)
-    if adam is None:
-        adam = adam_init(flat.size)
+    # adam_step updates its state in place: work on a copy so a caller's
+    # state (a previous run's result, a loaded checkpoint) stays as it was.
+    adam = adam_init(flat.size) if adam is None else replace(
+        adam, m=np.array(adam.m, dtype=float), s=np.array(adam.s, dtype=float))
     records: list = []
     t_start = time.perf_counter()
     est_value = float("nan")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,6 +135,21 @@ class TestNetBackward:
         with pytest.raises(MalformedParamsError):
             MlpWeights([np.zeros((3, 2)), np.zeros((4, 5))], [np.zeros(3), np.zeros(4)])
 
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(MalformedParamsError, match="slope"):
+            MlpWeights([np.zeros((3, 2))], [np.zeros(3)], slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_leaky_gain_matches_where_bitwise(self, slope):
+        gen = RngStream(89).generator()
+        a = np.concatenate([gen.standard_normal(200) * 10.0 ** gen.integers(-310, 300, 200),
+                            [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):  # 0 * inf at slope 0, on both sides
+            want = np.where(a >= 0, a, slope * a)
+            got = a * amortize._leaky_gain(a >= 0, slope)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def _ragged(seed, x_dim=2):
     """Branches with n_i = 1 and n_i >= 50 among them."""
@@ -207,6 +227,48 @@ class TestBatchedNet:
             net_forward_batch(net, data.batch([0, 1]), [0, 1])
         with pytest.raises(InvalidDataError, match="empty branch.*branch 1"):
             net_rows(net, data, [0, 1])
+
+
+def _default_layers():
+    """(W, b) of every layer of a default-architecture net (D = 2, dense)."""
+    net = net_init("dense", 2, 2, 2, RngStream(180))
+    return list(zip(net.feat.weights + net.param.weights, net.feat.biases + net.param.biases))
+
+
+class TestRowStability:
+    @pytest.mark.parametrize("layer", range(8))
+    def test_row_same_alone_and_at_every_block_position(self, layer):
+        W, b = _default_layers()[layer]
+        one = MlpWeights([W], [b])
+        gen = RngStream(181 + layer).generator()
+        row = gen.standard_normal(W.shape[1])
+        alone = mlp_forward(one, row[None, :])[0][0]
+        block = amortize._BLOCK_ROWS
+        n = 2 * block + 3  # two whole blocks and a partial one
+        for p in range(block):
+            H = gen.standard_normal((n, W.shape[1]))
+            at = (p, block + p, 2 * block + p % 3)
+            H[list(at)] = row
+            out = mlp_forward(one, H)[0]
+            for j in at:
+                assert np.array_equal(out[j], alone), (W.shape, j)
+
+
+def test_bitwise_batch_properties_under_two_blas_threads():
+    """The bitwise row properties also hold when OpenBLAS splits a product
+    over two threads. OpenBLAS fixes its thread count when it loads, so the
+    tests run again in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ids = [f"{__file__}::{name}" for name in
+           ("TestBatchedNet", "TestRowStability",
+            "TestNetForward::test_permutation_invariance_bitwise",
+            "TestNetForward::test_duplication_invariance")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    assert " passed" in proc.stdout and "skipped" not in proc.stdout
 
 
 class TestNetInit:

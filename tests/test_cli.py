@@ -359,6 +359,25 @@ class TestCheck:
         assert "FAIL" not in out
         assert elapsed < 60.0
 
+    def test_lines_carry_check_time(self):
+        lines = []
+        failures = checks.run_checks(out=lines.append)
+        assert failures == 0
+        assert [re.fullmatch(r"PASS (.+) \((\d+\.\d) ms\)", line).group(1)
+                for line in lines] == [name for name, _ in checks.CHECKS]
+
+    def test_failing_check_line_names_time_and_exception(self, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, "CHECKS", [("ok", lambda: True), ("bad", lambda: False),
+                                               ("crash", crash)])
+        lines = []
+        assert checks.run_checks(out=lines.append) == 2
+        assert re.fullmatch(r"PASS ok \(\d+\.\d ms\)", lines[0])
+        assert re.fullmatch(r"FAIL bad \(\d+\.\d ms\)", lines[1])
+        assert re.fullmatch(r"FAIL crash \(\d+\.\d ms\) \(exception: boom\)", lines[2])
+
     def test_detects_corrupted_diag_transform(self, monkeypatch, capsys):
         def broken(x, gamma=1.0):
             x = np.asarray(x, dtype=float)
@@ -496,8 +515,22 @@ class TestCorruptCheckpoint:
         (lambda t: t.pop("params.w"), "lacks 'params.w.000000.mu'"),
         (lambda t: t.pop("params.v.raw"), "lacks 'params.v.raw'"),
         (lambda t: t.pop("opt.s"), "'opt.s'"),
+        (lambda t: t.update({"meta.dims": np.array([np.nan, 1.0, 3.0, 0.0])}),
+         "'meta.dims' must hold whole numbers in [0, 2**53], got nan"),
+        (lambda t: t.update({"meta.dims": np.array([1.0, -1.0, 3.0, 0.0])}),
+         "'meta.dims' must hold whole numbers in [0, 2**53], got -1.0"),
+        (lambda t: t.update({"meta.dims": np.array([1.0, 1.0, 3.0, 1e300])}),
+         "'meta.dims' must hold whole numbers in [0, 2**53], got 1e+300"),
+        (lambda t: t.update({"meta.dims": np.array([1.0, 1.0, 1e12, 0.0])}),
+         "'meta.dims' [1, 1, 1000000000000, 0] describe a branch/dense family of "
+         "3000000000002 values; the checkpoint holds 43"),
+        (lambda t: t.update({"train.iter": np.array([np.inf])}),
+         "'train.iter' must hold whole numbers in [0, 2**53], got inf"),
+        (lambda t: t.update({"opt.t": np.array([2.5])}),
+         "'opt.t' must hold whole numbers in [0, 2**53], got 2.5"),
     ], ids=["no-kind", "no-gamma", "short-dims", "bad-kind", "bad-structure", "no-w",
-            "no-v-raw", "no-opt-s"])
+            "no-v-raw", "no-opt-s", "nan-dims", "negative-dims", "huge-dims",
+            "dims-beyond-file", "inf-iter", "fractional-opt-t"])
     def test_bad_meta_exits_2(self, trained, tmp_path, capsys, edit, needle):
         data, ckpt_path = trained
         tree = load_tensors(ckpt_path)

@@ -75,6 +75,24 @@ def test_amortized_resume_matches_uninterrupted_run():
         assert rec.elbo == pytest.approx(by_iter[rec.iter].elbo, abs=1e-9)
 
 
+def test_train_leaves_callers_adam_state_unchanged():
+    model, data = _setup()
+    sched = LrSchedule(1e-2)
+    common = dict(kind="branch", schedule=sched, rng=RngStream(709), n_mc=2, trace_every=0)
+    first = train(model, init_branch("dense", 1, 1, 3), data, iters=20, **common)
+    m, s, t = first.adam.m.copy(), first.adam.s.copy(), first.adam.t
+    # read-only, so any write into the caller's moments fails loudly
+    first.adam.m.setflags(write=False)
+    first.adam.s.setflags(write=False)
+    runs = [train(model, first.params, data, iters=40, start_iter=20, adam=first.adam,
+                  **common) for _ in range(2)]
+    assert first.adam.t == t
+    assert np.array_equal(first.adam.m, m) and np.array_equal(first.adam.s, s)
+    assert runs[0].adam is not first.adam and runs[0].adam.t == 40
+    assert np.array_equal(tree_flatten(branch_to_tree(runs[0].params)),
+                          tree_flatten(branch_to_tree(runs[1].params)))
+
+
 def test_same_seed_reproduces_trajectory():
     model, data = _setup()
     sched = LrSchedule(1e-2)
