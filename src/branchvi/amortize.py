@@ -1,18 +1,18 @@
 """Amortization network mapping branch observations to local parameters.
 
 Pipeline per branch: a feature MLP embeds each (x_ij, y_ij) pair, the
-embedding is concatenated with its elementwise square, the augmented
-vectors are mean-pooled over observations (order-invariant by
-construction), and a parameter MLP maps the pooled vector to the raw local
-parameter vector: one row of the packed local layout, which unpacks into
-LocalParams. The net runs over a whole batch of branches at once (one
+embeddings and their elementwise squares are mean-pooled over observations
+(order-invariant by construction) and concatenated, and a parameter MLP
+maps the pooled vector to the raw local parameter vector: one row of the
+packed local layout, which unpacks into LocalParams. The net runs over a whole batch of branches at once (one
 feature-MLP pass over the stacked observation rows, one param-MLP pass over
 the pooled rows); the one-branch forms are its B = 1 case. Forward and
 backward passes are written out by hand; the tape carries exactly the
 activations the backward pass needs.
 
-Every forward product runs on fixed blocks of _BLOCK_ROWS rows (one stacked
-BLAS call per layer), so a row's output is bitwise independent of the batch
+Every forward product runs on fixed blocks of rows (one stacked BLAS call
+per layer; FEAT_BLOCK_ROWS for the feature MLP, PARAM_BLOCK_ROWS for the
+parameter MLP), so a row's output is bitwise independent of the batch
 around it; the exact permutation and duplication invariance of the net, and
 the equality of chunked and one-pass no-grad forwards, rest on this.
 """
@@ -49,8 +49,13 @@ class MlpWeights:
     slope: float = 0.01
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise MalformedParamsError("weights and biases must pair up")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise MalformedParamsError("an MLP needs one or more layers of paired "
+                                       "weights and biases")
+        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.ndim != 2 or b.shape != (W.shape[0],):
+                raise MalformedParamsError(
+                    f"layer {l} has weights {W.shape} and biases {b.shape}")
         if not 0.0 <= self.slope <= 1.0:  # _leaky_gain relies on it
             raise MalformedParamsError(f"leaky-ReLU slope must lie in [0, 1], got {self.slope}")
         for l in range(1, len(self.weights)):
@@ -68,20 +73,24 @@ class MlpWeights:
 
 # Rows per BLAS call in mlp_forward. A GEMM kernel's reduction order can
 # depend on the number of rows it is given (einsum's does not, but it is
-# several times slower), so every call gets exactly this many.
-_BLOCK_ROWS = 64
+# several times slower), so every call of one MLP gets exactly this many.
+# The feature MLP sees hundreds of observation rows a batch (its 64 -> 128
+# layer is about 15% slower on 32-row blocks); the parameter MLP sees one
+# pooled row per branch, tens a batch, so a smaller block pads less.
+FEAT_BLOCK_ROWS = 64
+PARAM_BLOCK_ROWS = 32
 
 
-def mlp_forward(mlp: MlpWeights, H: np.ndarray):
+def mlp_forward(mlp: MlpWeights, H: np.ndarray, block_rows: int):
     """Rows of H are independent inputs; returns (output, cache).
 
-    The rows are zero-padded once to whole _BLOCK_ROWS blocks and every layer
-    is one stacked product over the (blocks, _BLOCK_ROWS, width) array; the
-    output and the cached activations are the first n rows.
+    The rows are zero-padded once to whole blocks of ``block_rows`` rows and
+    every layer is one stacked product over the (blocks, block_rows, width)
+    array; the output and the cached activations are the first n rows.
     """
     n = H.shape[0]
     n_layers = len(mlp.weights)
-    X = np.zeros((-(-n // _BLOCK_ROWS), _BLOCK_ROWS, H.shape[1]))
+    X = np.zeros((-(-n // block_rows), block_rows, H.shape[1]))
     X.reshape(-1, H.shape[1])[:n] = H
     inputs, masks = [], []
     for l, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -103,8 +112,12 @@ def _leaky_gain(mask, slope):
     return np.maximum(mask, slope)
 
 
-def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray):
-    """Exact reverse pass; returns (g_weights, g_biases, g_input)."""
+def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray, input_grad: bool = True):
+    """Exact reverse pass; returns (g_weights, g_biases, g_input).
+
+    Without ``input_grad`` the first layer's input gradient is not formed
+    and g_input is None.
+    """
     inputs, masks = cache
     n_layers = len(mlp.weights)
     gW = [None] * n_layers
@@ -115,7 +128,7 @@ def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray):
             g = g * _leaky_gain(masks[l], mlp.slope)
         gW[l] = g.T @ inputs[l]
         gb[l] = g.sum(axis=0)
-        g = g @ mlp.weights[l]
+        g = g @ mlp.weights[l] if l or input_grad else None
     return gW, gb, g
 
 
@@ -146,7 +159,7 @@ class AmortNet:
                 f"feature-net input width {self.feat.in_dim} != x_dim + 1 = {self.x_dim + 1}")
         if self.param.in_dim != 2 * self.feat.out_dim:
             raise MalformedParamsError(
-                "param-net input must be twice the embedding width (square concat)")
+                "param-net input must be twice the embedding width (means of E and E^2)")
         want = local_param_size(self.structure, self.global_dim, self.local_dim)
         if self.param.out_dim != want:
             raise MalformedParamsError(
@@ -210,16 +223,21 @@ def net_forward_batch(net: AmortNet, obs: BranchBatch, branches):
         raise InvalidDataError(
             f"cannot amortize an empty branch (branch {int(branches[empty[0]])})")
     H = np.concatenate([obs.x, obs.y[:, None]], axis=1)
-    E, feat_cache = mlp_forward(net.feat, H)
-    aug = np.concatenate([E, E * E], axis=1)
-    # Summing each dimension in sorted order makes the mean bitwise invariant
-    # to observation order (float addition is not associative otherwise). One
-    # sort and sum per branch: numpy has no segmented sort, and a lexsort by
-    # (branch, value) over the whole batch is about 15x slower at B = 25.
-    pooled = np.empty((obs.n_branches, aug.shape[1]))
+    E, feat_cache = mlp_forward(net.feat, H, FEAT_BLOCK_ROWS)
+    # Each branch's rows of E sorted per column; summing in sorted order makes
+    # the means bitwise invariant to observation order (float addition is not
+    # associative otherwise). E^2 is summed in E's sorted order, which is as
+    # much a function of the multiset (equal E give equal E^2). One sort per
+    # branch: numpy has no segmented sort, and a lexsort by (branch, value)
+    # over the whole batch is about 15x slower at B = 25.
+    K = E.shape[1]
+    pooled = np.empty((obs.n_branches, 2 * K))
     for j, (s, c) in enumerate(zip(obs.starts.tolist(), obs.counts.tolist())):
-        pooled[j] = np.sort(aug[s:s + c], axis=0).sum(axis=0) / c
-    out, param_cache = mlp_forward(net.param, pooled)
+        S = np.sort(E[s:s + c], axis=0)
+        pooled[j, :K] = S.sum(axis=0)
+        pooled[j, K:] = (S * S).sum(axis=0)
+    pooled /= obs.counts[:, None]
+    out, param_cache = mlp_forward(net.param, pooled, PARAM_BLOCK_ROWS)
     return out, NetTape(feat_cache, E, param_cache, obs)
 
 
@@ -232,9 +250,11 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
     """
     gW_p, gb_p, g_pooled = mlp_backward(net.param, tape.param_cache, G)
     K = tape.embed.shape[1]
-    g_aug = (g_pooled / tape.obs.counts[:, None])[tape.obs.seg]
-    g_E = g_aug[:, :K] + 2.0 * tape.embed * g_aug[:, K:]
-    gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E)
+    gq = g_pooled / tape.obs.counts[:, None]
+    g_E = gq[:, K:][tape.obs.seg]
+    g_E *= 2.0 * tape.embed
+    g_E += gq[:, :K][tape.obs.seg]
+    gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E, input_grad=False)
     return _layer_tree(gW_f, gb_f, gW_p, gb_p)
 
 

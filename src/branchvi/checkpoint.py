@@ -24,27 +24,40 @@ VERSION = 1
 
 
 def save_tensors(path, tree: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(tree)))
-        for name, arr in tree.items():
-            arr = np.asarray(arr, dtype=float)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for s in arr.shape:
-                fh.write(struct.pack("<q", s))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write ``tree`` to ``path`` atomically.
+
+    The bytes go to a temporary file beside the target, which then replaces
+    the target in one rename: a writer that fails part way leaves
+    any previous file at ``path`` as it was, and no partial file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(tree)))
+            for name, arr in tree.items():
+                arr = np.asarray(arr, dtype=float)
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for s in arr.shape:
+                    fh.write(struct.pack("<q", s))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_tensors(path) -> dict:
     """Read a file written by save_tensors.
 
-    A bad magic or version, a short read at any field, a negative dimension,
-    a name that is not UTF-8 and bytes left after the last tensor raise
-    InvalidDataError naming the file and the byte offset.
+    A bad magic or version, a short read at any field, a negative or
+    unindexable shape, a name that is not UTF-8 and bytes left after the
+    last tensor raise InvalidDataError naming the file and the byte offset.
     """
     tree = {}
     with open(path, "rb") as fh:
@@ -83,7 +96,11 @@ def load_tensors(path) -> dict:
                     f"{path}: negative dimension in shape {shape} of {name!r} at byte {off}")
             n_vals = math.prod(shape)
             need(8 * n_vals, f"tensor {name!r}'s {n_vals} values")
-            tree[name] = np.fromfile(fh, dtype="<f8", count=n_vals).reshape(shape)
+            try:
+                tree[name] = np.fromfile(fh, dtype="<f8", count=n_vals).reshape(shape)
+            except ValueError:  # numpy rejects e.g. (0, 2**62): too big to index
+                raise InvalidDataError(
+                    f"{path}: shape {shape} of {name!r} at byte {off} is too large") from None
         if fh.tell() != size:
             raise InvalidDataError(
                 f"{path}: {size - fh.tell()} trailing bytes after the last tensor, "

@@ -128,7 +128,8 @@ def _check_subsampling_unbiased():
 def _check_net_invariance():
     """Exact order invariance of one branch's locals, its row bitwise the same
     alone and inside a two-branch batch, and every default-architecture
-    layer's output row the same alone and at each position of a GEMM block."""
+    layer's output row the same alone and at each position of its MLP's GEMM
+    block."""
     ap = init_amortized("dense", 2, 2, 2, RngStream(111), AmortArch((4, 4), (5, 5)))
     gen = RngStream(112).generator()
     b = BranchData(gen.standard_normal((6, 2)), gen.standard_normal(6))
@@ -144,17 +145,18 @@ def _check_net_invariance():
             and np.array_equal(in_batch, alone) and np.array_equal(alone, pack_local(w1))):
         return False
     net = init_amortized("dense", 2, 2, 2, RngStream(113)).net
-    block = amortize._BLOCK_ROWS
-    for W, bias in zip(net.feat.weights + net.param.weights, net.feat.biases + net.param.biases):
-        layer = MlpWeights([W], [bias])
-        row = gen.standard_normal(W.shape[1])
-        H = gen.standard_normal((block, W.shape[1]))
-        want = mlp_forward(layer, row[None, :])[0][0]
-        for p in range(block):
-            H[p] = row
-            if not np.array_equal(mlp_forward(layer, H)[0][p], want):
-                return False
-            H[p] = gen.standard_normal(W.shape[1])
+    for mlp, block in ((net.feat, amortize.FEAT_BLOCK_ROWS),
+                       (net.param, amortize.PARAM_BLOCK_ROWS)):
+        for W, bias in zip(mlp.weights, mlp.biases):
+            layer = MlpWeights([W], [bias])
+            row = gen.standard_normal(W.shape[1])
+            H = gen.standard_normal((block, W.shape[1]))
+            want = mlp_forward(layer, row[None, :], block)[0][0]
+            for p in range(block):
+                H[p] = row
+                if not np.array_equal(mlp_forward(layer, H, block)[0][p], want):
+                    return False
+                H[p] = gen.standard_normal(W.shape[1])
     return True
 
 

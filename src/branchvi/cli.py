@@ -220,6 +220,8 @@ def save_checkpoint(path: str, params, *, it: int = 0, ema: float = float("nan")
         tree["opt.m"] = adam.m
         tree["opt.s"] = adam.s
         tree["opt.t"] = np.array([float(adam.t)])
+        if adam.tau is not None:
+            tree["opt.tau"] = np.asarray(adam.tau, dtype=float)
     ckpt.save_tensors(path, tree)
 
 
@@ -248,6 +250,8 @@ def load_checkpoint(path: str):
 
     gdim, ldim, nb, x_dim = counts("meta.dims", 4)
     gamma = float(entry("meta.gamma")[0])
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidDataError(f"{path}: 'meta.gamma' must be finite and > 0, got {gamma!r}")
     it = counts("train.iter")[0]
     ema = float(entry("train.ema")[0])
     ptree = {k[len("params."):]: v for k, v in tree.items() if k.startswith("params.")}
@@ -273,10 +277,24 @@ def load_checkpoint(path: str):
                                  _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
     except KeyError as exc:
         raise InvalidDataError(f"{path}: checkpoint lacks 'params.{exc.args[0]}'") from None
+    except MalformedParamsError as exc:  # arrays of the wrong shape for the family
+        raise InvalidDataError(f"{path}: {exc}") from None
     adam = None
     if "opt.m" in tree:
         m = tree["opt.m"]
         adam = AdamState(m, entry("opt.s", m.size), counts("opt.t")[0])
+        if "opt.tau" in tree:
+            # each W row's last update step; without it every row counts as
+            # updated at opt.t (train fills that in)
+            tau = tree["opt.tau"].ravel()
+            rows = nb if kind == "branch" else 0
+            if tau.size != rows:
+                raise InvalidDataError(
+                    f"{path}: 'opt.tau' holds {tau.size} values; the family has {rows} W rows")
+            if not np.all((tau >= 0) & (tau <= adam.t) & (tau == np.floor(tau))):
+                raise InvalidDataError(
+                    f"{path}: 'opt.tau' must hold whole numbers in [0, opt.t = {adam.t}]")
+            adam.tau = tau.astype(np.int64)
     return params, it, ema, adam
 
 

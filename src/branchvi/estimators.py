@@ -184,7 +184,9 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
     """Minibatched branch estimate; local terms reweighted by N/|B|.
 
     Unbiased for the branch ELBO. With batch_size == N this reduces bitwise
-    to branch_elbo (same streams, same arithmetic).
+    to branch_elbo (same streams, same arithmetic). The gradient's ``w``
+    entry holds the gradient rows of W[est.batch] only; every other row's
+    gradient is zero.
     """
     N = data.n_branches
     if sampler.n_branches != N:
@@ -199,16 +201,15 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
 def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad):
     """Branch estimate over ``batch``; only the batch rows of W are touched.
 
-    The local gradient of branch i lands in row i of a zeroed (N, P_w)
-    buffer, which is the ``w`` entry of the gradient tree.
+    The ``w`` entry of the gradient tree holds the gradient rows (len(batch),
+    P_w) of W[batch], row j for branch batch[j]; at batch = arange(N) they
+    are the whole of W's gradient.
     """
     value, g_v, G_rows = _branch_core(model, params.v, params.W[batch], params.structure,
                                       params.gamma, data.batch(batch), batch, scale, rng,
                                       n_mc, want_grad)
     if want_grad:
-        G = np.zeros_like(params.W)
-        G[batch] = G_rows / n_mc
-        g_v["w"] = G
+        g_v["w"] = G_rows / n_mc
     return ElboEstimate(value, n_mc, np.asarray(batch)), g_v
 
 

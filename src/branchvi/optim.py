@@ -1,12 +1,20 @@
-"""Adam with a piecewise-constant step-drop schedule.
+"""Adam with a piecewise-constant step-drop schedule, dense or lazy by rows.
 
 The optimizer maximizes the ELBO; internally the update runs as descent on
 the negated gradient (sign handled here, callers pass ascent gradients).
 A step updates the moments and the parameter vector in place.
+
+A parameter vector may end in a matrix W whose rows only some steps touch
+(a subsampled branch family's locals). A lazy step updates only the touched
+rows; a row remembers in ``tau`` the step of its last update, and when it is
+next touched it first takes the zero-gradient steps it missed, in closed
+form (see ``catch_up``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +30,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # Two scratch vectors of the parameters' size, kept across steps so a
+    # Step of each W row's last update (int64, one per row), or None when the
+    # parameters have no lazily updated rows.
+    tau: np.ndarray | None = None
+    # Two scratch vectors of the gradient's size, kept across steps so a
     # step allocates nothing (adam_step creates them on first use).
     work: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -31,37 +42,135 @@ def adam_init(n_params: int) -> AdamState:
     return AdamState(np.zeros(n_params), np.zeros(n_params))
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
-    """One bias-corrected ascent step; rejects non-finite gradients.
-
-    Updates ``state`` (m, s, t) and ``params`` in place and returns them. The
-    arithmetic is that of descent on -grads, op for op: the negation is
-    folded into the signs of the m update, which is bitwise the same.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = grads.sum()
-    if not np.isfinite(total):  # then scan for the first non-finite entry
+def _check_finite(grads, where):
+    """Raise for the first non-finite entry; ``where`` maps its index in
+    ``grads`` to its flat parameter index."""
+    if not np.isfinite(grads).all():
         bad = np.flatnonzero(~np.isfinite(grads))
-        if bad.size:
-            raise NonFiniteGradientError(f"non-finite gradient at flat index {int(bad[0])}")
-    if state.work is None or state.work[0].shape != params.shape:
-        state.work = (np.empty_like(params), np.empty_like(params))
-    u, v = state.work
-    t = state.t + 1
-    m, s = state.m, state.s
+        raise NonFiniteGradientError(f"non-finite gradient at flat index {int(where(bad[0]))}")
+
+
+def _update(state, t, lr, m, s, p, g, u, v):
+    """The dense bias-corrected update of (m, s, p) by g, with scratch u, v.
+
+    Descent on -g op for op: the negation is folded into the signs of the m
+    update, which is bitwise the same.
+    """
     m *= state.beta1
-    m -= np.multiply(grads, 1.0 - state.beta1, out=u)
+    m -= np.multiply(g, 1.0 - state.beta1, out=u)
     s *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=u)
-    s += np.multiply(u, grads, out=u)
+    np.multiply(g, 1.0 - state.beta2, out=u)
+    s += np.multiply(u, g, out=u)
     np.divide(m, 1.0 - state.beta1 ** t, out=u)
     u *= lr
     np.divide(s, 1.0 - state.beta2 ** t, out=v)
     np.sqrt(v, out=v)
     v += state.eps
-    params -= np.divide(u, v, out=u)
+    p -= np.divide(u, v, out=u)
+
+
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
+              rows=None, width: int = 0, schedule: LrSchedule | None = None):
+    """One bias-corrected ascent step; rejects non-finite gradients.
+
+    Updates ``state`` (m, s, t, tau) and ``params`` in place and returns them.
+    Without ``rows`` every entry takes the dense step (and every row of W, if
+    ``state.tau`` is set, counts as updated now).
+
+    With ``rows``, the sorted indices of the touched rows of W (the
+    ``(state.tau.size, width)`` matrix that ends ``params``), ``grads`` holds
+    the gradient of the entries before W followed by the gradient rows of
+    W[rows]. The entries before W take the dense step. A touched row first
+    catches up the zero-gradient steps it missed since step tau_i (lrs from
+    ``schedule``), then takes the dense update. Every other row, its moments
+    and its tau stay as they are.
+    """
+    if rows is None:
+        head = params.size
+        _check_finite(grads, lambda j: j)
+    else:
+        head = params.size - state.tau.size * width
+        _check_finite(grads, lambda j: j if j < head
+                      else head + rows[(j - head) // width] * width + (j - head) % width)
+    if state.work is None or state.work[0].shape != grads.shape:
+        state.work = (np.empty_like(grads), np.empty_like(grads))
+    u, v = state.work
+    t = state.t + 1
+    _update(state, t, lr, state.m[:head], state.s[:head], params[:head], grads[:head],
+            u[:head], v[:head])
+    if rows is not None:
+        W, M, S = (a[head:].reshape(-1, width) for a in (params, state.m, state.s))
+        p, m, s = W[rows], M[rows], S[rows]
+        tau = state.tau[rows]
+        k = np.where(tau > 0, t - 1 - tau, 0)  # a never-updated row has m = s = 0
+        if k.any():
+            catch_up(state, schedule, p, m, s, tau, k)
+        _update(state, t, lr, m, s, p, grads[head:].reshape(-1, width),
+                u[head:].reshape(-1, width), v[head:].reshape(-1, width))
+        W[rows], M[rows], S[rows] = p, m, s
+        state.tau[rows] = t
+    elif state.tau is not None:
+        state.tau[:] = t
     state.t = t
     return state, params
+
+
+def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
+    """Apply to rows (p, m, s) the k zero-gradient steps after step tau, in place.
+
+    Row i last moved at step tau_i and missed steps tau_i + 1 .. tau_i + k_i.
+    With g = 0 a step scales m by b1 and s by b2, so after j of them
+    m / sqrt(s) = r^j m_i / sqrt(s_i) with r = b1 / sqrt(b2), and
+
+        p_i -= F_i m_i / sqrt(s_i),  F_i = sum_{j=1..k_i} r^j w(tau_i + j),
+        w(u) = lr(u) sqrt(1 - b2^u) / (1 - b1^u),  lr(u) = lr_at(schedule, u - 1),
+
+    then m_i *= b1^k_i and s_i *= b2^k_i. This is dense Adam's k_i steps with
+    eps dropped from them (exact up to rounding while |m| / sqrt(s) >> eps).
+    F's sum stops at the first j with r^j < 2^-60 (397 terms at the default
+    betas). w is a function of u and the schedule alone, so a resumed run
+    recomputes the same values. Rows with k_i = 0, and entries with s = 0
+    (never a non-zero gradient, so m = 0), stay as they are.
+    """
+    b1, b2 = state.beta1, state.beta2
+    rj = _ratio_powers(b1, b2)
+    n = np.minimum(k, rj.size)                              # terms per row
+    j = np.arange(1, int(n.max()) + 1)
+    U = tau[:, None] + j                                    # the missed steps (rows, terms)
+    lo = int(np.min(tau, where=n > 0, initial=state.t))     # the earliest missed step - 1
+    w = np.expm1(U * math.log(b2))
+    np.negative(w, out=w)
+    np.sqrt(w, out=w)                                       # sqrt(1 - b2^u)
+    if (lo + 1) * math.log2(b1) > -60.0:  # else every 1 - b1^u rounds to 1
+        w /= np.expm1(U * math.log(b1))
+        np.negative(w, out=w)                               # / (1 - b1^u)
+    w *= rj[:j.size]
+    first, last = (min(x // schedule.drop_every, schedule.max_drops)
+                   for x in (lo, int((tau + n).max()) - 1))
+    w *= (lr_at(schedule, lo) if first == last else
+          np.array([lr_at(schedule, d * schedule.drop_every) for d in range(last + 1)])[
+              np.minimum((U - 1) // schedule.drop_every, schedule.max_drops)])
+    if n.min() < j.size:
+        w[j > n[:, None]] = 0.0                             # row i sums its first n_i terms
+    F = w.sum(axis=1)
+    step = np.sqrt(s)
+    np.divide(m, step, out=step, where=step > 0)            # 0 where s = 0 (so m = 0)
+    step *= F[:, None]
+    p -= step
+    m *= b1 ** k[:, None]
+    s *= b2 ** k[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _ratio_powers(b1: float, b2: float) -> np.ndarray:
+    """r^j for j = 1, 2, ... while r^j >= 2^-60, r = b1 / sqrt(b2) (397
+    terms at the default betas)."""
+    r = b1 / math.sqrt(b2)
+    if not r < 1.0:
+        raise ValueError(f"lazy rows need beta1 < sqrt(beta2), got {b1} and {b2}")
+    out = np.exp(np.arange(1, int(-60.0 // math.log2(r)) + 2) * math.log(r))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass

@@ -9,6 +9,7 @@ the estimate with smoothing 0.001.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,7 @@ from .families import (
 from .models import HbdModel
 from .optim import AdamState, LrSchedule, adam_init, adam_step, lr_at
 from .rng import RngStream
-from .trees import tree_flatten, tree_unflatten
+from .trees import tree_flatten, tree_views
 
 EMA_SMOOTHING = 0.001
 
@@ -105,14 +106,25 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
 
     ``rng`` is the run-level stream; iteration t uses rng.child(t) so the
     trajectory is independent of how the run is segmented across resumes.
+
+    The run holds one flat parameter vector, in the order of
+    ``params_to_tree``, and one gradient buffer. The parameters it trains
+    (and returns) have every array as a view into that vector; the caller's
+    params and AdamState are copied in once and never written. A branch run
+    with a batch smaller than N takes lazy-row Adam steps on W (see
+    ``optim.adam_step``); every other run takes dense ones.
     """
     estimator = make_estimator(kind, model, data, batch_size, n_mc)
-    template = params_to_tree(params)
-    flat = tree_flatten(template)
-    # adam_step updates its state in place: work on a copy so a caller's
-    # state (a previous run's result, a loaded checkpoint) stays as it was.
-    adam = adam_init(flat.size) if adam is None else replace(
-        adam, m=np.array(adam.m, dtype=float), s=np.array(adam.s, dtype=float))
+    tree = params_to_tree(params)
+    shapes = {k: a.shape for k, a in tree.items()}
+    flat = tree_flatten(tree)  # a copy of the caller's values
+    params = params_from_tree(params, tree_views(shapes, flat))
+    lazy = isinstance(params, BranchParams) and 0 < batch_size < params.n_branches
+    if lazy:  # the estimator returns w's gradient as the batch's rows of W
+        shapes["w"] = (batch_size, params.W.shape[1])
+    gbuf = np.empty(sum(math.prod(s) for s in shapes.values()))
+    gviews = tree_views(shapes, gbuf)
+    adam = _adam_copy(adam, flat.size, params)
     records: list = []
     t_start = time.perf_counter()
     est_value = float("nan")
@@ -126,13 +138,16 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
         est_value = float(est.value)
         ema = est_value if ema is None else (
             EMA_SMOOTHING * est_value + (1.0 - EMA_SMOOTHING) * ema)
-        gflat = np.concatenate([grads[k].ravel() for k in template]) if template else np.zeros(0)
+        for k, view in gviews.items():
+            view[...] = grads[k]
         try:
-            adam, flat = adam_step(adam, flat, gflat, lr)
+            if lazy:
+                adam_step(adam, flat, gbuf, lr, rows=est.batch, width=params.W.shape[1],
+                          schedule=schedule)
+            else:
+                adam_step(adam, flat, gbuf, lr)
         except NonFiniteGradientError as exc:
             raise NonFiniteGradientError(f"iteration {t}: {exc}") from exc
-        params = params_from_tree(params, tree_unflatten(template, flat))
-        template = params_to_tree(params)
         if trace_every and (t % trace_every == 0 or t == iters - 1):
             rec = TraceRecord(t, time.perf_counter() - t_start, lr, est_value, ema)
             records.append(rec)
@@ -140,3 +155,27 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
                 on_record(rec)
     return TrainResult(params, adam, float("nan") if ema is None else ema,
                        records, est_value)
+
+
+def _adam_copy(adam: AdamState | None, n_params: int, params) -> AdamState:
+    """The run's own optimizer state: fresh, or a copy of the caller's.
+
+    A branch family's W rows carry tau; a state without it (an older
+    checkpoint's) counts every row as updated at its step t.
+    """
+    if adam is None:
+        out = adam_init(n_params)
+    else:
+        if adam.m.size != n_params or adam.s.size != n_params:
+            raise MalformedParamsError(
+                f"optimizer state holds {adam.m.size} moments, the parameters {n_params}")
+        out = replace(adam, m=np.array(adam.m, dtype=float), s=np.array(adam.s, dtype=float))
+    if isinstance(params, BranchParams):
+        N = params.n_branches
+        out.tau = (np.full(N, out.t, dtype=np.int64) if adam is None or adam.tau is None
+                   else np.array(adam.tau, dtype=np.int64))
+        if out.tau.shape != (N,):
+            raise MalformedParamsError(f"optimizer tau has shape {out.tau.shape}, W has {N} rows")
+    else:
+        out.tau = None
+    return out

@@ -8,6 +8,8 @@ produced under the same keys.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -26,6 +28,22 @@ def tree_unflatten(template: dict, vec: np.ndarray) -> dict:
         pos += size
     if pos != vec.size:
         raise ValueError(f"vector has {vec.size} entries, template wants {pos}")
+    return out
+
+
+def tree_views(shapes: dict, vec: np.ndarray) -> dict:
+    """name -> view into ``vec`` of the given shape, packed in dict order.
+
+    Writes through a view land in ``vec``; the shapes must cover it exactly.
+    """
+    out = {}
+    pos = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = vec[pos:pos + size].reshape(shape)
+        pos += size
+    if pos != vec.size:
+        raise ValueError(f"vector has {vec.size} entries, shapes want {pos}")
     return out
 
 

@@ -242,14 +242,15 @@ class TestRowStability:
         one = MlpWeights([W], [b])
         gen = RngStream(181 + layer).generator()
         row = gen.standard_normal(W.shape[1])
-        alone = mlp_forward(one, row[None, :])[0][0]
-        block = amortize._BLOCK_ROWS
+        # layers 0-3 are the feature MLP's, 4-7 the parameter MLP's
+        block = amortize.FEAT_BLOCK_ROWS if layer < 4 else amortize.PARAM_BLOCK_ROWS
+        alone = mlp_forward(one, row[None, :], block)[0][0]
         n = 2 * block + 3  # two whole blocks and a partial one
         for p in range(block):
             H = gen.standard_normal((n, W.shape[1]))
             at = (p, block + p, 2 * block + p % 3)
             H[list(at)] = row
-            out = mlp_forward(one, H)[0]
+            out = mlp_forward(one, H, block)[0]
             for j in at:
                 assert np.array_equal(out[j], alone), (W.shape, j)
 

@@ -122,3 +122,34 @@ def test_negative_dimension_and_bad_name_are_rejected(tmp_path):
 def test_empty_tree(tmp_path):
     save_tensors(tmp_path / "e.nt", {})
     assert load_tensors(tmp_path / "e.nt") == {}
+
+
+class _FailsOnWrite:
+    """An array-like whose conversion raises: save_tensors fails part way."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("disk went away")
+
+
+def test_failed_save_leaves_the_previous_file_intact(tmp_path):
+    path = tmp_path / "ckpt.nt"
+    good = {"a": np.arange(4.0), "b": np.ones((2, 3))}
+    save_tensors(path, good)
+    before = path.read_bytes()
+    # the first tensor is written before the second one fails
+    with pytest.raises(RuntimeError, match="disk went away"):
+        save_tensors(path, {"a": np.zeros(50), "b": _FailsOnWrite()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.nt"]  # no temp file left
+    with pytest.raises(RuntimeError):
+        save_tensors(tmp_path / "new.nt", {"b": _FailsOnWrite()})
+    assert not (tmp_path / "new.nt").exists()
+
+
+def test_zero_size_tensor_with_an_unindexable_shape_is_rejected(tmp_path):
+    path = tmp_path / "big.nt"
+    with open(path, "wb") as fh:
+        fh.write(b"BVNT" + struct.pack("<IQ", 1, 1) + struct.pack("<I", 1) + b"x"
+                 + struct.pack("<I", 2) + struct.pack("<2q", 0, 2 ** 62))
+    with pytest.raises(InvalidDataError, match=r"shape \(0, 4611686018427387904\) of 'x'"):
+        load_tensors(path)

@@ -231,21 +231,67 @@ class TestResumeValidation:
                 --seed 7 --iters 2 --batch-size 2 --n-mc 3 --trace-every 1
 
         on a 3-branch synthetic dataset (generate --dim 2 --branches 3 --obs 5
-        --seed 7). Resumed to iteration 4 it must equal a 4-iteration run.
+        --seed 7), made with dense Adam. Resumed to iteration 4 it must equal
+        a resume from the same state in the stacked layout. (It cannot equal
+        a 4-iteration run with lazy-row Adam, whose first two steps leave the
+        unsampled rows where they are; a checkpoint without 'opt.tau' counts
+        every row as updated at its last step.)
         """
-        assert "params.w.000000.A" in load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
+        v1 = load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
+        assert "params.w.000000.A" in v1 and "opt.tau" not in v1
+        stacked = {k: a for k, a in v1.items() if not k.startswith("params.w.")}
+        stacked["params.w"] = np.stack([np.concatenate(
+            [v1[f"params.w.{i:06d}.{f}"].ravel() for f in ("mu", "A", "raw")])
+            for i in range(3)])
+        save_tensors(tmp_path / "stacked.nt", stacked)
         flags = ("--model", "synthetic", "--family", "branch", "--structure", "dense",
                  "--dim", "2", "--seed", "7", "--iters", "4", "--batch-size", "2",
                  "--n-mc", "3", "--trace-every", "1",
                  "--data", str(V1_BRANCH_DENSE / "data"))
-        assert _run("train", *flags, "--out-dir", str(tmp_path / "full")) == 0
-        assert _run("train", *flags, "--out-dir", str(tmp_path / "resumed"),
+        assert _run("train", *flags, "--out-dir", str(tmp_path / "v1"),
                     "--resume", str(V1_BRANCH_DENSE / "checkpoint.nt")) == 0
+        assert _run("train", *flags, "--out-dir", str(tmp_path / "stacked"),
+                    "--resume", str(tmp_path / "stacked.nt")) == 0
+        from_v1 = load_tensors(tmp_path / "v1" / "checkpoint.nt")
+        from_stacked = load_tensors(tmp_path / "stacked" / "checkpoint.nt")
+        assert list(from_v1) == list(from_stacked)
+        for k in from_v1:
+            assert np.array_equal(from_v1[k], from_stacked[k], equal_nan=True), k
+        assert np.array_equal(from_v1["opt.t"], [4.0])
+        assert set(from_v1["opt.tau"]) <= {2.0, 3.0, 4.0}
+
+    def test_lazy_resume_inside_a_gap_is_bitwise(self, tmp_path):
+        # 6 branches, batch 2: at the resume many rows were last updated
+        # steps ago and catch up only after it, from the saved opt.tau
+        gen = tmp_path / "gen"
+        _run("generate", "--model", "synthetic", "--dim", "1", "--branches", "6",
+             "--obs", "4", "--seed", "9", "--out-dir", str(gen))
+        flags = ("--model", "synthetic", "--dim", "1", "--data", str(gen / "data"),
+                 "--batch-size", "2", "--n-mc", "2", "--seed", "9", "--lr", "0.05",
+                 "--trace-every", "1")
+        assert _run("train", *flags, "--iters", "30", "--out-dir", str(tmp_path / "full")) == 0
+        assert _run("train", *flags, "--iters", "13", "--out-dir", str(tmp_path / "a")) == 0
+        half = load_tensors(tmp_path / "a" / "checkpoint.nt")
+        assert np.any(half["opt.tau"] < 12)  # some rows are inside a gap
+        assert _run("train", *flags, "--iters", "30", "--out-dir", str(tmp_path / "a"),
+                    "--resume", str(tmp_path / "a" / "checkpoint.nt")) == 0
         full = load_tensors(tmp_path / "full" / "checkpoint.nt")
-        resumed = load_tensors(tmp_path / "resumed" / "checkpoint.nt")
+        resumed = load_tensors(tmp_path / "a" / "checkpoint.nt")
         assert list(full) == list(resumed)
         for k in full:
-            assert np.array_equal(full[k], resumed[k], equal_nan=True), k
+            assert np.array_equal(full[k], resumed[k]), k
+        assert _read_trace(tmp_path / "full" / "trace.csv") == [
+            {**r, "wall_seconds": f["wall_seconds"]} for r, f in
+            zip(_read_trace(tmp_path / "a" / "trace.csv"),
+                _read_trace(tmp_path / "full" / "trace.csv"))]
+        # without opt.tau every row counts as updated at opt.t; the run resumes
+        del half["opt.tau"]
+        save_tensors(tmp_path / "no_tau.nt", half)
+        assert _run("train", *flags, "--iters", "30", "--out-dir", str(tmp_path / "b"),
+                    "--resume", str(tmp_path / "no_tau.nt")) == 0
+        out = load_tensors(tmp_path / "b" / "checkpoint.nt")
+        assert np.all(np.isfinite(out["params.w"])) and out["opt.tau"].shape == (6,)
+        assert np.all(out["opt.tau"] >= 13)
 
     def test_v1_keys_stack_into_rows(self, tmp_path):
         v1 = load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
@@ -523,14 +569,27 @@ class TestCorruptCheckpoint:
          "'meta.dims' must hold whole numbers in [0, 2**53], got 1e+300"),
         (lambda t: t.update({"meta.dims": np.array([1.0, 1.0, 1e12, 0.0])}),
          "'meta.dims' [1, 1, 1000000000000, 0] describe a branch/dense family of "
-         "3000000000002 values; the checkpoint holds 43"),
+         "3000000000002 values; the checkpoint holds 46"),  # 43 + opt.tau
         (lambda t: t.update({"train.iter": np.array([np.inf])}),
          "'train.iter' must hold whole numbers in [0, 2**53], got inf"),
         (lambda t: t.update({"opt.t": np.array([2.5])}),
          "'opt.t' must hold whole numbers in [0, 2**53], got 2.5"),
+        (lambda t: t.update({"meta.gamma": np.array([np.nan])}),
+         "'meta.gamma' must be finite and > 0, got nan"),
+        (lambda t: t.update({"opt.tau": np.zeros(2)}),
+         "'opt.tau' holds 2 values; the family has 3 W rows"),
+        (lambda t: t.update({"opt.tau": np.array([1.0, 4.0, 0.0])}),
+         "'opt.tau' must hold whole numbers in [0, opt.t = 3]"),
+        (lambda t: t.update({"opt.tau": np.array([1.0, -1.0, 0.0])}),
+         "'opt.tau' must hold whole numbers in [0, opt.t = 3]"),
+        (lambda t: t.update({"opt.tau": np.array([1.5, 2.0, 3.0])}),
+         "'opt.tau' must hold whole numbers in [0, opt.t = 3]"),
+        (lambda t: t.update({"opt.tau": np.array([np.nan, 2.0, 3.0])}),
+         "'opt.tau' must hold whole numbers in [0, opt.t = 3]"),
     ], ids=["no-kind", "no-gamma", "short-dims", "bad-kind", "bad-structure", "no-w",
             "no-v-raw", "no-opt-s", "nan-dims", "negative-dims", "huge-dims",
-            "dims-beyond-file", "inf-iter", "fractional-opt-t"])
+            "dims-beyond-file", "inf-iter", "fractional-opt-t", "nan-gamma", "short-tau", "tau-after-t",
+            "negative-tau", "fractional-tau", "nan-tau"])
     def test_bad_meta_exits_2(self, trained, tmp_path, capsys, edit, needle):
         data, ckpt_path = trained
         tree = load_tensors(ckpt_path)

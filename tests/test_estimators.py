@@ -258,6 +258,10 @@ class TestSubsampledBranchElbo:
         template = branch_to_tree(params)
         est, grads = subsampled_branch_elbo(model, params, data, sampler,
                                             RngStream(339), n_mc=3)
+        assert grads["w"].shape == (2, params.W.shape[1])  # the batch's rows only
+        G = np.zeros_like(params.W)
+        G[est.batch] = grads["w"]
+        grads["w"] = G
         gflat = np.concatenate([grads[k].ravel() for k in template])
         flat = tree_flatten(template)
         h = 1e-5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from branchvi.errors import NonFiniteGradientError
-from branchvi.optim import AdamState, LrSchedule, adam_init, adam_step, lr_at
+from branchvi.optim import AdamState, LrSchedule, adam_init, adam_step, catch_up, lr_at
 
 
 def reference_adam_step(state: AdamState, params, grads, lr):
@@ -119,3 +119,126 @@ class TestLrSchedule:
         sched = LrSchedule(1e-3)
         with pytest.raises(ValueError):
             lr_at(sched, -1)
+
+
+class TestLazyRows:
+    """adam_step with ``rows``: the lazily updated rows of the matrix W that
+    ends the parameter vector (head of 3 entries, W of 6 rows x 4 here)."""
+
+    HEAD, N, WIDTH = 3, 6, 4
+
+    def _state(self, gen, t, tau):
+        size = self.HEAD + self.N * self.WIDTH
+        # |m| / sqrt(s) of order 1, far above eps
+        s = gen.uniform(0.5, 2.0, size)
+        m = gen.uniform(-1.0, 1.0, size) * np.sqrt(s)
+        state = AdamState(m, s, t, tau=np.array(tau, dtype=np.int64))
+        return state, gen.standard_normal(size)
+
+    def test_untouched_rows_are_bitwise_unchanged(self):
+        gen = np.random.default_rng(11)
+        state, params = self._state(gen, 20, [3, 20, 7, 0, 12, 19])
+        before = [a.copy() for a in (params, state.m, state.s, state.tau)]
+        rows = np.array([1, 4])
+        grads = gen.standard_normal(self.HEAD + rows.size * self.WIDTH)
+        adam_step(state, params, grads, 1e-2, rows=rows, width=self.WIDTH,
+                  schedule=LrSchedule(1e-2))
+        keep = np.setdiff1d(np.arange(self.N), rows)
+        for new, old in zip((params, state.m, state.s), before):
+            W_new = new[self.HEAD:].reshape(self.N, self.WIDTH)
+            W_old = old[self.HEAD:].reshape(self.N, self.WIDTH)
+            assert np.array_equal(W_new[keep], W_old[keep])
+            assert not np.array_equal(W_new[rows], W_old[rows])
+        assert np.array_equal(state.tau[keep], before[3][keep])
+        assert np.all(state.tau[rows] == 21) and state.t == 21
+
+    def test_rows_without_a_gap_take_the_dense_step_bitwise(self):
+        gen = np.random.default_rng(12)
+        state, params = self._state(gen, 9, [9] * self.N)
+        ref_state, ref_params = AdamState(state.m.copy(), state.s.copy(), 9), params.copy()
+        rows = np.array([0, 2, 5])
+        g_rows = gen.standard_normal((rows.size, self.WIDTH))
+        g_head = gen.standard_normal(self.HEAD)
+        dense = np.zeros(params.size)
+        dense[:self.HEAD] = g_head
+        dense[self.HEAD:].reshape(self.N, self.WIDTH)[rows] = g_rows
+        ref_state, ref_params = reference_adam_step(ref_state, ref_params, dense, 3e-3)
+        adam_step(state, params, np.concatenate([g_head, g_rows.ravel()]), 3e-3, rows=rows,
+                  width=self.WIDTH, schedule=LrSchedule(3e-3))
+        W, W_ref = (a[self.HEAD:].reshape(self.N, self.WIDTH) for a in (params, ref_params))
+        assert np.array_equal(params[:self.HEAD], ref_params[:self.HEAD])
+        assert np.array_equal(W[rows], W_ref[rows])
+
+    @pytest.mark.parametrize("tau, k", [(1, 1), (5, 30), (40, 500), (95, 12), (3, 2000)])
+    def test_catch_up_matches_explicit_zero_gradient_steps(self, tau, k):
+        # the schedule drops at iterations 100 and 200 (steps 101 and 201),
+        # inside some of the gaps; the last gap runs past the 397-term horizon
+        sched = LrSchedule(1e-2, drop_every=100, drop_factor=0.1, max_drops=2)
+        gen = np.random.default_rng(13 + k)
+        n = 5
+        s0 = gen.uniform(0.5, 2.0, (n, self.WIDTH))
+        m0 = gen.uniform(-1.0, 1.0, (n, self.WIDTH)) * np.sqrt(s0)
+        p0 = np.zeros((n, self.WIDTH))  # so p holds the displacement without rounding
+        # reference: k dense steps with zero gradient and eps dropped
+        ref, ref_p = AdamState(m0.ravel().copy(), s0.ravel().copy(), tau, eps=0.0), p0.ravel()
+        for u in range(tau + 1, tau + k + 1):
+            ref, ref_p = reference_adam_step(ref, ref_p, np.zeros(ref_p.size), lr_at(sched, u - 1))
+        p, m, s = p0.copy(), m0.copy(), s0.copy()
+        catch_up(AdamState(m, s, tau + k), sched, p, m, s, np.full(n, tau), np.full(n, k))
+        np.testing.assert_allclose(p, ref_p.reshape(n, -1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m, ref.m.reshape(n, -1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s, ref.s.reshape(n, -1), rtol=1e-12, atol=0)
+
+    def test_lazy_step_matches_dense_steps_without_eps_in_the_gap(self):
+        # through adam_step: rows last updated at step 40 are touched at step
+        # 141, after the lr drop; the rest of the vector steps every time
+        sched = LrSchedule(1e-2, drop_every=100, drop_factor=0.1, max_drops=2)
+        gen = np.random.default_rng(15)
+        size = self.HEAD + self.N * self.WIDTH
+        state, params = self._state(gen, 140, [40] * self.N)
+        ref, ref_params = AdamState(state.m.copy(), state.s.copy(), 40, eps=0.0), params.copy()
+        for u in range(41, 141):
+            ref, ref_params = reference_adam_step(ref, ref_params, np.zeros(size),
+                                                  lr_at(sched, u - 1))
+        rows = np.array([0, 3, 4])
+        g_rows = gen.standard_normal((rows.size, self.WIDTH))
+        dense = np.zeros(size)
+        dense[self.HEAD:].reshape(self.N, self.WIDTH)[rows] = g_rows
+        ref.eps = state.eps
+        ref, ref_params = reference_adam_step(ref, ref_params, dense, lr_at(sched, 140))
+        adam_step(state, params, np.concatenate([np.zeros(self.HEAD), g_rows.ravel()]),
+                  lr_at(sched, 140), rows=rows, width=self.WIDTH, schedule=sched)
+        W, W_ref = (a[self.HEAD:].reshape(self.N, self.WIDTH)[rows] for a in (params, ref_params))
+        np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=0)
+
+    def test_never_updated_rows_take_a_plain_first_step(self):
+        # tau 0 (and s = 0): no catch-up, whatever the step number
+        gen = np.random.default_rng(14)
+        size = self.HEAD + self.N * self.WIDTH
+        state = AdamState(np.zeros(size), np.zeros(size), 50,
+                          tau=np.zeros(self.N, dtype=np.int64))
+        params = gen.standard_normal(size)
+        rows = np.array([3])
+        g = np.concatenate([np.zeros(self.HEAD), gen.standard_normal(self.WIDTH)])
+        ref_state, ref_params = reference_adam_step(AdamState(np.zeros(size), np.zeros(size), 50),
+                                                    params.copy(), np.concatenate(
+                                                        [g[:self.HEAD], np.zeros(12),
+                                                         g[self.HEAD:], np.zeros(8)]), 1e-2)
+        adam_step(state, params, g, 1e-2, rows=rows, width=self.WIDTH,
+                  schedule=LrSchedule(1e-2))
+        assert np.array_equal(params, ref_params)
+        assert np.all(np.isfinite(state.m)) and np.all(np.isfinite(state.s))
+
+    def test_non_finite_row_gradient_names_its_flat_index(self):
+        state = AdamState(np.zeros(27), np.zeros(27), 0, tau=np.zeros(6, dtype=np.int64))
+        g = np.zeros(3 + 2 * 4)
+        g[3 + 4 + 2] = np.nan  # second touched row (W row 5), column 2
+        with pytest.raises(NonFiniteGradientError, match=f"flat index {3 + 5 * 4 + 2}"):
+            adam_step(state, np.zeros(27), g, 0.1, rows=np.array([1, 5]), width=4,
+                      schedule=LrSchedule(0.1))
+        assert state.t == 0 and np.all(state.tau == 0)
+
+    def test_dense_step_marks_every_row_updated(self):
+        state = AdamState(np.zeros(27), np.zeros(27), 4, tau=np.zeros(6, dtype=np.int64))
+        adam_step(state, np.zeros(27), np.ones(27), 0.1)
+        assert np.all(state.tau == 5)

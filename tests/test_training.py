@@ -14,11 +14,12 @@ from branchvi.models import (
     synthetic_forward_sample,
     synthetic_model,
 )
-from branchvi.optim import LrSchedule
+from branchvi.optim import LrSchedule, adam_init, lr_at
 from branchvi.rng import RngStream
 from branchvi.estimators import branch_elbo
-from branchvi.training import make_estimator, params_to_tree, train
-from branchvi.trees import tree_flatten
+from branchvi.training import make_estimator, params_from_tree, params_to_tree, train
+from branchvi.trees import tree_flatten, tree_unflatten
+from test_optim import reference_adam_step
 from branchvi.families import branch_to_tree
 
 
@@ -76,21 +77,113 @@ def test_amortized_resume_matches_uninterrupted_run():
 
 
 def test_train_leaves_callers_adam_state_unchanged():
+    _check_callers_state_unchanged(batch_size=0)
+
+
+def test_lazy_train_leaves_callers_adam_state_unchanged():
+    _check_callers_state_unchanged(batch_size=2)
+
+
+def _check_callers_state_unchanged(batch_size):
     model, data = _setup()
     sched = LrSchedule(1e-2)
-    common = dict(kind="branch", schedule=sched, rng=RngStream(709), n_mc=2, trace_every=0)
+    common = dict(kind="branch", schedule=sched, rng=RngStream(709), n_mc=2, trace_every=0,
+                  batch_size=batch_size)
     first = train(model, init_branch("dense", 1, 1, 3), data, iters=20, **common)
-    m, s, t = first.adam.m.copy(), first.adam.s.copy(), first.adam.t
-    # read-only, so any write into the caller's moments fails loudly
-    first.adam.m.setflags(write=False)
-    first.adam.s.setflags(write=False)
+    m, s, t, tau = first.adam.m.copy(), first.adam.s.copy(), first.adam.t, first.adam.tau.copy()
+    flat = tree_flatten(branch_to_tree(first.params))
+    # read-only, so any write into the caller's arrays fails loudly
+    for a in (first.adam.m, first.adam.s, first.adam.tau, first.params.W,
+              first.params.v.mean, first.params.v.chol.raw):
+        a.setflags(write=False)
     runs = [train(model, first.params, data, iters=40, start_iter=20, adam=first.adam,
                   **common) for _ in range(2)]
     assert first.adam.t == t
     assert np.array_equal(first.adam.m, m) and np.array_equal(first.adam.s, s)
+    assert np.array_equal(first.adam.tau, tau)
+    assert np.array_equal(tree_flatten(branch_to_tree(first.params)), flat)
     assert runs[0].adam is not first.adam and runs[0].adam.t == 40
+    assert not np.shares_memory(runs[0].params.W, first.params.W)
     assert np.array_equal(tree_flatten(branch_to_tree(runs[0].params)),
                           tree_flatten(branch_to_tree(runs[1].params)))
+
+
+@pytest.mark.parametrize("kind", ["joint", "branch", "amortized"])
+def test_result_params_are_views_of_one_vector(kind):
+    model, data = _setup()
+    if kind == "joint":
+        params = init_joint("dense", 1, 1, 3)
+    elif kind == "branch":
+        params = init_branch("dense", 1, 1, 3)
+    else:
+        params = init_amortized("dense", 1, 1, 1, RngStream(740), AmortArch((3, 3), (4, 4)))
+    res = train(model, params, data, kind=kind, schedule=LrSchedule(1e-2), iters=3,
+                rng=RngStream(741), n_mc=2, batch_size=0 if kind == "joint" else 2,
+                trace_every=0)
+    arrays = list(params_to_tree(res.params).values())
+    base = arrays[0].base
+    assert base is not None and base.size == sum(a.size for a in arrays)
+    assert all(a.base is base for a in arrays)
+
+
+def _reference_run(kind, model, params, data, sched, iters, rng, batch_size, n_mc):
+    """train's dense trajectory, written with the per-step tree round trip and
+    the functional reference Adam step."""
+    estimator = make_estimator(kind, model, data, batch_size, n_mc)
+    template = params_to_tree(params)
+    flat = tree_flatten(template)
+    state = adam_init(flat.size)
+    for t in range(iters):
+        _, grads = estimator(params, rng.child(t))
+        g = np.concatenate([grads[k].ravel() for k in template])
+        state, flat = reference_adam_step(state, flat, g, lr_at(sched, t))
+        params = params_from_tree(params, tree_unflatten(template, flat))
+    return flat, state
+
+
+@pytest.mark.parametrize("kind, batch_size", [("branch", 0), ("branch", 3), ("amortized", 2),
+                                              ("joint", 0)])
+def test_dense_runs_match_reference_adam_bitwise(kind, batch_size):
+    # B = N branch runs, amortized and joint runs take the dense step every
+    # iteration: 40 steps across an lr drop equal the reference bit for bit
+    model, data = _setup()
+    if kind == "branch":
+        params = init_branch("dense", 1, 1, 3)
+    elif kind == "joint":
+        params = init_joint("dense", 1, 1, 3)
+    else:
+        params = init_amortized("dense", 1, 1, 1, RngStream(742), AmortArch((3, 3), (4, 4)))
+    sched = LrSchedule(1e-2, drop_every=25, drop_factor=0.1, max_drops=1)
+    res = train(model, params, data, kind=kind, schedule=sched, iters=40, rng=RngStream(743),
+                batch_size=batch_size, n_mc=2, trace_every=0)
+    flat, state = _reference_run(kind, model, params, data, sched, 40, RngStream(743),
+                                 batch_size, 2)
+    assert np.array_equal(tree_flatten(params_to_tree(res.params)), flat)
+    assert np.array_equal(res.adam.m, state.m) and np.array_equal(res.adam.s, state.s)
+    assert res.adam.t == 40
+
+
+def test_lazy_step_leaves_rows_outside_the_batch_unchanged():
+    N = 8
+    cfg = SyntheticConfig(1, N, (3,) * N)
+    data, _ = synthetic_forward_sample(cfg, RngStream(744))
+    model = synthetic_model(1)
+    common = dict(kind="branch", schedule=LrSchedule(1e-2), rng=RngStream(745), n_mc=2,
+                  batch_size=3, trace_every=0)
+    first = train(model, init_branch("dense", 1, 1, N), data, iters=10, **common)
+    step = train(model, first.params, data, iters=11, start_iter=10, adam=first.adam, **common)
+    est, _ = make_estimator("branch", model, data, 3, 2)(first.params, RngStream(745).child(10))
+    out = np.setdiff1d(np.arange(N), est.batch)
+    width = first.params.W.shape[1]
+    head = first.adam.m.size - N * width
+    for new, old in ((step.params.W, first.params.W),
+                     (step.adam.m[head:].reshape(N, width), first.adam.m[head:].reshape(N, width)),
+                     (step.adam.s[head:].reshape(N, width), first.adam.s[head:].reshape(N, width))):
+        assert np.array_equal(new[out], old[out])
+        assert not np.array_equal(new[est.batch], old[est.batch])
+    assert np.array_equal(step.adam.tau[out], first.adam.tau[out])
+    assert np.all(step.adam.tau[est.batch] == 11)
+    assert not np.array_equal(step.params.v.mean, first.params.v.mean)
 
 
 def test_same_seed_reproduces_trajectory():
