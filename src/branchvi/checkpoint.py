@@ -26,9 +26,10 @@ VERSION = 1
 def save_tensors(path, tree: dict) -> None:
     """Write ``tree`` to ``path`` atomically.
 
-    The bytes go to a temporary file beside the target, which then replaces
-    the target in one rename: a writer that fails part way leaves
-    any previous file at ``path`` as it was, and no partial file behind.
+    The bytes go to a temporary file beside the target, are synced to disk,
+    and the file then replaces the target in one rename: a writer that fails
+    part way, or a crash before the rename, leaves any previous file at
+    ``path`` as it was, and no partial file behind.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -45,6 +46,8 @@ def save_tensors(path, tree: dict) -> None:
                 for s in arr.shape:
                     fh.write(struct.pack("<q", s))
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())  # the data reaches the disk before the rename
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

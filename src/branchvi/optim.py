@@ -85,32 +85,30 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     ``schedule``), then takes the dense update. Every other row, its moments
     and its tau stay as they are.
     """
-    if rows is None:
-        head = params.size
-        _check_finite(grads, lambda j: j)
-    else:
-        head = params.size - state.tau.size * width
-        _check_finite(grads, lambda j: j if j < head
-                      else head + rows[(j - head) // width] * width + (j - head) % width)
     if state.work is None or state.work[0].shape != grads.shape:
         state.work = (np.empty_like(grads), np.empty_like(grads))
     u, v = state.work
     t = state.t + 1
-    _update(state, t, lr, state.m[:head], state.s[:head], params[:head], grads[:head],
-            u[:head], v[:head])
-    if rows is not None:
-        W, M, S = (a[head:].reshape(-1, width) for a in (params, state.m, state.s))
-        p, m, s = W[rows], M[rows], S[rows]
-        tau = state.tau[rows]
-        k = np.where(tau > 0, t - 1 - tau, 0)  # a never-updated row has m = s = 0
-        if k.any():
-            catch_up(state, schedule, p, m, s, tau, k)
-        _update(state, t, lr, m, s, p, grads[head:].reshape(-1, width),
-                u[head:].reshape(-1, width), v[head:].reshape(-1, width))
-        W[rows], M[rows], S[rows] = p, m, s
-        state.tau[rows] = t
-    elif state.tau is not None:
-        state.tau[:] = t
+    if rows is None:
+        _check_finite(grads, lambda j: j)
+        _update(state, t, lr, state.m, state.s, params, grads, u, v)
+        if state.tau is not None:
+            state.tau[:] = t
+        state.t = t
+        return state, params
+    # the flat indices of the entries before W, then of W[rows] row by row
+    head = params.size - state.tau.size * width
+    idx = np.concatenate((np.arange(head),
+                          (rows[:, None] * width + (head + np.arange(width))).ravel()))
+    _check_finite(grads, idx.__getitem__)
+    p, m, s = params[idx], state.m[idx], state.s[idx]
+    tau = state.tau[rows]
+    k = np.where(tau > 0, t - 1 - tau, 0)  # a never-updated row has m = s = 0
+    if k.any():
+        catch_up(state, schedule, *(a[head:].reshape(-1, width) for a in (p, m, s)), tau, k)
+    _update(state, t, lr, m, s, p, grads, u, v)
+    params[idx], state.m[idx], state.s[idx] = p, m, s
+    state.tau[rows] = t
     state.t = t
     return state, params
 
@@ -133,25 +131,20 @@ def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
     (never a non-zero gradient, so m = 0), stay as they are.
     """
     b1, b2 = state.beta1, state.beta2
-    rj = _ratio_powers(b1, b2)
+    rj, bias = _catch_up_tables(b1, b2)
     n = np.minimum(k, rj.size)                              # terms per row
     j = np.arange(1, int(n.max()) + 1)
     U = tau[:, None] + j                                    # the missed steps (rows, terms)
-    lo = int(np.min(tau, where=n > 0, initial=state.t))     # the earliest missed step - 1
-    w = np.expm1(U * math.log(b2))
-    np.negative(w, out=w)
-    np.sqrt(w, out=w)                                       # sqrt(1 - b2^u)
-    if (lo + 1) * math.log2(b1) > -60.0:  # else every 1 - b1^u rounds to 1
-        w /= np.expm1(U * math.log(b1))
-        np.negative(w, out=w)                               # / (1 - b1^u)
-    w *= rj[:j.size]
-    first, last = (min(x // schedule.drop_every, schedule.max_drops)
-                   for x in (lo, int((tau + n).max()) - 1))
-    w *= (lr_at(schedule, lo) if first == last else
-          np.array([lr_at(schedule, d * schedule.drop_every) for d in range(last + 1)])[
-              np.minimum((U - 1) // schedule.drop_every, schedule.max_drops)])
-    if n.min() < j.size:
-        w[j > n[:, None]] = 0.0                             # row i sums its first n_i terms
+    # lr(u) = lr_at(schedule, u - 1): the earliest entry's rate, overwritten
+    # by each later drop's rate from its first step on
+    lo, hi = int(U.min()) - 1, int(U.max()) - 1
+    lr = np.full(U.shape, lr_at(schedule, lo))
+    for d in range(lo // schedule.drop_every + 1,
+                   min(hi // schedule.drop_every, schedule.max_drops) + 1):
+        lr[U > d * schedule.drop_every] = lr_at(schedule, d * schedule.drop_every)
+    w = np.where(j <= n[:, None], rj[:j.size], 0.0)         # row i sums its first n_i terms
+    w *= lr
+    w *= bias[np.minimum(U, bias.size - 1)]
     F = w.sum(axis=1)
     step = np.sqrt(s)
     np.divide(m, step, out=step, where=step > 0)            # 0 where s = 0 (so m = 0)
@@ -162,15 +155,22 @@ def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _ratio_powers(b1: float, b2: float) -> np.ndarray:
+def _catch_up_tables(b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
     """r^j for j = 1, 2, ... while r^j >= 2^-60, r = b1 / sqrt(b2) (397
-    terms at the default betas)."""
+    terms at the default betas), and sqrt(1 - b2^u) / (1 - b1^u) for
+    u = 0 .. L, where L is the first step from which both b^u <= 2^-55, so the
+    factor is exactly 1 for every u >= L (38,105 entries at the default betas;
+    entry 0 is unused)."""
     r = b1 / math.sqrt(b2)
     if not r < 1.0:
         raise ValueError(f"lazy rows need beta1 < sqrt(beta2), got {b1} and {b2}")
-    out = np.exp(np.arange(1, int(-60.0 // math.log2(r)) + 2) * math.log(r))
-    out.setflags(write=False)
-    return out
+    rj = np.exp(np.arange(1, int(-60.0 // math.log2(r)) + 2) * math.log(r))
+    u = np.arange(1, math.ceil(-55.0 / math.log2(max(b1, b2))) + 1)
+    bias = np.zeros(u.size + 1)
+    bias[1:] = np.sqrt(-np.expm1(u * math.log(b2))) / -np.expm1(u * math.log(b1))
+    for a in (rj, bias):
+        a.setflags(write=False)
+    return rj, bias
 
 
 @dataclass

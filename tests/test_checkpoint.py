@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -144,6 +145,17 @@ def test_failed_save_leaves_the_previous_file_intact(tmp_path):
     with pytest.raises(RuntimeError):
         save_tensors(tmp_path / "new.nt", {"b": _FailsOnWrite()})
     assert not (tmp_path / "new.nt").exists()
+
+
+def test_save_syncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
+    # a crash after the rename must not find the new name on unsynced data
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1])
+    monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), real_replace(a, b))[1])
+    save_tensors(tmp_path / "s.nt", {"a": np.arange(3.0)})
+    assert calls == ["fsync", "replace"]
+    assert np.array_equal(load_tensors(tmp_path / "s.nt")["a"], np.arange(3.0))
 
 
 def test_zero_size_tensor_with_an_unindexable_shape_is_rejected(tmp_path):

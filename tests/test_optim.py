@@ -211,6 +211,38 @@ class TestLazyRows:
         W, W_ref = (a[self.HEAD:].reshape(self.N, self.WIDTH)[rows] for a in (params, ref_params))
         np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=0)
 
+    def test_mixed_gaps_one_across_a_drop_just_before_the_next(self):
+        # step 180 of a schedule dropping at steps 101 and 201: row 0 (tau 90)
+        # and row 4 (tau 60) cross the first drop, row 1 (tau 179) has no gap,
+        # and the batch's term matrix reaches past step 201 in its masked part
+        sched = LrSchedule(1e-2, drop_every=100, drop_factor=0.1, max_drops=2)
+        gen = np.random.default_rng(16)
+        tau = [90, 179, 150, 179, 60, 120]
+        state, params = self._state(gen, 179, tau)
+        m0, s0, p0 = state.m.copy(), state.s.copy(), params.copy()
+        rows = np.array([0, 1, 4])
+        g_head = gen.standard_normal(self.HEAD)
+        g_rows = gen.standard_normal((rows.size, self.WIDTH))
+        adam_step(state, params, np.concatenate([g_head, g_rows.ravel()]), lr_at(sched, 179),
+                  rows=rows, width=self.WIDTH, schedule=sched)
+        _, head_ref = reference_adam_step(AdamState(m0[:self.HEAD], s0[:self.HEAD], 179),
+                                          p0[:self.HEAD], g_head, lr_at(sched, 179))
+        assert np.array_equal(params[:self.HEAD], head_ref)
+        W = params[self.HEAD:].reshape(self.N, self.WIDTH)
+        for r, g in zip(rows, g_rows):
+            cols = slice(self.HEAD + r * self.WIDTH, self.HEAD + (r + 1) * self.WIDTH)
+            ref, ref_p = AdamState(m0[cols], s0[cols], tau[r], eps=0.0), p0[cols]
+            for u in range(tau[r] + 1, 180):  # the missed steps, eps dropped
+                ref, ref_p = reference_adam_step(ref, ref_p, np.zeros(self.WIDTH),
+                                                 lr_at(sched, u - 1))
+            ref.eps = state.eps
+            ref, ref_p = reference_adam_step(ref, ref_p, g, lr_at(sched, 179))
+            if tau[r] == 179:
+                assert np.array_equal(W[r], ref_p)
+            else:
+                np.testing.assert_allclose(W[r], ref_p, rtol=1e-12, atol=0)
+        assert np.all(state.tau[rows] == 180)
+
     def test_never_updated_rows_take_a_plain_first_step(self):
         # tau 0 (and s = 0): no catch-up, whatever the step number
         gen = np.random.default_rng(14)
