@@ -131,7 +131,7 @@ def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
     (never a non-zero gradient, so m = 0), stay as they are.
     """
     b1, b2 = state.beta1, state.beta2
-    rj, bias = _catch_up_tables(b1, b2)
+    rj, bias = catch_up_tables(b1, b2)
     n = np.minimum(k, rj.size)                              # terms per row
     j = np.arange(1, int(n.max()) + 1)
     U = tau[:, None] + j                                    # the missed steps (rows, terms)
@@ -155,7 +155,7 @@ def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _catch_up_tables(b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
+def catch_up_tables(b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
     """r^j for j = 1, 2, ... while r^j >= 2^-60, r = b1 / sqrt(b2) (397
     terms at the default betas), and sqrt(1 - b2^u) / (1 - b1^u) for
     u = 0 .. L, where L is the first step from which both b^u <= 2^-55, so the

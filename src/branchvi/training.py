@@ -28,7 +28,7 @@ from .families import (
     joint_to_tree,
 )
 from .models import HbdModel
-from .optim import AdamState, LrSchedule, adam_init, adam_step, lr_at
+from .optim import AdamState, LrSchedule, adam_init, adam_step, catch_up_tables, lr_at
 from .rng import RngStream
 from .trees import tree_flatten, tree_views
 
@@ -125,6 +125,8 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     gbuf = np.empty(sum(math.prod(s) for s in shapes.values()))
     gviews = tree_views(shapes, gbuf)
     adam = _adam_copy(adam, flat.size, params)
+    if lazy:  # build the catch-up's tables now, not inside the step that first needs them
+        catch_up_tables(adam.beta1, adam.beta2)
     records: list = []
     t_start = time.perf_counter()
     est_value = float("nan")

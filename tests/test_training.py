@@ -14,7 +14,7 @@ from branchvi.models import (
     synthetic_forward_sample,
     synthetic_model,
 )
-from branchvi.optim import LrSchedule, adam_init, lr_at
+from branchvi.optim import AdamState, LrSchedule, adam_init, lr_at
 from branchvi.rng import RngStream
 from branchvi.estimators import branch_elbo
 from branchvi.training import make_estimator, params_from_tree, params_to_tree, train
@@ -184,6 +184,22 @@ def test_lazy_step_leaves_rows_outside_the_batch_unchanged():
     assert np.array_equal(step.adam.tau[out], first.adam.tau[out])
     assert np.all(step.adam.tau[est.batch] == 11)
     assert not np.array_equal(step.params.v.mean, first.params.v.mean)
+
+
+def test_lazy_run_checks_its_betas_before_the_first_step():
+    # the catch-up's tables are built before the loop, so betas it cannot
+    # use (beta1 >= sqrt(beta2)) stop the run before it takes a step, not
+    # at the first touched row with a gap
+    model, data = _setup()
+    params = init_branch("dense", 1, 1, 3)
+    n = tree_flatten(params_to_tree(params)).size
+    records = []
+    with pytest.raises(ValueError, match="beta1 < sqrt"):
+        train(model, params, data, kind="branch", schedule=LrSchedule(1e-2), iters=20,
+              rng=RngStream(746), n_mc=2, batch_size=2, trace_every=1,
+              adam=AdamState(np.zeros(n), np.zeros(n), beta1=0.99, beta2=0.9),
+              on_record=records.append)
+    assert records == []
 
 
 def test_same_seed_reproduces_trajectory():
