@@ -15,8 +15,9 @@ from . import amortize, gaussmath
 from .amortize import (AmortArch, MlpWeights, init_amortized, mlp_forward, net_forward,
                        net_forward_batch)
 from .data import BranchData, BranchDataset
-from .estimators import MinibatchSampler, branch_elbo, subsampled_branch_elbo
-from .families import branch_from_tree, branch_to_tree, init_branch, pack_local
+from .estimators import MinibatchSampler, branch_elbo, joint_elbo, subsampled_branch_elbo
+from .families import (branch_from_tree, branch_to_tree, init_branch, init_joint,
+                       joint_from_tree, joint_to_tree, pack_local)
 from .models import SyntheticConfig, synthetic_forward_sample, synthetic_model
 from .optim import LrSchedule, lr_at
 from .rng import RngStream
@@ -64,11 +65,8 @@ def _check_sample_density_consistency():
     spec = gaussmath.GaussianSpec(
         gen.standard_normal(d),
         gaussmath.UnconstrainedChol(gen.standard_normal(d * (d + 1) // 2), d))
-    for k in range(50):
-        x, lq = gaussmath.mvn_sample(spec, RngStream(103, k))
-        if abs(lq - gaussmath.mvn_logpdf(spec, x)) > 1e-10:
-            return False
-    return True
+    X, logqs, _ = gaussmath.mvn_draw_batch(spec, RngStream(103).normal((50, d)))
+    return all(abs(lq - gaussmath.mvn_logpdf(spec, x)) <= 1e-10 for x, lq in zip(X, logqs))
 
 
 def _small_problem():
@@ -78,29 +76,41 @@ def _small_problem():
     return model, data
 
 
-def _check_estimator_gradients():
-    model, data = _small_problem()
-    params = init_branch("dense", 2, 2, 4)
-    template = branch_to_tree(params)
-    flat = tree_flatten(template) + RngStream(105).generator().standard_normal(
+def _gradient_matches_differences(params, to_tree, from_tree, estimate):
+    """Central differences of ``estimate(params, want_grad)`` on 12 random
+    coordinates of perturbed ``params`` against its gradient, to 1e-3."""
+    template = to_tree(params)
+    base = tree_flatten(template) + RngStream(105).generator().standard_normal(
         tree_flatten(template).size) * 0.2
-    params = branch_from_tree(params, tree_unflatten(template, flat))
-    est, grads = branch_elbo(model, params, data, RngStream(106), n_mc=2)
+    params = from_tree(params, tree_unflatten(template, base))
+    _, grads = estimate(params, True)
     gflat = np.concatenate([grads[k].ravel() for k in template])
     h = 1e-5
-    base = tree_flatten(branch_to_tree(params))
     gen = RngStream(107).generator()
     for j in gen.choice(base.size, size=min(12, base.size), replace=False):
         fp = base.copy(); fp[j] += h
         fm = base.copy(); fm[j] -= h
-        vp, _ = branch_elbo(model, branch_from_tree(params, tree_unflatten(template, fp)),
-                            data, RngStream(106), n_mc=2, want_grad=False)
-        vm, _ = branch_elbo(model, branch_from_tree(params, tree_unflatten(template, fm)),
-                            data, RngStream(106), n_mc=2, want_grad=False)
+        vp, _ = estimate(from_tree(params, tree_unflatten(template, fp)), False)
+        vm, _ = estimate(from_tree(params, tree_unflatten(template, fm)), False)
         fd = (vp.value - vm.value) / (2 * h)
         if abs(fd - gflat[j]) / max(abs(fd), 1e-6) > 1e-3:
             return False
     return True
+
+
+def _check_branch_gradient():
+    model, data = _small_problem()
+    return _gradient_matches_differences(
+        init_branch("dense", 2, 2, 4), branch_to_tree, branch_from_tree,
+        lambda p, g: branch_elbo(model, p, data, RngStream(106), n_mc=2, want_grad=g))
+
+
+def _check_joint_gradients():
+    model, data = _small_problem()
+    return all(_gradient_matches_differences(
+        init_joint(structure, 2, 2, 4), joint_to_tree, joint_from_tree,
+        lambda p, g: joint_elbo(model, p, data, RngStream(106), n_mc=2, want_grad=g))
+        for structure in ("dense", "block"))
 
 
 def _check_full_batch_bitwise():
@@ -171,7 +181,8 @@ CHECKS = [
     ("diag-transform gradient", _check_diag_transform_grad),
     ("tril round-trip", _check_tril_roundtrip),
     ("sample/density consistency", _check_sample_density_consistency),
-    ("branch estimator gradient", _check_estimator_gradients),
+    ("branch estimator gradient", _check_branch_gradient),
+    ("joint estimator gradient (dense, block)", _check_joint_gradients),
     ("full-batch bitwise equality", _check_full_batch_bitwise),
     ("subsampling unbiasedness", _check_subsampling_unbiased),
     ("net permutation invariance", _check_net_invariance),

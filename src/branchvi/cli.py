@@ -30,9 +30,11 @@ from .families import (
     BranchParams,
     JointFamily,
     factor_from_tree,
+    factor_gamma,
     family_param_count,
     init_branch,
     init_joint,
+    joint_factors,
     joint_to_branch,
     local_param_size,
 )
@@ -96,9 +98,6 @@ class RunConfig:
             raise InvalidDataError(f"unknown family {self.family!r}")
         if self.structure not in _STRUCT_CODES:
             raise InvalidDataError(f"unknown structure {self.structure!r}")
-        if self.family == "joint" and self.batch_size not in (0, self.n_branches):
-            raise InvalidDataError("joint families cannot be subsampled; "
-                                   "batch_size must be 0 (full) or equal to n_branches")
         for flag, value, ok, rule in (
             ("--n-mc", self.n_mc, self.n_mc >= 1, ">= 1"),
             ("--iters", self.iters, self.iters >= 0, ">= 0"),
@@ -187,8 +186,9 @@ def _checkpoint_meta(params):
     amortized families and x_dim is 0 for the others.
     """
     if isinstance(params, JointFamily):
+        gamma = factor_gamma(joint_factors(params)[0][1])
         return "joint", params.structure, [params.global_dim, params.local_dim,
-                                           params.n_branches, 0], _joint_gamma(params)
+                                           params.n_branches, 0], gamma
     if isinstance(params, BranchParams):
         return "branch", params.structure, [params.global_dim, params.local_dim,
                                             params.n_branches, 0], params.gamma
@@ -196,14 +196,6 @@ def _checkpoint_meta(params):
         return "amortized", params.structure, [params.global_dim, params.local_dim, 0,
                                                params.net.x_dim], params.net.gamma
     raise MalformedParamsError(f"cannot checkpoint {type(params).__name__}")
-
-
-def _joint_gamma(fam: JointFamily) -> float:
-    if fam.structure == "dense":
-        return fam.spec.chol.gamma
-    if fam.structure == "block":
-        return fam.theta_spec.chol.gamma
-    return fam.diag.gamma
 
 
 def save_checkpoint(path: str, params, *, it: int = 0, ema: float = float("nan"),
@@ -397,6 +389,7 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"error: --iters must be >= 1 to train, got {cfg.iters}", file=sys.stderr)
         return 2
     data = load_dataset(cfg.data)
+    _check_batch_size(cfg, data.n_branches)
     model = build_model(cfg, data)
     os.makedirs(cfg.out_dir, exist_ok=True)
     start_iter, ema, adam = 0, None, None
@@ -433,6 +426,18 @@ def cmd_train(cfg: RunConfig) -> int:
     write_manifest(cfg, cfg.out_dir, "train", [cfg.data + ".bin", cfg.data + ".meta"])
     print(f"trained {cfg.iters - start_iter} iterations; final EMA ELBO {result.ema:.4f}")
     return 0
+
+
+def _check_batch_size(cfg: RunConfig, n_branches: int) -> None:
+    """--batch-size against the dataset's N: 0 (full batch) to N, or 0 or N
+    for a joint family, which has no subsampled estimator."""
+    B, N = cfg.batch_size, n_branches
+    if cfg.family == "joint" and B not in (0, N):
+        raise InvalidDataError(f"joint families cannot be subsampled; --batch-size must be "
+                               f"0 (full) or the dataset's {N} branches, got {B}")
+    if B > N:
+        raise InvalidDataError(f"--batch-size must be in [0, {N}] (the dataset's branches), "
+                               f"got {B}")
 
 
 def _check_resume(path, params, cfg: RunConfig, model: HbdModel,

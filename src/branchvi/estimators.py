@@ -29,15 +29,14 @@ from .families import (
     factor_draw_batch,
     factor_grad_accum,
     factor_tree,
-    joint_backward,
-    joint_draw,
+    joint_draw_batch,
+    joint_factors,
     local_draw_rows,
     local_grad_rows,
     local_theta_grad,
 )
 from .models import HbdModel
 from .rng import RngStream
-from .trees import tree_add_, tree_scale_
 
 _STREAM_BATCH = 0
 _STREAM_GLOBAL = 1
@@ -73,9 +72,15 @@ class MinibatchSampler:
         return np.sort(gen.choice(self.n_branches, size=self.batch_size, replace=False))
 
 
-def _check_prior_finite(value, copy):
-    if not np.isfinite(value):
-        raise EstimatorError(f"non-finite prior log-density at MC copy {copy}", copy=copy)
+def _log_prior_grad(model, THETA):
+    """The prior's values (M,) and gradients (M, D); raises for the first
+    non-finite copy."""
+    lp, G = model.log_prior_grad(THETA)
+    bad = ~np.isfinite(lp)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise EstimatorError(f"non-finite prior log-density at MC copy {m}", copy=m)
+    return lp, G
 
 
 def _check_branch_finite(values, batch):
@@ -89,20 +94,31 @@ def _check_branch_finite(values, batch):
             branch=branch, copy=m)
 
 
+def _factor_grads(prefix, v, aux, EPS, G, n_mc) -> dict:
+    """One factor's copy-averaged gradient tree; each copy's -log q has weight 1."""
+    g_mean, g_raw = factor_grad_accum(v, aux, EPS, G, ent_total=n_mc)
+    keys = list(factor_tree(prefix, v))
+    return {keys[0]: g_mean / n_mc, keys[1]: g_raw / n_mc}
+
+
 # ---------------------------------------------------------------------------
 # Joint estimator.
 
 
 def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
                rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
-    """Single-family estimate: average over n_mc draws of log p - log q."""
+    """Single-family estimate: average over n_mc draws of log p - log q.
+
+    All copies go through one batched draw, one model call and one backward
+    pass per factor of ``joint_factors``.
+    """
     N = data.n_branches
     if fam.n_branches != N:
         raise MalformedParamsError(f"family built for {fam.n_branches} branches, data has {N}")
-    eps_all = rng.child(_STREAM_GLOBAL).normal((n_mc, fam.total_dim))
-    draws = [joint_draw(fam, eps_all[m]) for m in range(n_mc)]
-    THETA = np.stack([d.theta for d in draws])
-    Z = np.stack([d.z for d in draws])
+    D = fam.global_dim
+    EPS = rng.child(_STREAM_GLOBAL).normal((n_mc, fam.total_dim))
+    X, logq, auxs = joint_draw_batch(fam, EPS)
+    THETA, Z = X[:, :D], X[:, D:].reshape(n_mc, N, fam.local_dim)
     batch = np.arange(N)
     obs = data.batch(batch)
     if want_grad:
@@ -110,21 +126,15 @@ def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
     else:
         lbs = model.log_branch_vals(THETA, Z, obs)
     _check_branch_finite(lbs, batch)
-
-    value = 0.0
-    grads = None
-    for m, draw in enumerate(draws):
-        lp, g_prior = model.log_prior_grad(draw.theta)
-        _check_prior_finite(lp, m)
-        value += lp + float(np.sum(lbs[m])) - draw.logq
-        if want_grad:
-            tree = joint_backward(fam, draw, g_prior + GT[m].sum(axis=0), GZ[m],
-                                  ent_weight=1.0)
-            grads = tree if grads is None else tree_add_(grads, tree)
-    value /= n_mc
-    if want_grad:
-        tree_scale_(grads, 1.0 / n_mc)
-    return ElboEstimate(float(value), n_mc, batch), grads
+    lp, G_prior = _log_prior_grad(model, THETA)
+    value = float(np.sum(lp + lbs.sum(axis=1) - logq)) / n_mc
+    if not want_grad:
+        return ElboEstimate(value, n_mc, batch), None
+    G = np.concatenate([G_prior + GT.sum(axis=1), GZ.reshape(n_mc, -1)], axis=1)
+    grads = {}
+    for (prefix, v, start, stop), aux in zip(joint_factors(fam), auxs):
+        grads.update(_factor_grads(prefix, v, aux, EPS[:, start:stop], G[:, start:stop], n_mc))
+    return ElboEstimate(value, n_mc, batch), grads
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +163,13 @@ def _branch_core(model, v, rows, structure, gamma, obs, batch, scale, rng, n_mc,
         lbs = model.log_branch_vals(THETA, Z, obs)
     _check_branch_finite(lbs, batch)
 
-    lp = np.empty(n_mc)
-    G_THETA = np.empty((n_mc, D))
-    for m in range(n_mc):
-        lp[m], G_THETA[m] = model.log_prior_grad(THETA[m])
-        _check_prior_finite(lp[m], m)
+    lp, G_prior = _log_prior_grad(model, THETA)
     value = float(np.sum(lp - logq_v) + scale * np.sum(lbs - logq_w)) / n_mc
     if not want_grad:
         return value, None, None
-    G_THETA += scale * (GT + local_theta_grad(rows, structure, GZ, D)).sum(axis=1)
+    G_THETA = G_prior + scale * (GT + local_theta_grad(rows, structure, GZ, D)).sum(axis=1)
     G_rows = local_grad_rows(rows, structure, gamma, aux_w, THETA, eps_loc, GZ, scale, n_mc)
-    g_v_mean, g_v_raw = factor_grad_accum(v, aux_v, eps_glob, G_THETA, ent_total=n_mc)
-    keys = list(factor_tree("v", v))
-    return value, {keys[0]: g_v_mean / n_mc, keys[1]: g_v_raw / n_mc}, G_rows
+    return value, _factor_grads("v", v, aux_v, eps_glob, G_THETA, n_mc), G_rows
 
 
 def branch_elbo(model: HbdModel, params: BranchParams, data: BranchDataset,

@@ -16,7 +16,7 @@ ever needed during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .gaussmath import (
     tril_size,
     tril_unmap,
 )
-from .rng import RngStream
 
 STRUCTURES = ("dense", "block", "diag")
 KINDS = ("joint", "branch", "amortized")
@@ -244,108 +243,6 @@ def _zero_spec(dim, gamma):
 
 
 # ---------------------------------------------------------------------------
-# Factor-level draws and backward passes.
-#
-# Every factor draw returns (x, logq, aux); the backward pass maps an
-# upstream gradient g_x on the sample plus an entropy weight (the scale on
-# the -log q term in the estimate) to gradients on (mean, raw). The single
-# draw is the one-copy case of the batched draw below.
-
-
-def factor_draw(v, eps):
-    X, logqs, aux = factor_draw_batch(v, eps[None])
-    return X[0], float(logqs[0]), aux
-
-
-def factor_backward(v, aux, eps, g_x, ent_weight):
-    """Returns (g_mean, g_raw) for the factor's (mean, raw) parameters."""
-    return factor_grad_accum(v, aux, eps[None], g_x[None], ent_weight)
-
-
-# ---------------------------------------------------------------------------
-# Branch-family sampling.
-
-
-def branch_sample_global(params: BranchParams, rng: RngStream):
-    """theta ~ q_v with its log-density."""
-    eps = rng.normal(params.global_dim)
-    theta, logq, _ = factor_draw(params.v, eps)
-    return theta, logq
-
-
-def local_draw(w: LocalParams, theta, eps):
-    """z = mu + A theta + L eps (A term absent outside dense); logq from eps.
-
-    The one-copy, one-branch case of local_draw_rows.
-    """
-    Z, logqs, aux = local_draw_rows(pack_local(w)[None], w.structure, w.gamma,
-                                    np.asarray(theta, dtype=float)[None],
-                                    np.asarray(eps, dtype=float)[None, None])
-    return Z[0, 0], float(logqs[0, 0]), aux[0]
-
-
-def branch_sample_local(w: LocalParams, theta, rng: RngStream):
-    """z_i ~ q_{w_i}(. | theta) with its conditional log-density."""
-    dim = w.mu.size
-    eps = rng.normal(dim)
-    z, logq, _ = local_draw(w, theta, eps)
-    return z, logq
-
-
-# ---------------------------------------------------------------------------
-# Joint-family sampling.
-
-
-@dataclass
-class JointDraw:
-    theta: np.ndarray
-    z: np.ndarray          # (N, local_dim)
-    logq: float
-    eps: np.ndarray        # full noise vector, length total_dim
-    aux: object            # structure-dependent factor state
-
-
-def joint_draw(fam: JointFamily, eps) -> JointDraw:
-    D, dz, N = fam.global_dim, fam.local_dim, fam.n_branches
-    if fam.structure == "block":
-        theta, lq1, Lt = factor_draw(fam.theta_spec, eps[:D])
-        if fam.locals_spec is not None:
-            zflat, lq2, Lz = factor_draw(fam.locals_spec, eps[D:])
-        else:
-            zflat, lq2, Lz = np.zeros(0), 0.0, None
-        return JointDraw(theta, zflat.reshape(N, dz), lq1 + lq2, eps, (Lt, Lz))
-    x, logq, aux = factor_draw(fam.spec if fam.structure == "dense" else fam.diag, eps)
-    return JointDraw(x[:D], x[D:].reshape(N, dz), logq, eps, aux)
-
-
-def joint_sample_logq(fam: JointFamily, rng: RngStream):
-    """One reparameterized draw of (theta, z) with its joint log-density."""
-    draw = joint_draw(fam, rng.normal(fam.total_dim))
-    return draw.theta, draw.z, draw.logq
-
-
-def joint_backward(fam: JointFamily, draw: JointDraw, g_theta, g_z, ent_weight=1.0) -> dict:
-    """Gradient tree of (g . sample) - ent_weight * log q, keys as in to_tree."""
-    D = fam.global_dim
-    g_full = np.concatenate([g_theta, np.asarray(g_z).ravel()])
-    if fam.structure == "dense":
-        g_mean, g_raw = factor_backward(fam.spec, draw.aux, draw.eps, g_full, ent_weight)
-        return {"q.mean": g_mean, "q.raw": g_raw}
-    if fam.structure == "block":
-        Lt, Lz = draw.aux
-        g_mt, g_rt = factor_backward(fam.theta_spec, Lt, draw.eps[:D], g_theta, ent_weight)
-        out = {"theta.mean": g_mt, "theta.raw": g_rt}
-        if fam.locals_spec is not None:
-            g_mz, g_rz = factor_backward(fam.locals_spec, Lz, draw.eps[D:],
-                                         g_full[D:], ent_weight)
-            out["locals.mean"] = g_mz
-            out["locals.raw"] = g_rz
-        return out
-    g_mean, g_raw = factor_backward(fam.diag, draw.aux, draw.eps, g_full, ent_weight)
-    return {"q.mean": g_mean, "q.scale_raw": g_raw}
-
-
-# ---------------------------------------------------------------------------
 # Joint -> branch conversion and assembly.
 
 
@@ -467,7 +364,7 @@ def factor_tree(prefix, v) -> dict:
 
 
 def factor_from_tree(prefix, tree: dict, structure: str, dim: int, gamma: float):
-    """Inverse of factor_tree: the global factor of a branch or amortized family."""
+    """Inverse of factor_tree for one factor (a diag structure gives a DiagGaussian)."""
     if structure == "diag":
         return DiagGaussian(tree[f"{prefix}.mean"], tree[f"{prefix}.scale_raw"], gamma)
     return GaussianSpec(tree[f"{prefix}.mean"],
@@ -491,44 +388,43 @@ def branch_from_tree(params: BranchParams, tree: dict) -> BranchParams:
     return BranchParams(params.structure, params.global_dim, params.local_dim, v, tree["w"])
 
 
-def joint_to_tree(fam: JointFamily) -> dict:
-    if fam.structure == "dense":
-        return {"q.mean": fam.spec.mean, "q.raw": fam.spec.chol.raw}
+def joint_factors(fam: JointFamily) -> list:
+    """The factors of a joint family as (prefix, factor, start, stop) slices of x = (theta, z).
+
+    Dense and diag have one factor over all of x; block has theta, then the
+    stacked locals when there are any. The prefixes name the tree keys.
+    """
     if fam.structure == "block":
-        tree = {"theta.mean": fam.theta_spec.mean, "theta.raw": fam.theta_spec.chol.raw}
+        out = [("theta", fam.theta_spec, 0, fam.global_dim)]
         if fam.locals_spec is not None:
-            tree["locals.mean"] = fam.locals_spec.mean
-            tree["locals.raw"] = fam.locals_spec.chol.raw
-        return tree
-    return {"q.mean": fam.diag.mean, "q.scale_raw": fam.diag.scale_raw}
+            out.append(("locals", fam.locals_spec, fam.global_dim, fam.total_dim))
+        return out
+    return [("q", fam.spec if fam.structure == "dense" else fam.diag, 0, fam.total_dim)]
+
+
+def joint_to_tree(fam: JointFamily) -> dict:
+    tree = {}
+    for prefix, v, _, _ in joint_factors(fam):
+        tree.update(factor_tree(prefix, v))
+    return tree
 
 
 def joint_from_tree(fam: JointFamily, tree: dict) -> JointFamily:
-    if fam.structure == "dense":
-        g = fam.spec.chol.gamma
-        spec = GaussianSpec(tree["q.mean"],
-                            UnconstrainedChol(tree["q.raw"], fam.total_dim, g))
-        return JointFamily("dense", fam.global_dim, fam.local_dim, fam.n_branches, spec=spec)
+    vs = [factor_from_tree(prefix, tree, fam.structure, stop - start, factor_gamma(v))
+          for prefix, v, start, stop in joint_factors(fam)]
     if fam.structure == "block":
-        g = fam.theta_spec.chol.gamma
-        theta = GaussianSpec(tree["theta.mean"],
-                             UnconstrainedChol(tree["theta.raw"], fam.global_dim, g))
-        locs = None
-        if fam.locals_spec is not None:
-            Z = fam.n_branches * fam.local_dim
-            locs = GaussianSpec(tree["locals.mean"],
-                                UnconstrainedChol(tree["locals.raw"], Z, g))
-        return JointFamily("block", fam.global_dim, fam.local_dim, fam.n_branches,
-                           theta_spec=theta, locals_spec=locs)
-    dg = DiagGaussian(tree["q.mean"], tree["q.scale_raw"], fam.diag.gamma)
-    return JointFamily("diag", fam.global_dim, fam.local_dim, fam.n_branches, diag=dg)
+        return replace(fam, theta_spec=vs[0], locals_spec=vs[1] if len(vs) > 1 else None)
+    return replace(fam, **{"spec" if fam.structure == "dense" else "diag": vs[0]})
 
 
 # ---------------------------------------------------------------------------
-# Batched draw/accumulate helpers used by the estimators: over MC copies for
-# a global factor, over (MC copy, batch branch) for branch locals. Gradients
-# enter the parameter updates only as sums over copies, so the per-copy
-# outer products collapse into single contractions.
+# Batched draws and backward passes: over MC copies for a global or joint
+# factor, over (MC copy, batch branch) for branch locals. Every factor draw
+# returns (X, logqs, aux); the backward pass takes aux back with the noise and
+# the upstream gradient on the samples, plus the total weight on the -log q
+# terms, and returns gradients on the factor's parameters. Gradients enter the
+# parameter updates only as sums over copies, so the per-copy outer products
+# collapse into single contractions.
 
 
 def factor_draw_batch(v, EPS):
@@ -554,6 +450,22 @@ def factor_grad_accum(v, aux, EPS, G, ent_total):
     idx = np.arange(v.dim)
     GL[idx, idx] += ent_total / np.diag(aux)
     return g_mean, tril_map_backward(v.chol, GL)
+
+
+def joint_draw_batch(fam: JointFamily, EPS):
+    """Draws of x = (theta, z) for every row of EPS (M, total_dim).
+
+    Returns X (M, total_dim), the log-densities (M,) and one aux per factor
+    of ``joint_factors``, in its order.
+    """
+    X = np.empty_like(EPS)
+    logqs = np.zeros(EPS.shape[0])
+    auxs = []
+    for _, v, start, stop in joint_factors(fam):
+        X[:, start:stop], logq, aux = factor_draw_batch(v, EPS[:, start:stop])
+        logqs += logq
+        auxs.append(aux)
+    return X, logqs, auxs
 
 
 def local_draw_rows(rows, structure, gamma, THETA, EPS):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedParamsError
-from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -173,24 +172,37 @@ class GaussianSpec:
         return L @ L.T
 
 
+def tril_solve(L: np.ndarray, R: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve L t = r (L' t = r with ``trans``) by substitution for every row.
+
+    L (M, d, d) is lower triangular and R (M, B, d) holds B right-hand sides
+    per copy m, each solved against L[m]. An entry of the result depends only
+    on its own row and L[m], never on B.
+    """
+    d = L.shape[-1]
+    T = np.empty_like(R)
+    for k in (range(d - 1, -1, -1) if trans else range(d)):
+        if trans:
+            coef, done = L[:, k + 1:, k], T[..., k + 1:]
+        else:
+            coef, done = L[:, k, :k], T[..., :k]
+        acc = R[..., k] - np.einsum("mj,mbj->mb", coef, done)
+        T[..., k] = acc / L[:, k, k][:, None]
+    return T
+
+
 def spec_from_moments(mean: np.ndarray, cov: np.ndarray, gamma: float = 1.0) -> GaussianSpec:
     """Build a spec whose realized covariance equals ``cov`` (via Cholesky)."""
     L = np.linalg.cholesky(cov)
     return GaussianSpec(np.asarray(mean, dtype=float), tril_unmap(L, gamma))
 
 
-def mvn_draw(spec: GaussianSpec, eps: np.ndarray):
-    """Deterministic reparameterized draw from given noise.
-
-    Returns (sample, logpdf, L). The logpdf reuses ``eps`` directly, so no
-    solve is performed and the value is exact at the sample.
-    """
-    X, logqs, L = mvn_draw_batch(spec, eps[None])
-    return X[0], float(logqs[0]), L
-
-
 def mvn_draw_batch(spec: GaussianSpec, EPS: np.ndarray):
-    """mvn_draw for every row of EPS (M, dim): returns (X (M, dim), logpdfs (M,), L)."""
+    """Deterministic reparameterized draws from given noise, one per row of EPS (M, dim).
+
+    Returns (X (M, dim), logpdfs (M,), L). The logpdfs reuse ``EPS``
+    directly, so no solve is performed and each value is exact at its sample.
+    """
     L = tril_map(spec.chol)
     X = spec.mean + EPS @ L.T
     logqs = (-0.5 * np.einsum("ij,ij->i", EPS, EPS)
@@ -198,21 +210,11 @@ def mvn_draw_batch(spec: GaussianSpec, EPS: np.ndarray):
     return X, logqs, L
 
 
-def mvn_sample(spec: GaussianSpec, rng: RngStream):
-    """One reparameterized sample with its log-density."""
-    eps = rng.normal(spec.dim)
-    x, logq, _ = mvn_draw(spec, eps)
-    return x, logq
-
-
 def mvn_logpdf(spec: GaussianSpec, x: np.ndarray) -> float:
     """Exact log-density at an arbitrary point (triangular solve)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise MalformedParamsError(f"x has shape {x.shape}, expected ({spec.dim},)")
-    # scipy.linalg is a large import that training never needs, so it loads on use.
-    from scipy.linalg import solve_triangular
-
     L = tril_map(spec.chol)
-    t = solve_triangular(L, x - spec.mean, lower=True)
+    t = tril_solve(L[None], (x - spec.mean)[None, None])[0, 0]
     return -0.5 * float(t @ t) - float(np.sum(np.log(np.diag(L)))) - 0.5 * spec.dim * LOG_2PI

@@ -22,7 +22,8 @@ import numpy as np
 from .amortize import AmortParams, net_rows
 from .data import SplitDataset
 from .errors import MalformedParamsError
-from .families import BranchParams, JointFamily, factor_draw, joint_draw, local_draw_rows
+from .families import (BranchParams, JointFamily, factor_draw_batch, joint_draw_batch,
+                       local_draw_rows)
 from .models import HbdModel
 from .rng import RngStream
 
@@ -109,17 +110,17 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
     test_loglik = np.empty(k)
     for j in range(k):
         if rows is None:
-            draw = joint_draw(q, gen.standard_normal(q.total_dim))
-            theta, Z, logq = draw.theta, draw.z[None], draw.logq
+            X, logq, _ = joint_draw_batch(q, gen.standard_normal((1, q.total_dim)))
+            THETA, Z = X[:, :D], X[:, D:].reshape(1, N, dz)
         else:
-            theta, logq, _ = factor_draw(q.v, gen.standard_normal(D))
-            Z, logq_w, _ = local_draw_rows(rows, structure, gamma, theta[None],
+            THETA, logq, _ = factor_draw_batch(q.v, gen.standard_normal((1, D)))
+            Z, logq_w, _ = local_draw_rows(rows, structure, gamma, THETA,
                                            gen.standard_normal((1, active.size, dz)))
-            logq += float(np.sum(logq_w))
-        lp = model.log_prior(theta) + float(np.sum(model.log_branch_vals(theta[None], Z,
-                                                                         train_obs)))
-        log_ratio[j] = lp - logq
-        test_loglik[j] = float(np.sum(model.log_obs_vals(theta[None], Z, test_obs)))
+            logq = logq + np.sum(logq_w)
+        lp = float(model.log_prior(THETA)[0]
+                   + np.sum(model.log_branch_vals(THETA, Z, train_obs)))
+        log_ratio[j] = lp - float(logq[0])
+        test_loglik[j] = float(np.sum(model.log_obs_vals(THETA, Z, test_obs)))
 
     n_train = int(train_obs.counts.sum())
     n_test = int(test_obs.counts.sum())

@@ -5,14 +5,15 @@ per-branch locals z_i. The branch terms are batched over MC copies and
 batch branches: with THETA (M, D), Z (M, B, dz) and the batch's
 observations (a ``BranchBatch``),
 
-    log_prior(theta)                      log p(theta)
-    log_prior_grad(theta)                 (log p(theta), gradient)
+    log_prior(THETA)                      log p(theta)                      (M,)
+    log_prior_grad(THETA)                 the same plus its gradient        (M, D)
     log_branch_vals(THETA, Z, obs)        log p(z_i, y_i | theta, x_i)      (M, B)
     log_branch_grad(THETA, Z, obs)        the same plus g_theta (M, B, D), g_z (M, B, dz)
     log_obs_vals(THETA, Z, obs)           log p(y_i | theta, z_i, x_i)      (M, B)
 
 Entry (m, j) depends only on copy m's theta, z_j and branch j's rows, and
-is bitwise the same whatever else the batch holds. ``HbdModel.log_branch``
+is bitwise the same whatever else the batch holds; a prior entry depends
+only on its own copy. ``HbdModel.log_branch``
 and ``HbdModel.log_obs`` are the single-branch (M = B = 1) forms.
 Estimators only ever touch this surface.
 """
@@ -37,6 +38,7 @@ from .gaussmath import (
     tril_map,
     tril_map_raw,
     tril_size,
+    tril_solve,
 )
 from .rng import RngStream
 
@@ -48,8 +50,8 @@ class HbdModel:
     global_dim: int
     local_dim: int
     symmetric: bool
-    log_prior: Callable
-    log_prior_grad: Callable        # theta -> (value, grad)
+    log_prior: Callable             # THETA (M, D) -> (M,)
+    log_prior_grad: Callable        # THETA -> (values (M,), grads (M, D))
     log_branch_vals: Callable       # (THETA, Z, BranchBatch) -> (M, B)
     log_branch_grad: Callable       # (THETA, Z, BranchBatch) -> (vals, g_theta, g_z)
     log_obs_vals: Callable          # (THETA, Z, BranchBatch) -> (M, B)
@@ -103,11 +105,11 @@ class SyntheticConfig:
 def synthetic_model(D: int) -> HbdModel:
     """Hierarchical linear regression with unit covariances throughout."""
 
-    def log_prior(theta):
-        return -0.5 * float(theta @ theta) - 0.5 * D * LOG_2PI
+    def log_prior(THETA):
+        return -0.5 * np.einsum("md,md->m", THETA, THETA) - 0.5 * D * LOG_2PI
 
-    def log_prior_grad(theta):
-        return log_prior(theta), -theta
+    def log_prior_grad(THETA):
+        return log_prior(THETA), -THETA
 
     def _parts(THETA, Z, obs: BranchBatch):
         R = Z - THETA[:, None, :]
@@ -237,26 +239,20 @@ def preference_model(D: int, gamma: float = 1.0) -> HbdModel:
         if y.size and not np.all((y == 0.0) | (y == 1.0)):
             raise InvalidDataError("preference model requires binary observations")
 
-    def log_prior(theta):
-        return -0.5 * float(theta @ theta) - 0.5 * gdim * LOG_2PI
+    def log_prior(THETA):
+        return -0.5 * np.einsum("md,md->m", THETA, THETA) - 0.5 * gdim * LOG_2PI
 
-    def log_prior_grad(theta):
-        return log_prior(theta), -theta
+    def log_prior_grad(THETA):
+        return log_prior(THETA), -THETA
 
     def _local_parts(THETA, Z):
         # log N(z | mu, L'L) per (copy, branch). Sigma^{-1} r comes from two
-        # triangular solves by substitution over the D coordinates, which
-        # keeps every (copy, branch) entry independent of the batch size.
+        # triangular solves by substitution, which keeps every (copy, branch)
+        # entry independent of the batch size.
         L = tril_map_raw(THETA[:, D:], D, gamma)                 # (M, D, D)
         R = Z - THETA[:, None, :D]                               # (M, B, D)
-        T = np.empty_like(R)                                     # L' t = r
-        for k in range(D - 1, -1, -1):
-            acc = R[..., k] - np.einsum("mj,mbj->mb", L[:, k + 1:, k], T[..., k + 1:])
-            T[..., k] = acc / L[:, k, k][:, None]
-        U = np.empty_like(R)                                     # L u = t
-        for k in range(D):
-            acc = T[..., k] - np.einsum("mj,mbj->mb", L[:, k, :k], U[..., :k])
-            U[..., k] = acc / L[:, k, k][:, None]
+        T = tril_solve(L, R, trans=True)                         # L' t = r
+        U = tril_solve(L, T)                                     # L u = t
         logdet = np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
         vals = (-0.5 * np.einsum("mbk,mbk->mb", T, T) - logdet[:, None]
                 - 0.5 * D * LOG_2PI)

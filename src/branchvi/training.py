@@ -81,9 +81,7 @@ def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
         def run(params, rng):
             return joint_elbo(model, params, data, rng, n_mc)
         return run
-    if batch_size <= 0 or batch_size > N:
-        batch_size = N
-    sampler = MinibatchSampler(N, batch_size)
+    sampler = MinibatchSampler(N, batch_size or N)  # 0 is the full batch
     if kind == "branch":
         # At batch_size == N the sampler draws no randomness and the scale is
         # 1, so this is bitwise the full-sum branch_elbo.

@@ -49,16 +49,3 @@ def tree_views(shapes: dict, vec: np.ndarray) -> dict:
 
 def tree_zeros_like(tree: dict) -> dict:
     return {name: np.zeros_like(arr) for name, arr in tree.items()}
-
-
-def tree_add_(acc: dict, other: dict, scale: float = 1.0) -> dict:
-    """In-place acc += scale * other (keys must match)."""
-    for name, arr in other.items():
-        acc[name] += scale * arr
-    return acc
-
-
-def tree_scale_(tree: dict, scale: float) -> dict:
-    for arr in tree.values():
-        arr *= scale
-    return tree

@@ -32,8 +32,8 @@ from branchvi.families import (
     JointFamily,
     branch_from_tree,
     branch_to_tree,
-    factor_backward,
-    factor_draw,
+    factor_draw_batch,
+    factor_grad_accum,
     family_param_count,
     init_branch,
     init_joint,
@@ -276,11 +276,11 @@ def test_criterion_6_gradient_integrity():
 
     def path_value(mean, raw):
         s = GaussianSpec(mean, UnconstrainedChol(raw, d))
-        x, logq, _ = factor_draw(s, eps)
-        return float(uvec @ x) - logq
+        X, logqs, _ = factor_draw_batch(s, eps[None])
+        return float(uvec @ X[0]) - logqs[0]
 
-    x0, logq0, aux = factor_draw(spec, eps)
-    g_mean, g_raw = factor_backward(spec, aux, eps, uvec, ent_weight=1.0)
+    _, _, aux = factor_draw_batch(spec, eps[None])
+    g_mean, g_raw = factor_grad_accum(spec, aux, eps[None], uvec[None], ent_total=1.0)
     for j in range(d):
         mp, mm = spec.mean.copy(), spec.mean.copy()
         mp[j] += h; mm[j] -= h

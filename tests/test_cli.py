@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -157,9 +159,8 @@ class TestTrainEval:
         rc = _run("train", "--model", "synthetic", "--family", "joint",
                   "--structure", "dense", "--dim", "1",
                   "--data", str(generated / "data"), "--iters", "10",
-                  "--batch-size", "2", "--branches", "4",
-                  "--out-dir", str(tmp_path / "j"))
-        assert rc != 0
+                  "--batch-size", "2", "--out-dir", str(tmp_path / "j"))
+        assert rc == 2
 
     def test_amortized_training_runs(self, generated, tmp_path):
         run_dir = tmp_path / "am"
@@ -191,6 +192,61 @@ class TestTrainEval:
         assert rc == 0
         blob = json.loads((eval_dir / "report.json").read_text())
         assert blob["n_test"] == load_dataset(str(gen_dir / "data_test")).n_obs > 0
+
+
+class TestBatchSizeAgainstData:
+    """--batch-size is checked against the dataset's N (20 here), not --branches."""
+
+    @pytest.fixture(scope="class")
+    def data20(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gen20")
+        assert _run("generate", "--dim", "1", "--branches", "20", "--obs", "3",
+                    "--seed", "2", "--out-dir", str(out)) == 0
+        return out / "data"
+
+    @pytest.mark.parametrize("family, batch, rc, needle", [
+        ("joint", 20, 0, None),
+        ("joint", 10, 2, "joint families cannot be subsampled"),
+        ("branch", 5000, 2, "--batch-size must be in [0, 20]"),
+        ("amortized", 21, 2, "--batch-size must be in [0, 20]"),
+    ])
+    def test_batch_size_against_dataset(self, data20, tmp_path, capsys, family, batch, rc,
+                                        needle):
+        got = _run("train", "--family", family, "--dim", "1", "--data", str(data20),
+                   "--iters", "2", "--n-mc", "2", "--batch-size", str(batch),
+                   "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert got == rc
+        if needle is not None:
+            assert needle in err and "Traceback" not in err
+            assert not (tmp_path / "run" / "checkpoint.nt").exists()
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    """generate, train (every family), eval, convert and check run on numpy alone."""
+    code = (
+        "import sys\n"
+        "from branchvi.cli import main\n"
+        "d = sys.argv[1]\n"
+        "def run(*argv):\n"
+        "    assert main(list(argv)) == 0, argv\n"
+        "run('generate', '--dim', '1', '--branches', '3', '--obs', '5', '--seed', '1',\n"
+        "    '--test-fraction', '0.2', '--out-dir', d)\n"
+        "for fam in ('joint', 'branch', 'amortized'):\n"
+        "    run('train', '--family', fam, '--dim', '1', '--data', d + '/data_train',\n"
+        "        '--iters', '3', '--n-mc', '2', '--out-dir', d + '/' + fam)\n"
+        "    run('eval', '--dim', '1', '--data', d + '/data_train', '--k-samples', '5',\n"
+        "        '--checkpoint', d + '/' + fam + '/checkpoint.nt', '--out-dir', d + '/ev' + fam)\n"
+        "run('convert', '--checkpoint', d + '/joint/checkpoint.nt', '--out-dir', d + '/cv')\n"
+        "run('check')\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(checks.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS joint estimator gradient (dense, block)" in proc.stdout
 
 
 class TestResumeValidation:
@@ -423,6 +479,23 @@ class TestCheck:
         assert re.fullmatch(r"PASS ok \(\d+\.\d ms\)", lines[0])
         assert re.fullmatch(r"FAIL bad \(\d+\.\d ms\)", lines[1])
         assert re.fullmatch(r"FAIL crash \(\d+\.\d ms\) \(exception: boom\)", lines[2])
+
+    def test_checks_the_joint_estimator(self, monkeypatch):
+        from branchvi import estimators
+
+        lines = []
+        assert checks.run_checks(out=lines.append) == 0
+        assert any(re.fullmatch(r"PASS joint estimator gradient \(dense, block\) \(\d+\.\d ms\)",
+                                line) for line in lines)
+        draw = estimators.joint_draw_batch
+
+        def biased(fam, EPS):  # a log q off by 1%: the gradient no longer matches
+            X, logqs, auxs = draw(fam, EPS)
+            return X, 1.01 * logqs, auxs
+
+        monkeypatch.setattr(estimators, "joint_draw_batch", biased)
+        assert checks._check_joint_gradients() is False
+        assert checks._check_branch_gradient() is True
 
     def test_detects_corrupted_diag_transform(self, monkeypatch, capsys):
         def broken(x, gamma=1.0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from branchvi.amortize import (
 from branchvi.data import BranchData, BranchDataset
 from branchvi.errors import EstimatorError, MalformedParamsError
 from branchvi.estimators import (
+    _STREAM_GLOBAL,
     DEFAULT_N_MC,
     MinibatchSampler,
     amortized_elbo,
@@ -29,7 +32,8 @@ from branchvi.families import (
     joint_to_branch,
     joint_to_tree,
 )
-from branchvi.gaussmath import GaussianSpec, spec_from_moments, tril_map, tril_unmap
+from branchvi.gaussmath import (LOG_2PI, GaussianSpec, mvn_logpdf, spec_from_moments,
+                               tril_map, tril_unmap)
 from branchvi.models import (
     SyntheticConfig,
     synthetic_forward_sample,
@@ -135,6 +139,37 @@ class TestJointElbo:
                                    data, RngStream(307), n_mc=3, want_grad=False)
                 fd = (vp.value - vm.value) / (2 * h)
                 assert gflat[j] == pytest.approx(fd, rel=1e-3, abs=1e-7)
+
+    @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
+    def test_value_is_the_copy_mean_of_log_p_minus_log_q(self, structure):
+        # log q(x) from the factor densities at x, not from the sampling noise
+        D, N, n_mc = 2, 3, 6
+        model, data = _problem(D, N, 4, seed=309)
+        fam = _perturb(init_joint(structure, D, D, N), joint_to_tree, joint_from_tree, 310)
+        est, _ = joint_elbo(model, fam, data, RngStream(311), n_mc=n_mc)
+        EPS = RngStream(311).child(_STREAM_GLOBAL).normal((n_mc, fam.total_dim))
+        terms = []
+        for eps in EPS:
+            if structure == "diag":
+                sd = fam.diag.scales()
+                x = fam.diag.mean + sd * eps
+                logq = float(np.sum(-0.5 * ((x - fam.diag.mean) / sd) ** 2 - np.log(sd)
+                                    - 0.5 * LOG_2PI))
+            else:
+                specs = [fam.spec] if structure == "dense" else [fam.theta_spec,
+                                                                 fam.locals_spec]
+                parts, logq, start = [], 0.0, 0
+                for spec in specs:
+                    part = spec.mean + tril_map(spec.chol) @ eps[start:start + spec.dim]
+                    parts.append(part)
+                    logq += mvn_logpdf(spec, part)
+                    start += spec.dim
+                x = np.concatenate(parts)
+            theta, z = x[:D], x[D:].reshape(N, D)
+            log_p = model.log_prior(theta[None])[0] + sum(
+                model.log_branch(theta, z[i], b) for i, b in enumerate(data.branches))
+            terms.append(log_p - logq)
+        assert est.value == pytest.approx(np.mean(terms), rel=0, abs=1e-10)
 
     def test_branch_count_mismatch(self):
         model, data = _problem(1, 2, 2, seed=308)
@@ -279,6 +314,28 @@ class TestSubsampledBranchElbo:
             assert gflat[j] == pytest.approx(fd, rel=1e-3, abs=1e-7)
 
 
+@pytest.mark.parametrize("want_grad", [True, False])
+@pytest.mark.parametrize("kind", ["branch", "joint"])
+def test_non_finite_prior_names_the_first_copy(kind, want_grad):
+    model, data = _problem(1, 3, 2, seed=327)
+
+    def log_prior_grad(THETA):
+        lp, g = model.log_prior_grad(THETA)
+        lp[2], lp[3] = np.nan, np.inf
+        return lp, g
+
+    bad = dataclasses.replace(model, log_prior_grad=log_prior_grad)
+    with pytest.raises(EstimatorError) as exc:
+        if kind == "branch":
+            branch_elbo(bad, init_branch("dense", 1, 1, 3), data, RngStream(328), n_mc=4,
+                        want_grad=want_grad)
+        else:
+            joint_elbo(bad, init_joint("dense", 1, 1, 3), data, RngStream(328), n_mc=4,
+                       want_grad=want_grad)
+    assert exc.value.copy == 2 and exc.value.branch is None
+    assert "MC copy 2" in str(exc.value)
+
+
 class TestEstimatorUnbiasedness:
     def test_against_gauss_hermite_quadrature(self):
         # D=1, N=1, n=1: ELBO(q) by 2-d Gauss-Hermite vs estimator MC means
@@ -299,7 +356,8 @@ class TestEstimatorUnbiasedness:
             for b, wb in zip(nodes, norm_w):
                 z = w0.mu + w0.A @ theta + L1 * b
                 logq_z = -0.5 * b * b - np.log(L1) - 0.5 * np.log(2 * np.pi)
-                lp = model.log_prior(theta) + model.log_branch(theta, z, data.branches[0])
+                lp = (model.log_prior(theta[None])[0]
+                      + model.log_branch(theta, z, data.branches[0]))
                 inner += wb * (lp - logq_t - logq_z)
             elbo_quad += wa * inner
         R = 20_000

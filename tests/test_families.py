@@ -12,19 +12,18 @@ from branchvi.families import (
     LocalParams,
     assemble_joint,
     branch_from_tree,
-    branch_sample_global,
-    branch_sample_local,
     branch_to_tree,
-    factor_draw,
+    factor_draw_batch,
     family_param_count,
     init_branch,
     init_joint,
+    joint_draw_batch,
+    joint_factors,
     joint_from_tree,
-    joint_sample_logq,
     joint_to_branch,
     joint_to_tree,
-    local_draw,
     local_draw_rows,
+    pack_local,
     local_grad_rows,
 )
 from branchvi.gaussmath import (
@@ -67,36 +66,58 @@ def _random_joint(structure, D, dz, N, seed, scale=0.4):
     return joint_from_tree(fam, tree_unflatten(tree, flat))
 
 
+def _joint_draw(fam, eps):
+    """One joint draw (M = 1): theta, z (N, dz) and log q."""
+    X, logqs, _ = joint_draw_batch(fam, eps[None])
+    D = fam.global_dim
+    return X[0, :D], X[0, D:].reshape(fam.n_branches, fam.local_dim), logqs[0]
+
+
+def _local_draw(w: LocalParams, theta, eps):
+    """One branch's local draw (M = B = 1): z and its conditional log q."""
+    Z, logqs, _ = local_draw_rows(pack_local(w)[None], w.structure, w.gamma,
+                                  np.asarray(theta, dtype=float)[None],
+                                  np.asarray(eps, dtype=float)[None, None])
+    return Z[0, 0], logqs[0, 0]
+
+
 class TestJointSampling:
     def test_diag_at_zero_noise(self):
         fam = init_joint("diag", 2, 1, 3)
-        from branchvi.families import joint_draw
-
-        draw = joint_draw(fam, np.zeros(fam.total_dim))
-        assert np.allclose(draw.theta, 0) and np.allclose(draw.z, 0)
-        assert draw.logq == pytest.approx(-(fam.total_dim / 2) * LOG_2PI)
+        theta, z, logq = _joint_draw(fam, np.zeros(fam.total_dim))
+        assert np.allclose(theta, 0) and np.allclose(z, 0)
+        assert logq == pytest.approx(-(fam.total_dim / 2) * LOG_2PI)
 
     def test_block_degenerates_at_zero_branches(self):
         fam = init_joint("block", 2, 1, 0)
-        theta, z, logq = joint_sample_logq(fam, RngStream(30))
+        assert [f[0] for f in joint_factors(fam)] == ["theta"]
+        theta, z, logq = _joint_draw(fam, RngStream(30).normal(fam.total_dim))
         assert z.shape == (0, 1)
         assert logq == pytest.approx(mvn_logpdf(fam.theta_spec, theta), abs=1e-12)
 
     def test_dense_logq_matches_mvn_logpdf(self):
         fam = _random_joint("dense", 1, 2, 1, seed=31)
-        theta, z, logq = joint_sample_logq(fam, RngStream(32))
+        theta, z, logq = _joint_draw(fam, RngStream(32).normal(fam.total_dim))
         x = np.concatenate([theta, z.ravel()])
         assert logq == pytest.approx(mvn_logpdf(fam.spec, x), abs=1e-10)
+
+    @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
+    def test_batched_rows_are_single_draws(self, structure):
+        fam = _random_joint(structure, 2, 2, 3, seed=29)
+        EPS = RngStream(28).normal((5, fam.total_dim))
+        X, logqs, auxs = joint_draw_batch(fam, EPS)
+        assert len(auxs) == len(joint_factors(fam))
+        for m in range(EPS.shape[0]):
+            theta, z, logq = _joint_draw(fam, EPS[m])
+            x = np.concatenate([theta, z.ravel()])
+            assert np.allclose(X[m], x, rtol=0, atol=1e-12)
+            assert logq == pytest.approx(logqs[m], abs=1e-12)
 
     @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
     def test_entropy_against_monte_carlo(self, structure):
         fam = _random_joint(structure, 2, 2, 2, seed=33)
         gen = RngStream(34).generator()
-        from branchvi.families import joint_draw
-
-        neg_logq = np.empty(100_000)
-        for k in range(neg_logq.size):
-            neg_logq[k] = -joint_draw(fam, gen.standard_normal(fam.total_dim)).logq
+        neg_logq = -joint_draw_batch(fam, gen.standard_normal((100_000, fam.total_dim)))[1]
         if structure == "dense":
             ent = gaussian_entropy(fam.spec)
         elif structure == "block":
@@ -111,19 +132,19 @@ class TestJointSampling:
 class TestBranchSampling:
     def test_global_standard_normal(self):
         params = init_branch("dense", 2, 1, 1)
-        theta, logq = branch_sample_global(params, RngStream(35))
+        (theta,), (logq,), _ = factor_draw_batch(params.v, RngStream(35).normal((1, 2)))
         assert logq == pytest.approx(mvn_logpdf(params.v, theta), abs=1e-10)
 
     def test_global_deterministic(self):
         params = init_branch("dense", 2, 1, 1)
-        t1, l1 = branch_sample_global(params, RngStream(36))
-        t2, l2 = branch_sample_global(params, RngStream(36))
-        assert np.array_equal(t1, t2) and l1 == l2
+        t1, l1, _ = factor_draw_batch(params.v, RngStream(36).normal((1, 2)))
+        t2, l2, _ = factor_draw_batch(params.v, RngStream(36).normal((1, 2)))
+        assert np.array_equal(t1, t2) and np.array_equal(l1, l2)
 
     def test_local_affine_arithmetic(self):
         w = LocalParams(np.array([1.0]), A=np.array([[2.0]]),
                         chol=UnconstrainedChol(np.zeros(1), 1))
-        z, logq, _ = local_draw(w, np.array([3.0]), np.zeros(1))
+        z, logq = _local_draw(w, np.array([3.0]), np.zeros(1))
         assert z[0] == pytest.approx(7.0)
 
     def test_local_reduces_to_standard_normal(self):
@@ -131,7 +152,7 @@ class TestBranchSampling:
                         chol=UnconstrainedChol(np.zeros(3), 2))
         eps = RngStream(37).normal(2)
         for theta_scale in (0.0, 5.0):
-            z, logq, _ = local_draw(w, np.full(3, theta_scale), eps)
+            z, logq = _local_draw(w, np.full(3, theta_scale), eps)
             assert np.allclose(z, eps)
 
     def test_local_conditional_density(self):
@@ -139,7 +160,7 @@ class TestBranchSampling:
         w = LocalParams(gen.standard_normal(2), A=gen.standard_normal((2, 3)),
                         chol=UnconstrainedChol(gen.standard_normal(3), 2))
         theta = gen.standard_normal(3)
-        z, logq = branch_sample_local(w, theta, RngStream(39))
+        z, logq = _local_draw(w, theta, RngStream(39).normal(2))
         ref = mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
         assert logq == pytest.approx(ref, abs=1e-10)
 
@@ -149,8 +170,8 @@ class TestBranchSampling:
         params = _random_branch_params(structure, 3, 2, 1, seed=40)
         w = params.local(0)
         eps = RngStream(41).normal(2)
-        z1, q1, _ = local_draw(w, np.zeros(3), eps)
-        z2, q2, _ = local_draw(w, np.full(3, 9.0), eps)
+        z1, q1 = _local_draw(w, np.zeros(3), eps)
+        z2, q2 = _local_draw(w, np.full(3, 9.0), eps)
         assert np.array_equal(z1, z2) and q1 == q2
 
     def test_structure_field_validation(self):
@@ -347,7 +368,7 @@ class TestBatchedLocals:
         for m in range(THETA.shape[0]):
             for pos, i in enumerate(batch):
                 w = params.local(i)
-                z, lq, _ = local_draw(w, THETA[m], EPS[m, pos])
+                z, lq = _local_draw(w, THETA[m], EPS[m, pos])
                 assert np.array_equal(z, Z[m, pos]) and lq == logq[m, pos]
                 if structure == "diag":
                     sd = diag_transform(w.scale_raw, params.gamma)

@@ -11,14 +11,14 @@ from branchvi.gaussmath import (
     diag_transform,
     diag_transform_grad,
     diag_transform_inv,
-    mvn_draw,
+    mvn_draw_batch,
     mvn_logpdf,
-    mvn_sample,
     packed_diag_indices,
     spec_from_moments,
     tril_map,
     tril_map_backward,
     tril_size,
+    tril_solve,
     tril_unmap,
 )
 from branchvi.rng import RngStream
@@ -133,7 +133,7 @@ class TestTrilMap:
 class TestMvn:
     def test_draw_at_mode_dim1(self):
         spec = GaussianSpec(np.zeros(1), UnconstrainedChol(np.zeros(1), 1))
-        x, logq, _ = mvn_draw(spec, np.zeros(1))
+        (x,), (logq,), _ = mvn_draw_batch(spec, np.zeros((1, 1)))
         assert np.allclose(x, 0.0)
         assert logq == pytest.approx(-0.5 * LOG_2PI)
         assert logq == pytest.approx(-0.918939, abs=1e-6)
@@ -141,7 +141,7 @@ class TestMvn:
     def test_draw_affine_dim1(self):
         # mean 2, L = [[3]], eps = 1: sample 5, logpdf -1/2 - log 3 - log(2 pi)/2
         spec = GaussianSpec(np.array([2.0]), tril_unmap(np.array([[3.0]])))
-        x, logq, _ = mvn_draw(spec, np.ones(1))
+        (x,), (logq,), _ = mvn_draw_batch(spec, np.ones((1, 1)))
         assert x[0] == pytest.approx(5.0)
         assert logq == pytest.approx(-0.5 - np.log(3.0) - 0.5 * LOG_2PI)
         assert logq == pytest.approx(-2.517551, abs=1e-6)
@@ -152,7 +152,7 @@ class TestMvn:
             spec = GaussianSpec(gen.standard_normal(d),
                                 UnconstrainedChol(gen.standard_normal(tril_size(d)), d))
             for k in range(20):
-                x, logq = mvn_sample(spec, RngStream(4, 100 * d + k))
+                (x,), (logq,), _ = mvn_draw_batch(spec, RngStream(4, 100 * d + k).normal((1, d)))
                 assert logq == pytest.approx(mvn_logpdf(spec, x), abs=1e-10)
 
     def test_logpdf_standard(self):
@@ -175,6 +175,18 @@ class TestMvn:
                       - 0.5 * np.linalg.slogdet(cov)[1] - 0.5 * d * LOG_2PI)
             assert mvn_logpdf(spec, x) == pytest.approx(direct, abs=1e-9)
 
+    def test_batched_draw_rows_are_single_draws(self):
+        gen = RngStream(8).generator()
+        d = 4
+        spec = GaussianSpec(gen.standard_normal(d),
+                            UnconstrainedChol(gen.standard_normal(tril_size(d)), d))
+        EPS = gen.standard_normal((6, d))
+        X, logqs, L = mvn_draw_batch(spec, EPS)
+        assert np.array_equal(L, tril_map(spec.chol))
+        for eps, x, logq in zip(EPS, X, logqs):
+            assert np.allclose(x, spec.mean + L @ eps, rtol=0, atol=1e-12)
+            assert logq == pytest.approx(mvn_logpdf(spec, x), abs=1e-10)
+
     def test_dimension_mismatch(self):
         spec = GaussianSpec(np.zeros(2), UnconstrainedChol(np.zeros(3), 2))
         with pytest.raises(MalformedParamsError):
@@ -186,9 +198,29 @@ class TestMvn:
         spec = GaussianSpec(gen.standard_normal(d),
                             UnconstrainedChol(gen.standard_normal(tril_size(d)), d))
         g = RngStream(7).generator()
-        neg_logq = np.empty(20_000)
-        for k in range(neg_logq.size):
-            _, logq, _ = mvn_draw(spec, g.standard_normal(d))
-            neg_logq[k] = -logq
+        neg_logq = -mvn_draw_batch(spec, g.standard_normal((20_000, d)))[1]
         se = neg_logq.std() / np.sqrt(neg_logq.size)
         assert abs(neg_logq.mean() - gaussian_entropy(spec)) < 3 * se
+
+
+class TestTrilSolve:
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_matches_dense_solve(self, trans):
+        gen = RngStream(9).generator()
+        M, B, d = 3, 4, 5
+        L = np.tril(gen.standard_normal((M, d, d)))
+        L[:, np.arange(d), np.arange(d)] = np.abs(L[:, np.arange(d), np.arange(d)]) + 0.5
+        R = gen.standard_normal((M, B, d))
+        T = tril_solve(L, R, trans=trans)
+        for m in range(M):
+            A = L[m].T if trans else L[m]
+            assert np.allclose(T[m], np.linalg.solve(A, R[m].T).T, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_row_alone_equals_row_in_batch(self, trans):
+        gen = RngStream(10).generator()
+        L = np.tril(gen.standard_normal((2, 4, 4))) + 3.0 * np.eye(4)
+        R = gen.standard_normal((2, 7, 4))
+        T = tril_solve(L, R, trans=trans)
+        for j in range(R.shape[1]):
+            assert np.array_equal(tril_solve(L, R[:, j:j + 1], trans=trans)[:, 0], T[:, j])

@@ -44,8 +44,8 @@ def _grad_one(m, theta, z, d):
 class TestSyntheticModel:
     def test_prior_at_zero(self):
         m = synthetic_model(2)
-        assert m.log_prior(np.zeros(2)) == pytest.approx(-1.837877, abs=1e-6)
-        assert m.log_prior(np.zeros(2)) == pytest.approx(-LOG_2PI)
+        assert m.log_prior(np.zeros((1, 2)))[0] == pytest.approx(-1.837877, abs=1e-6)
+        assert m.log_prior(np.zeros((1, 2)))[0] == pytest.approx(-LOG_2PI)
 
     def test_branch_at_zero(self):
         m = synthetic_model(1)
@@ -65,8 +65,22 @@ class TestSyntheticModel:
         fd_z = _fd_grads(lambda u: m.log_branch(theta, u, d), z)
         assert np.allclose(gt, fd_t, rtol=1e-5, atol=1e-8)
         assert np.allclose(gz, fd_z, rtol=1e-5, atol=1e-8)
-        vp, gp = m.log_prior_grad(theta)
-        assert np.allclose(gp, _fd_grads(m.log_prior, theta), rtol=1e-5, atol=1e-8)
+        vp, gp = m.log_prior_grad(theta[None])
+        fd_p = _fd_grads(lambda t: m.log_prior(t[None])[0], theta)
+        assert np.allclose(gp[0], fd_p, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("make", [synthetic_model, preference_model])
+    def test_prior_is_batched_over_copies(self, make):
+        m = make(2)
+        THETA = RngStream(12).generator().standard_normal((5, m.global_dim))
+        vals, grads = m.log_prior_grad(THETA)
+        assert vals.shape == (5,) and grads.shape == THETA.shape
+        assert np.array_equal(vals, m.log_prior(THETA))
+        for j, theta in enumerate(THETA):
+            assert np.array_equal(m.log_prior(theta[None])[0], vals[j])
+            want = -0.5 * float(theta @ theta) - 0.5 * m.global_dim * LOG_2PI
+            assert vals[j] == pytest.approx(want, rel=1e-14)
+            assert np.array_equal(grads[j], -theta)
 
     def test_log_obs_plus_local_prior_is_log_branch(self):
         gen = RngStream(11).generator()
