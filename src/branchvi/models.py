@@ -12,9 +12,9 @@ observations (a ``BranchBatch``),
     log_obs_vals(THETA, Z, obs)           log p(y_i | theta, z_i, x_i)      (M, B)
 
 Entry (m, j) depends only on copy m's theta, z_j and branch j's rows, and
-is bitwise the same whatever else the batch holds; a prior entry depends
-only on its own copy. ``HbdModel.log_branch``
-and ``HbdModel.log_obs`` are the single-branch (M = B = 1) forms.
+is bitwise the same whatever else the batch holds; prior entry m depends
+only on copy m. ``HbdModel.log_branch`` and ``HbdModel.log_obs`` are the
+single-branch (M = B = 1) forms.
 Estimators only ever touch this surface.
 """
 
