@@ -8,7 +8,7 @@ grow with the data. Everything runs on plain numpy with hand-written
 reparameterized gradients.
 """
 
-from .data import BranchBatch, BranchData, BranchDataset, SplitDataset
+from .data import BranchBatch, BranchDataset, SplitDataset
 from .estimators import (
     ElboEstimate,
     MinibatchSampler,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchBatch",
-    "BranchData",
     "BranchDataset",
     "BranchParams",
     "ElboEstimate",

@@ -4,9 +4,9 @@ Pipeline per branch: a feature MLP embeds each (x_ij, y_ij) pair, the
 embeddings and their elementwise squares are mean-pooled over observations
 (order-invariant by construction) and concatenated, and a parameter MLP
 maps the pooled vector to the raw local parameter vector: one row of the
-packed local layout, which unpacks into LocalParams. The net runs over a whole batch of branches at once (one
-feature-MLP pass over the stacked observation rows, one param-MLP pass over
-the pooled rows); the one-branch forms are its B = 1 case. Forward and
+packed local layout, which unpacks into LocalParams. The net runs over a
+whole batch of branches at once (one feature-MLP pass over the stacked
+observation rows, one param-MLP pass over the pooled rows). Forward and
 backward passes are written out by hand; the tape carries exactly the
 activations the backward pass needs.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BranchBatch, BranchData, BranchDataset
+from .data import BranchBatch, BranchDataset
 from .errors import InvalidDataError, MalformedParamsError
 from .families import (
     factor_from_tree,
@@ -31,7 +31,6 @@ from .families import (
     factor_tree,
     init_branch,
     local_param_size,
-    unpack_local,
 )
 from .rng import RngStream
 
@@ -256,20 +255,6 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
     g_E += gq[:, :K][tape.obs.seg]
     gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E, input_grad=False)
     return _layer_tree(gW_f, gb_f, gW_p, gb_p)
-
-
-def net_forward(net: AmortNet, d: BranchData):
-    """One branch's LocalParams and tape: net_forward_batch with B = 1."""
-    if d.n == 0:
-        raise InvalidDataError("cannot amortize an empty branch")
-    rows, tape = net_forward_batch(net, BranchBatch(d.x, d.y, np.array([d.n])), [0])
-    w = unpack_local(rows[0], net.structure, net.global_dim, net.local_dim, net.gamma)
-    return w, tape
-
-
-def net_backward(net: AmortNet, tape: NetTape, g_raw: np.ndarray) -> dict:
-    """net_backward_batch for one branch's gradient row g_raw (P_w,)."""
-    return net_backward_batch(net, tape, g_raw[None, :])
 
 
 # Observation rows per chunk of ``net_rows``: bounds a no-grad forward's

@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import sys
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .amortize import AmortNet, AmortParams, MlpWeights, amort_to_tree, init_amortized
+from .amortize import AmortNet, AmortParams, MlpWeights, init_amortized
 from .checks import run_checks
-from .data import BranchData, BranchDataset, SplitDataset, load_dataset, save_dataset, split
+from .data import BranchDataset, SplitDataset, load_dataset, save_dataset, split
 from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
                      NonFiniteGradientError)
 from .families import (
@@ -45,7 +44,6 @@ from .models import (
     PreferenceConfig,
     SyntheticConfig,
     preference_forward_sample,
-    preference_global_dim,
     preference_model,
     synthetic_forward_sample,
     synthetic_model,
@@ -389,7 +387,6 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"error: --iters must be >= 1 to train, got {cfg.iters}", file=sys.stderr)
         return 2
     data = load_dataset(cfg.data)
-    _check_batch_size(cfg, data.n_branches)
     model = build_model(cfg, data)
     os.makedirs(cfg.out_dir, exist_ok=True)
     start_iter, ema, adam = 0, None, None
@@ -428,18 +425,6 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_batch_size(cfg: RunConfig, n_branches: int) -> None:
-    """--batch-size against the dataset's N: 0 (full batch) to N, or 0 or N
-    for a joint family, which has no subsampled estimator."""
-    B, N = cfg.batch_size, n_branches
-    if cfg.family == "joint" and B not in (0, N):
-        raise InvalidDataError(f"joint families cannot be subsampled; --batch-size must be "
-                               f"0 (full) or the dataset's {N} branches, got {B}")
-    if B > N:
-        raise InvalidDataError(f"--batch-size must be in [0, {N}] (the dataset's branches), "
-                               f"got {B}")
-
-
 def _check_resume(path, params, cfg: RunConfig, model: HbdModel,
                   data: BranchDataset) -> None:
     """Reject a checkpoint whose family or dims do not fit this run."""
@@ -472,9 +457,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     if base.endswith("_train") and os.path.exists(test_path + ".meta"):
         test_data = load_dataset(test_path)
     else:
-        empty = [BranchData(np.zeros((0, train_data.covariate_dim)), np.zeros(0))
-                 for _ in range(train_data.n_branches)]
-        test_data = BranchDataset(empty, train_data.covariate_dim,
+        test_data = BranchDataset(np.zeros((0, train_data.covariate_dim)), np.zeros(0),
+                                  np.zeros(train_data.n_branches, dtype=np.int64),
                                   train_data.has_covariates)
     split_ds = SplitDataset(train_data, test_data)
     model = build_model(cfg, train_data)

@@ -2,7 +2,8 @@
 
 A dataset is a ragged collection of branches; branch i holds n_i
 (covariate, observation) pairs. Covariates are optional (width-0 rows for
-models without them).
+models without them). In memory a dataset is held once, in columns: the
+rows of every branch in branch order, plus the per-branch row counts.
 
 On-disk container (documented bit-exactly in the README):
   <path>.meta  text sidecar: "branches", "covariate_dim", "has_covariates"
@@ -16,82 +17,12 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidDataError
 from .rng import RngStream
-
-
-@dataclass
-class BranchData:
-    """Per-branch covariates x (n, x_dim) and observations y (n,)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim != 2:
-            raise InvalidDataError("x must be 2-d (n, covariate_dim)")
-        if self.y.shape != (self.x.shape[0],):
-            raise InvalidDataError(
-                f"x has {self.x.shape[0]} rows but y has shape {self.y.shape}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass
-class BranchDataset:
-    branches: list
-    covariate_dim: int
-    has_covariates: bool = True
-
-    def __post_init__(self):
-        for b in self.branches:
-            if b.x.shape[1] != self.covariate_dim:
-                raise InvalidDataError(
-                    f"branch covariate dim {b.x.shape[1]} != dataset dim {self.covariate_dim}"
-                )
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.branches)
-
-    @property
-    def n_obs(self) -> int:
-        return sum(b.n for b in self.branches)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """(N,) observation rows per branch."""
-        return self._all.counts
-
-    @cached_property
-    def _all(self) -> "BranchBatch":
-        # Built on first use; the branches are not expected to change afterwards.
-        x = np.zeros((0, self.covariate_dim))
-        y = np.zeros(0)
-        if self.branches:
-            x = np.concatenate([b.x for b in self.branches])
-            y = np.concatenate([b.y for b in self.branches])
-        return BranchBatch(x, y, np.array([b.n for b in self.branches], dtype=np.int64))
-
-    def batch(self, idx) -> "BranchBatch":
-        """The observations of branches ``idx``, concatenated in that order."""
-        full = self._all
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == self.n_branches and np.array_equal(idx, np.arange(idx.size)):
-            return full
-        counts = full.counts[idx]
-        shift = full.starts[idx] - (np.cumsum(counts) - counts)
-        rows = np.repeat(shift, counts) + np.arange(int(counts.sum()))
-        return BranchBatch(full.x[rows], full.y[rows], counts)
 
 
 @dataclass
@@ -135,6 +66,69 @@ class BranchBatch:
 
 
 @dataclass
+class BranchDataset(BranchBatch):
+    """A whole dataset, held once in columns: the batch of all its branches.
+
+    Branch i owns rows starts[i] : starts[i] + counts[i] of x and y.
+    """
+
+    has_covariates: bool = True
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.x.ndim != 2:
+            raise InvalidDataError("x must be 2-d (n, covariate_dim)")
+        if self.y.shape != (self.x.shape[0],):
+            raise InvalidDataError(
+                f"x has {self.x.shape[0]} rows but y has shape {self.y.shape}")
+        if self.counts.ndim != 1 or (self.counts < 0).any():
+            raise InvalidDataError("counts must be a 1-d array of non-negative row counts")
+        if int(self.counts.sum()) != self.x.shape[0]:
+            raise InvalidDataError(
+                f"counts sum to {int(self.counts.sum())} rows but x has {self.x.shape[0]}")
+        super().__post_init__()
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def n_obs(self) -> int:
+        return self.y.size
+
+    def batch(self, idx) -> BranchBatch:
+        """The observations of branches ``idx``, concatenated in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size == self.n_branches and np.array_equal(idx, np.arange(idx.size)):
+            return self
+        counts = self.counts[idx]
+        shift = self.starts[idx] - (np.cumsum(counts) - counts)
+        rows = np.repeat(shift, counts) + np.arange(int(counts.sum()))
+        return BranchBatch(self.x[rows], self.y[rows], counts)
+
+
+def from_branches(branches, covariate_dim: int, has_covariates: bool = True) -> BranchDataset:
+    """A dataset from per-branch (x (n_i, covariate_dim), y (n_i,)) pairs."""
+    xs, ys = [], []
+    for i, (x, y) in enumerate(branches):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or x.shape[1] != covariate_dim:
+            raise InvalidDataError(
+                f"branch {i}: x has shape {x.shape}, want (n, {covariate_dim})")
+        if y.shape != (x.shape[0],):
+            raise InvalidDataError(
+                f"branch {i}: x has {x.shape[0]} rows but y has shape {y.shape}")
+        xs.append(x)
+        ys.append(y)
+    counts = np.array([y.size for y in ys], dtype=np.int64)
+    return BranchDataset(np.concatenate([np.zeros((0, covariate_dim)), *xs]),
+                         np.concatenate([np.zeros(0), *ys]), counts, has_covariates)
+
+
+@dataclass
 class SplitDataset:
     """Train/test parts aligned by branch index; test branches may be empty."""
 
@@ -144,6 +138,10 @@ class SplitDataset:
     def __post_init__(self):
         if self.train.n_branches != self.test.n_branches:
             raise InvalidDataError("train and test must have identical branch counts")
+        for name in ("covariate_dim", "has_covariates"):
+            a, b = getattr(self.train, name), getattr(self.test, name)
+            if a != b:
+                raise InvalidDataError(f"train and test differ in {name}: {a} vs {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +214,14 @@ def preprocess(table: RatingsTable, max_ratings_per_user: int, threshold: float)
     to 0. Branch order is sorted by user id so the result does not depend on
     row order in the file.
     """
-    by_user: dict = {}
-    for idx, uid in enumerate(table.user_ids):
-        by_user.setdefault(uid, []).append(idx)
-    branches = []
-    for uid in sorted(by_user):
-        rows = by_user[uid]
-        if len(rows) > max_ratings_per_user:
-            continue
-        x = table.features[rows]
-        y = (table.ratings[rows] > threshold).astype(float)
-        branches.append(BranchData(x, y))
-    return BranchDataset(branches, table.feature_dim, has_covariates=True)
+    rank = {uid: r for r, uid in enumerate(sorted(set(table.user_ids)))}
+    user = np.array([rank[uid] for uid in table.user_ids], dtype=np.int64)
+    counts = np.bincount(user, minlength=len(rank))
+    keep = counts <= max_ratings_per_user
+    order = np.argsort(user, kind="stable")      # by user, then file order
+    order = order[keep[user[order]]]
+    y = (table.ratings[order] > threshold).astype(float)
+    return BranchDataset(table.features[order], y, counts[keep], has_covariates=True)
 
 
 def pca_features(table: RatingsTable, k: int) -> RatingsTable:
@@ -278,26 +272,17 @@ def split(ds: BranchDataset, test_fraction: float, rng: RngStream) -> SplitDatas
     """
     if not 0.0 <= test_fraction < 1.0:
         raise InvalidDataError("test_fraction must be in [0, 1)")
-    train_branches, test_branches = [], []
-    empty = np.zeros((0, ds.covariate_dim))
-    for i, b in enumerate(ds.branches):
-        n_test = int(np.floor(b.n * test_fraction + 0.5))
-        if b.n <= 1:
-            n_test = 0
-        n_test = min(n_test, b.n)
-        if n_test == 0:
-            train_branches.append(BranchData(b.x.copy(), b.y.copy()))
-            test_branches.append(BranchData(empty.copy(), np.zeros(0)))
-            continue
+    counts = ds.counts
+    n_test = np.minimum(np.floor(counts * test_fraction + 0.5).astype(np.int64), counts)
+    n_test[counts <= 1] = 0
+    test = np.zeros(ds.n_obs, dtype=bool)
+    for i in np.flatnonzero(n_test).tolist():
         gen = rng.child(i).generator()
-        chosen = np.sort(gen.choice(b.n, size=n_test, replace=False))
-        mask = np.zeros(b.n, dtype=bool)
-        mask[chosen] = True
-        train_branches.append(BranchData(b.x[~mask], b.y[~mask]))
-        test_branches.append(BranchData(b.x[mask], b.y[mask]))
+        chosen = gen.choice(int(counts[i]), size=int(n_test[i]), replace=False)
+        test[ds.starts[i] + chosen] = True
     return SplitDataset(
-        BranchDataset(train_branches, ds.covariate_dim, ds.has_covariates),
-        BranchDataset(test_branches, ds.covariate_dim, ds.has_covariates),
+        BranchDataset(ds.x[~test], ds.y[~test], counts - n_test, ds.has_covariates),
+        BranchDataset(ds.x[test], ds.y[test], n_test, ds.has_covariates),
     )
 
 
@@ -305,23 +290,41 @@ def split(ds: BranchDataset, test_fraction: float, rng: RngStream) -> SplitDatas
 # Binary container
 
 
+def _layout(counts: np.ndarray, cov_dim: int):
+    """Where the .bin file keeps each value, in 8-byte words: each branch's
+    count (N,), each covariate row's first word (n,) and each observation (n,).
+
+    Branch i's count word sits after i earlier counts and starts[i] earlier
+    rows of cov_dim + 1 words; its x block follows it, then its y block.
+    """
+    starts = np.cumsum(counts) - counts
+    count_at = np.arange(counts.size) + (cov_dim + 1) * starts
+    rows = np.arange(int(counts.sum()))
+    x_at = np.repeat(count_at + 1 - cov_dim * starts, counts) + cov_dim * rows
+    y_at = np.repeat(count_at + 1 + cov_dim * counts - starts, counts) + rows
+    return count_at, x_at, y_at
+
+
 def save_dataset(ds: BranchDataset, path: str) -> None:
     with open(f"{path}.meta", "w") as fh:
         fh.write(f"branches = {ds.n_branches}\n")
         fh.write(f"covariate_dim = {ds.covariate_dim}\n")
         fh.write(f"has_covariates = {int(ds.has_covariates)}\n")
+    count_at, x_at, y_at = _layout(ds.counts, ds.covariate_dim)
+    words = np.empty(ds.n_branches + ds.x.size + ds.y.size, dtype="<f8")
+    words.view("<i8")[count_at] = ds.counts
+    words[x_at[:, None] + np.arange(ds.covariate_dim)] = ds.x
+    words[y_at] = ds.y
     with open(f"{path}.bin", "wb") as fh:
-        for b in ds.branches:
-            fh.write(np.int64(b.n).astype("<i8").tobytes())
-            fh.write(np.ascontiguousarray(b.x, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b.y, dtype="<f8").tobytes())
+        fh.write(words.tobytes())
 
 
 def load_dataset(path: str) -> BranchDataset:
     """Read a dataset written by save_dataset.
 
-    The .bin file is read in one pass into one buffer, and each branch's x
-    and y are views into it, so loading holds the data once. A short read, a
+    One pass over the branch counts checks the layout; then x and y are
+    gathered from the file's words in one indexing step each, and the file
+    buffer is dropped, so the loaded data is held once. A short read, a
     negative count or bytes left after the last branch raise InvalidDataError
     naming the file and the byte offset.
     """
@@ -344,9 +347,9 @@ def load_dataset(path: str) -> BranchDataset:
     cov_dim = meta["covariate_dim"]
     bin_path = f"{path}.bin"
     with open(bin_path, "rb") as fh:
-        buf = np.fromfile(fh, dtype=np.uint8)  # writable, unlike bytes
+        buf = fh.read()
     end = len(buf)
-    branches = []
+    counts = []  # grows with the file, not with the .meta's claim
     off = 0
     for i in range(n_branches):
         if end - off < 8:
@@ -362,10 +365,16 @@ def load_dataset(path: str) -> BranchDataset:
             raise InvalidDataError(
                 f"{bin_path}: truncated at byte {end}: branch {i}'s {n} observations "
                 f"from byte {off} need {8 * n * (cov_dim + 1)} bytes")
-        xy = np.frombuffer(buf, "<f8", n * (cov_dim + 1), off)
+        counts.append(n)
         off += 8 * n * (cov_dim + 1)
-        branches.append(BranchData(xy[:n * cov_dim].reshape(n, cov_dim), xy[n * cov_dim:]))
     if off != end:
         raise InvalidDataError(
             f"{bin_path}: {end - off} trailing bytes after the last branch, at byte {off}")
-    return BranchDataset(branches, cov_dim, bool(meta.get("has_covariates", 1)))
+    counts = np.array(counts, dtype=np.int64)
+    words = np.frombuffer(buf, dtype="<f8")
+    _, x_at, y_at = _layout(counts, cov_dim)
+    # row r is words x_at[r] onwards; with no rows the file may be shorter than a row
+    x = sliding_window_view(words, cov_dim)[x_at] if x_at.size else np.zeros((0, cov_dim))
+    y = words[y_at]
+    del buf, words, x_at, y_at  # hold the data once
+    return BranchDataset(x, y, counts, bool(meta.get("has_covariates", 1)))

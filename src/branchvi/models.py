@@ -13,9 +13,7 @@ observations (a ``BranchBatch``),
 
 Entry (m, j) depends only on copy m's theta, z_j and branch j's rows, and
 is bitwise the same whatever else the batch holds; prior entry m depends
-only on copy m. ``HbdModel.log_branch`` and ``HbdModel.log_obs`` are the
-single-branch (M = B = 1) forms.
-Estimators only ever touch this surface.
+only on copy m. Estimators only ever touch this surface.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BranchBatch, BranchData, BranchDataset
+from .data import BranchBatch, BranchDataset, from_branches
 from .errors import InvalidDataError
 from .gaussmath import (
     LOG_2PI,
@@ -55,20 +53,6 @@ class HbdModel:
     log_branch_vals: Callable       # (THETA, Z, BranchBatch) -> (M, B)
     log_branch_grad: Callable       # (THETA, Z, BranchBatch) -> (vals, g_theta, g_z)
     log_obs_vals: Callable          # (THETA, Z, BranchBatch) -> (M, B)
-
-    def log_branch(self, theta, z, d: BranchData) -> float:
-        """log p(z, y | theta, x) of one branch."""
-        return _single(self.log_branch_vals, theta, z, d)
-
-    def log_obs(self, theta, z, d: BranchData) -> float:
-        """log p(y | theta, z, x) of one branch."""
-        return _single(self.log_obs_vals, theta, z, d)
-
-
-def _single(fn, theta, z, d: BranchData) -> float:
-    obs = BranchBatch(d.x, d.y, np.array([d.n]))
-    return float(fn(np.asarray(theta, dtype=float)[None],
-                    np.asarray(z, dtype=float)[None, None], obs)[0, 0])
 
 
 def _rows_dot(obs: BranchBatch, Z):
@@ -151,9 +135,8 @@ def synthetic_forward_sample(config: SyntheticConfig, rng: RngStream):
         x = gen.standard_normal((n_i, D))
         y = x @ z + gen.standard_normal(n_i)
         zs[i] = z
-        branches.append(BranchData(x, y))
-    dataset = BranchDataset(branches, D, has_covariates=True)
-    return dataset, SyntheticLatents(theta, zs)
+        branches.append((x, y))
+    return from_branches(branches, D), SyntheticLatents(theta, zs)
 
 
 @dataclass
@@ -177,10 +160,9 @@ def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
                      + lin' prec^{-1} lin / 2 - log|prec| / 2
     Cost O(sum n_i D^2 + N D^3); branches with no rows contribute nothing.
     """
-    obs = data.batch(np.arange(data.n_branches))
     eye = np.eye(data.covariate_dim)
-    G = obs.segment_sum(obs.xt[:, None, :] * obs.xt[None, :, :]).transpose(2, 0, 1)
-    b = obs.segment_sum(obs.xt * obs.y).T                      # (N, D)
+    G = data.segment_sum(data.xt[:, None, :] * data.xt[None, :, :]).transpose(2, 0, 1)
+    b = data.segment_sum(data.xt * data.y).T                      # (N, D)
     K = eye + G
     Kinv = np.linalg.inv(K)
     Kinv = 0.5 * (Kinv + Kinv.transpose(0, 2, 1))
@@ -195,8 +177,8 @@ def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
         return spec_from_moments(Kinv[i] @ (b[i] + theta), Kinv[i])
 
     log_marginal = float(
-        -0.5 * (obs.y @ obs.y - np.einsum("ni,ni->", b, Kinv_b))
-        - 0.5 * np.linalg.slogdet(K)[1].sum() - 0.5 * obs.y.size * LOG_2PI
+        -0.5 * (data.y @ data.y - np.einsum("ni,ni->", b, Kinv_b))
+        - 0.5 * np.linalg.slogdet(K)[1].sum() - 0.5 * data.y.size * LOG_2PI
         + 0.5 * lin @ posterior_global.mean - 0.5 * np.linalg.slogdet(prec)[1])
     return SyntheticOracle(posterior_global, posterior_local, log_marginal)
 
@@ -320,6 +302,5 @@ def preference_forward_sample(config: PreferenceConfig, rng: RngStream):
         x = gen.standard_normal((n_i, D))
         y = (gen.random(n_i) < _sigmoid(x @ z)).astype(float)
         zs[i] = z
-        branches.append(BranchData(x, y))
-    dataset = BranchDataset(branches, D, has_covariates=True)
-    return dataset, SyntheticLatents(theta, zs)
+        branches.append((x, y))
+    return from_branches(branches, D), SyntheticLatents(theta, zs)

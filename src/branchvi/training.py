@@ -17,7 +17,8 @@ import numpy as np
 
 from .amortize import AmortParams, amort_from_tree, amort_to_tree
 from .data import BranchDataset
-from .errors import EstimatorError, MalformedParamsError, NonFiniteGradientError
+from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
+                     NonFiniteGradientError)
 from .estimators import MinibatchSampler, amortized_elbo, joint_elbo, subsampled_branch_elbo
 from .families import (
     BranchParams,
@@ -75,8 +76,18 @@ class TrainResult:
 
 def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
                    batch_size: int, n_mc: int):
-    """Bind an estimator closure (params, rng) -> (estimate, grads)."""
+    """Bind an estimator closure (params, rng) -> (estimate, grads).
+
+    ``batch_size`` is 0 (the full batch) to N, or 0 or N for a joint family,
+    which has no subsampled estimator; anything else raises InvalidDataError.
+    """
     N = data.n_branches
+    if kind == "joint" and batch_size not in (0, N):
+        raise InvalidDataError(f"joint families cannot be subsampled; --batch-size must be "
+                               f"0 (full) or the dataset's {N} branches, got {batch_size}")
+    if batch_size > N:
+        raise InvalidDataError(f"--batch-size must be in [0, {N}] (the dataset's branches), "
+                               f"got {batch_size}")
     if kind == "joint":
         def run(params, rng):
             return joint_elbo(model, params, data, rng, n_mc)

@@ -15,12 +15,12 @@ from branchvi.amortize import (
     amort_from_tree,
     amort_to_tree,
     init_amortized,
-    net_backward,
-    net_forward,
+    net_backward_batch,
+    net_forward_batch,
     net_param_count,
     net_to_tree,
 )
-from branchvi.data import BranchData, BranchDataset, RatingsTable, preprocess, split
+from branchvi.data import RatingsTable, from_branches, preprocess, split
 from branchvi.estimators import (
     MinibatchSampler,
     amortized_elbo,
@@ -40,7 +40,6 @@ from branchvi.families import (
     joint_from_tree,
     joint_to_branch,
     joint_to_tree,
-    pack_local,
 )
 from branchvi.gaussmath import (
     GaussianSpec,
@@ -296,16 +295,15 @@ def test_criterion_6_gradient_integrity():
 
     # MLP forward/backward (1e-4)
     ap = init_amortized("dense", 1, 1, 1, RngStream(801), AmortArch((3, 3), (4, 4)))
-    b = BranchData(gen.standard_normal((2, 1)), gen.standard_normal(2))
+    b = from_branches([(gen.standard_normal((2, 1)), gen.standard_normal(2))], 1)
     upstream = gen.standard_normal(1 + 1 + 1)
-    _, tape = net_forward(ap.net, b)
-    net_grads = net_backward(ap.net, tape, upstream)
+    _, tape = net_forward_batch(ap.net, b, [0])
+    net_grads = net_backward_batch(ap.net, tape, upstream[None, :])
     tree = net_to_tree(ap.net)
     from branchvi.amortize import net_from_tree
 
     def net_value(t):
-        w, _ = net_forward(net_from_tree(ap.net, t), b)
-        return float(upstream @ pack_local(w))
+        return float(upstream @ net_forward_batch(net_from_tree(ap.net, t), b, [0])[0][0])
 
     for key in tree:
         for j in range(tree[key].size):
@@ -372,28 +370,28 @@ def test_criterion_7_permutation_size_invariance():
     t0 = time.perf_counter()
     gen = RngStream(900).generator()
     ap = init_amortized("dense", 2, 2, 2, RngStream(901), AmortArch((4, 4), (5, 5)))
-    b = BranchData(gen.standard_normal((9, 2)), gen.standard_normal(9))
-    w0, _ = net_forward(ap.net, b)
-    perm_ok = True
-    for _ in range(10):
-        p = gen.permutation(9)
-        w1, _ = net_forward(ap.net, BranchData(b.x[p], b.y[p]))
-        perm_ok &= (np.array_equal(w0.mu, w1.mu) and np.array_equal(w0.A, w1.A)
-                    and np.array_equal(w0.chol.raw, w1.chol.raw))
-    single = BranchData(b.x[:1], b.y[:1])
-    dup = BranchData(np.vstack([b.x[:1]] * 2), np.repeat(b.y[:1], 2))
-    ws, _ = net_forward(ap.net, single)
-    wd, _ = net_forward(ap.net, dup)
-    dup_ok = (np.array_equal(ws.mu, wd.mu) and np.array_equal(ws.A, wd.A)
-              and np.array_equal(ws.chol.raw, wd.chol.raw))
+    x, y = gen.standard_normal((9, 2)), gen.standard_normal(9)
+
+    def net_row(x, y):  # the packed locals the net emits for one branch
+        return net_forward_batch(ap.net, from_branches([(x, y)], 2), [0])[0][0]
+
+    w0 = net_row(x, y)
+    perms = [gen.permutation(9) for _ in range(10)]
+    perm_ok = all(np.array_equal(net_row(x[p], y[p]), w0) for p in perms)
+    dup_ok = np.array_equal(net_row(x[:1], y[:1]),
+                            net_row(np.vstack([x[:1]] * 2), np.repeat(y[:1], 2)))
 
     model = preference_model(3)
-    d = BranchData(gen.standard_normal((15, 3)), (gen.random(15) < 0.5).astype(float))
+    x, y = gen.standard_normal((15, 3)), (gen.random(15) < 0.5).astype(float)
     theta = gen.standard_normal(model.global_dim)
     z = gen.standard_normal(3)
-    base = model.log_branch(theta, z, d)
-    pref_ok = all(model.log_branch(theta, z,
-                                   BranchData(d.x[p], d.y[p])) == base
+
+    def pref_value(x, y):  # log p(z, y | theta, x) of one branch
+        return model.log_branch_vals(theta[None], z[None, None],
+                                     from_branches([(x, y)], 3))[0, 0]
+
+    base = pref_value(x, y)
+    pref_ok = all(pref_value(x[p], y[p]) == base
                   for p in (gen.permutation(15) for _ in range(10)))
     elapsed = time.perf_counter() - t0
     ok = perm_ok and dup_ok and pref_ok
@@ -427,10 +425,9 @@ def test_criterion_8_metrics_identities():
     gen = RngStream(1005).generator()
     from branchvi.data import SplitDataset
 
-    train_ds = BranchDataset([BranchData(gen.standard_normal((2, 1)),
-                                         np.array([0.0, 1.0])) for _ in range(2)], 1)
-    test_ds = BranchDataset([BranchData(np.zeros((4, 1)),
-                                        (gen.random(4) < 0.5).astype(float))
+    train_ds = from_branches([(gen.standard_normal((2, 1)), np.array([0.0, 1.0]))
+                              for _ in range(2)], 1)
+    test_ds = from_branches([(np.zeros((4, 1)), (gen.random(4) < 0.5).astype(float))
                              for _ in range(2)], 1)
     half = evaluate(pref, init_branch("dense", pref.global_dim, 1, 2),
                     SplitDataset(train_ds, test_ds), k=10, rng=RngStream(1006))
@@ -451,19 +448,18 @@ def test_criterion_9_preprocessing_fidelity():
                          np.array([3.0, 3.5, 5.0, 1.0, 4.0, 2.0]),
                          np.arange(12, dtype=float).reshape(6, 2))
     ds = preprocess(table, max_ratings_per_user=1000, threshold=3.0)
-    binarize_ok = (ds.branches[0].y.tolist() == [0.0, 1.0, 1.0]
-                   and ds.branches[1].y.tolist() == [0.0, 1.0]
-                   and ds.branches[2].y.tolist() == [0.0])
+    binarize_ok = (ds.counts.tolist() == [3, 2, 1]
+                   and ds.y.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
 
     heavy = preprocess(table, max_ratings_per_user=2, threshold=3.0)
     heavy_ok = heavy.n_branches == 2  # user "a" (3 ratings) dropped entirely
 
     gen = RngStream(1100).generator()
-    tenths = BranchDataset([BranchData(gen.standard_normal((10, 2)),
-                                       gen.standard_normal(10)) for _ in range(5)], 2)
+    tenths = from_branches([(gen.standard_normal((10, 2)), gen.standard_normal(10))
+                            for _ in range(5)], 2)
     parts = split(tenths, 0.1, RngStream(1101))
-    split_ok = all(te.n == 1 and tr.n == 9 for tr, te in
-                   zip(parts.train.branches, parts.test.branches))
+    split_ok = (parts.train.counts.tolist() == [9] * 5
+                and parts.test.counts.tolist() == [1] * 5)
 
     elapsed = time.perf_counter() - t0
     ok = binarize_ok and heavy_ok and split_ok

@@ -12,16 +12,14 @@ from branchvi.amortize import (
     MlpWeights,
     mlp_backward,
     mlp_forward,
-    net_backward,
     net_backward_batch,
-    net_forward,
     net_forward_batch,
     net_init,
     net_param_count,
     net_rows,
     net_to_tree,
 )
-from branchvi.data import BranchData, BranchDataset
+from branchvi.data import from_branches
 from branchvi.errors import InvalidDataError, MalformedParamsError
 from branchvi.families import local_param_size, pack_local, unpack_local
 from branchvi.rng import RngStream
@@ -32,30 +30,32 @@ TINY = AmortArch(feat_widths=(3, 3), param_widths=(4, 4), slope=0.01)
 
 def _branch(seed, n=5, x_dim=2):
     gen = RngStream(seed).generator()
-    return BranchData(gen.standard_normal((n, x_dim)), gen.standard_normal(n))
+    return gen.standard_normal((n, x_dim)), gen.standard_normal(n)
+
+
+def _row(net, x, y):
+    """The packed local row (P_w,) the net emits for one branch, and its tape."""
+    rows, tape = net_forward_batch(net, from_branches([(x, y)], x.shape[1]), [0])
+    return rows[0], tape
 
 
 class TestNetForward:
     def test_permutation_invariance_bitwise(self):
         net = net_init("dense", 2, 2, 2, RngStream(70), TINY)
-        b = _branch(71, n=7)
-        w0, _ = net_forward(net, b)
+        x, y = _branch(71, n=7)
+        w0, _ = _row(net, x, y)
         gen = RngStream(72).generator()
         for _ in range(5):
             perm = gen.permutation(7)
-            w1, _ = net_forward(net, BranchData(b.x[perm], b.y[perm]))
-            assert np.array_equal(w0.mu, w1.mu)
-            assert np.array_equal(w0.A, w1.A)
-            assert np.array_equal(w0.chol.raw, w1.chol.raw)
+            w1, _ = _row(net, x[perm], y[perm])
+            assert np.array_equal(w0, w1)
 
     def test_duplication_invariance(self):
         net = net_init("block", 1, 2, 2, RngStream(73), TINY)
-        b = _branch(74, n=1)
-        dup = BranchData(np.vstack([b.x, b.x]), np.concatenate([b.y, b.y]))
-        w1, _ = net_forward(net, b)
-        w2, _ = net_forward(net, dup)
-        assert np.array_equal(w1.mu, w2.mu)
-        assert np.array_equal(w1.chol.raw, w2.chol.raw)
+        x, y = _branch(74, n=1)
+        w1, _ = _row(net, x, y)
+        w2, _ = _row(net, np.vstack([x, x]), np.concatenate([y, y]))
+        assert np.array_equal(w1, w2)
 
     def test_zero_weights_emit_standard_normal(self):
         out_dim = local_param_size("dense", 2, 2)
@@ -66,24 +66,19 @@ class TestNetForward:
         from branchvi.amortize import AmortNet
 
         net = AmortNet(feat, param, "dense", 2, 2, 2)
-        w, _ = net_forward(net, _branch(75))
+        w = unpack_local(_row(net, *_branch(75))[0], "dense", 2, 2)
         assert np.all(w.mu == 0) and np.all(w.A == 0) and np.all(w.chol.raw == 0)
         from branchvi.gaussmath import tril_map
 
         assert np.allclose(tril_map(w.chol), np.eye(2))
 
-    def test_empty_branch_rejected(self):
-        net = net_init("diag", 1, 1, 1, RngStream(76), TINY)
-        with pytest.raises(InvalidDataError):
-            net_forward(net, BranchData(np.zeros((0, 1)), np.zeros(0)))
-
     def test_branches_processed_independently(self):
         net = net_init("diag", 1, 2, 2, RngStream(77), TINY)
         b1, b2 = _branch(78, n=3), _branch(79, n=6)
-        w_alone, _ = net_forward(net, b1)
-        net_forward(net, b2)  # interleaved work must not affect b1's output
-        w_again, _ = net_forward(net, b1)
-        assert np.array_equal(w_alone.mu, w_again.mu)
+        w_alone, _ = _row(net, *b1)
+        _row(net, *b2)  # interleaved work must not affect b1's output
+        w_again, _ = _row(net, *b1)
+        assert np.array_equal(w_alone, w_again)
 
 
 class TestNetBackward:
@@ -93,12 +88,10 @@ class TestNetBackward:
         upstream = RngStream(82).normal(local_param_size("dense", 1, 1))
 
         def value(n):
-            w, _ = net_forward(n, b)
-            raw = pack_local(w)
-            return float(upstream @ raw)
+            return float(upstream @ _row(n, *b)[0])
 
-        _, tape = net_forward(net, b)
-        grads = net_backward(net, tape, upstream)
+        _, tape = _row(net, *b)
+        grads = net_backward_batch(net, tape, upstream[None, :])
         tree = net_to_tree(net)
         h = 1e-6
         from branchvi.amortize import net_from_tree
@@ -115,19 +108,18 @@ class TestNetBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         net = net_init("dense", 1, 1, 1, RngStream(83), TINY)
-        _, tape = net_forward(net, _branch(84, n=3, x_dim=1))
-        grads = net_backward(net, tape, np.zeros(local_param_size("dense", 1, 1)))
+        _, tape = _row(net, *_branch(84, n=3, x_dim=1))
+        grads = net_backward_batch(net, tape, np.zeros((1, local_param_size("dense", 1, 1))))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_duplicated_observation_gradient_matches_single(self):
         net = net_init("block", 1, 1, 1, RngStream(85), TINY)
-        b = _branch(86, n=1, x_dim=1)
-        dup = BranchData(np.vstack([b.x, b.x]), np.concatenate([b.y, b.y]))
-        upstream = RngStream(87).normal(local_param_size("block", 1, 1))
-        _, tape1 = net_forward(net, b)
-        _, tape2 = net_forward(net, dup)
-        g1 = net_backward(net, tape1, upstream)
-        g2 = net_backward(net, tape2, upstream)
+        x, y = _branch(86, n=1, x_dim=1)
+        upstream = RngStream(87).normal((1, local_param_size("block", 1, 1)))
+        _, tape1 = _row(net, x, y)
+        _, tape2 = _row(net, np.vstack([x, x]), np.concatenate([y, y]))
+        g1 = net_backward_batch(net, tape1, upstream)
+        g2 = net_backward_batch(net, tape2, upstream)
         for key in g1:
             assert np.allclose(g1[key], g2[key], atol=1e-12), key
 
@@ -153,7 +145,7 @@ class TestNetBackward:
 
 def _ragged(seed, x_dim=2):
     """Branches with n_i = 1 and n_i >= 50 among them."""
-    return BranchDataset([_branch(seed + k, n=n, x_dim=x_dim)
+    return from_branches([_branch(seed + k, n=n, x_dim=x_dim)
                           for k, n in enumerate((1, 57, 4, 1, 50, 9))], x_dim)
 
 
@@ -166,7 +158,8 @@ class TestBatchedNet:
         order = np.array([4, 0, 5, 2, 1, 3])
         rows_perm, _ = net_forward_batch(net, data.batch(order), order)
         for i in idx:
-            alone = pack_local(net_forward(net, data.branches[i])[0])
+            part = data.batch([i])
+            alone = _row(net, part.x, part.y)[0]
             assert np.array_equal(rows[i], alone), i
             assert np.array_equal(rows_perm[np.flatnonzero(order == i)[0]], alone), i
             assert np.array_equal(net_forward_batch(net, data.batch([i]), [i])[0][0], alone), i
@@ -189,7 +182,8 @@ class TestBatchedNet:
         batched = net_backward_batch(net, tape, G)
         summed = None
         for i in idx:
-            g = net_backward(net, net_forward(net, data.branches[i])[1], G[i])
+            part = data.batch([i])
+            g = net_backward_batch(net, _row(net, part.x, part.y)[1], G[i:i + 1])
             summed = g if summed is None else {k: summed[k] + g[k] for k in g}
         for key in summed:
             scale = max(np.max(np.abs(summed[key])), 1e-300)
@@ -197,7 +191,7 @@ class TestBatchedNet:
 
     def test_backward_matches_central_differences(self):
         net = net_init("dense", 1, 1, 1, RngStream(167), TINY)
-        data = BranchDataset([_branch(168, n=1, x_dim=1), _branch(169, n=3, x_dim=1)], 1)
+        data = from_branches([_branch(168, n=1, x_dim=1), _branch(169, n=3, x_dim=1)], 1)
         idx = [1, 0]
         obs = data.batch(idx)
         G = RngStream(170).normal((2, local_param_size("dense", 1, 1)))
@@ -221,8 +215,7 @@ class TestBatchedNet:
 
     def test_empty_branch_in_batch_names_it(self):
         net = net_init("diag", 1, 1, 1, RngStream(171), TINY)
-        data = BranchDataset([_branch(172, n=2, x_dim=1), BranchData(np.zeros((0, 1)),
-                                                                     np.zeros(0))], 1)
+        data = from_branches([_branch(172, n=2, x_dim=1), (np.zeros((0, 1)), np.zeros(0))], 1)
         with pytest.raises(InvalidDataError, match="empty branch.*branch 1"):
             net_forward_batch(net, data.batch([0, 1]), [0, 1])
         with pytest.raises(InvalidDataError, match="empty branch.*branch 1"):
@@ -293,9 +286,7 @@ class TestNetInit:
         net = net_init("dense", 2, 2, 2, RngStream(90))
         gen = RngStream(91).generator()
         for _ in range(10):
-            b = BranchData(gen.standard_normal((8, 2)), gen.standard_normal(8))
-            w, _ = net_forward(net, b)
-            raw = pack_local(w)
+            raw, _ = _row(net, gen.standard_normal((8, 2)), gen.standard_normal(8))
             assert np.max(np.abs(raw)) < 0.05
 
     def test_same_seed_identical(self):

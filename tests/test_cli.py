@@ -69,7 +69,7 @@ class TestGenerate:
         train = load_dataset(str(out / "data_train"))
         test = load_dataset(str(out / "data_test"))
         assert train.n_branches == test.n_branches == 3
-        assert all(b.n == 1 for b in test.branches)
+        assert test.counts.tolist() == [1, 1, 1]
         assert not (out / "oracle.txt").exists()
 
 
@@ -192,6 +192,34 @@ class TestTrainEval:
         assert rc == 0
         blob = json.loads((eval_dir / "report.json").read_text())
         assert blob["n_test"] == load_dataset(str(gen_dir / "data_test")).n_obs > 0
+
+
+@pytest.mark.parametrize("swap", ["covariate_dim", "has_covariates"])
+def test_eval_rejects_test_data_that_does_not_match_train(tmp_path, capsys, swap):
+    # A data_test.* from another run beside data_train.* must not be scored.
+    gen = tmp_path / "gen"
+    assert _run("generate", "--dim", "1", "--branches", "4", "--test-fraction", "0.2",
+                "--seed", "5", "--out-dir", str(gen)) == 0
+    if swap == "covariate_dim":
+        other = tmp_path / "other"
+        assert _run("generate", "--dim", "2", "--branches", "4", "--test-fraction", "0.2",
+                    "--seed", "5", "--out-dir", str(other)) == 0
+        for ext in ("bin", "meta"):
+            (gen / f"data_test.{ext}").write_bytes((other / f"data_test.{ext}").read_bytes())
+        needle = "train and test differ in covariate_dim: 1 vs 2"
+    else:
+        meta = gen / "data_test.meta"
+        meta.write_text(meta.read_text().replace("has_covariates = 1", "has_covariates = 0"))
+        needle = "train and test differ in has_covariates: True vs False"
+    assert _run("train", "--dim", "1", "--data", str(gen / "data_train"), "--iters", "3",
+                "--n-mc", "2", "--out-dir", str(tmp_path / "t")) == 0
+    capsys.readouterr()
+    rc = _run("eval", "--dim", "1", "--data", str(gen / "data_train"),
+              "--checkpoint", str(tmp_path / "t" / "checkpoint.nt"), "--k-samples", "5",
+              "--out-dir", str(tmp_path / "e"))
+    err = capsys.readouterr().err
+    assert rc == 2 and needle in err and "Traceback" not in err
+    assert not (tmp_path / "e" / "report.json").exists()
 
 
 class TestBatchSizeAgainstData:
@@ -519,7 +547,7 @@ class TestPaperShapeConfig:
         data = load_dataset(str(out / "data"))
         assert data.n_branches == 10
         assert data.covariate_dim == 10
-        assert all(b.n == 100 for b in data.branches)
+        assert data.counts.tolist() == [100] * 10
         assert (out / "oracle.txt").exists()
 
 

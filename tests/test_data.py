@@ -1,12 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchvi.data import (
-    BranchData,
     BranchDataset,
     RatingsTable,
+    from_branches,
     load_dataset,
     load_ratings,
     pca_features,
@@ -64,34 +66,41 @@ class TestPreprocess:
     def test_binarization_boundary(self):
         ds = preprocess(self._table(["u"] * 3, [3.0, 3.5, 5.0]),
                         max_ratings_per_user=10, threshold=3.0)
-        assert ds.branches[0].y.tolist() == [0.0, 1.0, 1.0]
+        assert ds.y.tolist() == [0.0, 1.0, 1.0]
 
     def test_exactly_three_maps_to_zero(self):
         ds = preprocess(self._table(["u"], [3.0]), 10, 3.0)
-        assert ds.branches[0].y.tolist() == [0.0]
+        assert ds.y.tolist() == [0.0]
 
     def test_heavy_user_dropped_entirely(self):
         users = ["a"] * 3 + ["b"] * 2
         ds = preprocess(self._table(users, [4, 4, 4, 4, 4]),
                         max_ratings_per_user=2, threshold=3.0)
-        assert ds.n_branches == 1
-        assert ds.branches[0].n == 2  # only user b survives
+        assert ds.counts.tolist() == [2]  # only user b survives
+        assert np.array_equal(ds.x, np.arange(6.0, 10.0).reshape(2, 2))
 
     def test_idempotent_on_binary_data(self):
         table = self._table(["a", "a", "b"], [1.0, 0.0, 1.0])
         once = preprocess(table, 10, 0.5)
         again_table = RatingsTable(["a", "a", "b"], ["x", "y", "z"],
-                                   np.concatenate([b.y for b in once.branches]),
-                                   table.features)
+                                   once.y, table.features)
         twice = preprocess(again_table, 10, 0.5)
-        for b1, b2 in zip(once.branches, twice.branches):
-            assert np.array_equal(b1.y, b2.y)
+        assert np.array_equal(once.counts, twice.counts)
+        assert np.array_equal(once.y, twice.y)
 
     def test_branch_order_independent_of_row_order(self):
         t1 = self._table(["b", "a"], [4.0, 1.0])
         ds = preprocess(t1, 10, 3.0)
         assert ds.n_branches == 2
-        assert ds.branches[0].y.tolist() == [0.0]  # user "a" sorts first
+        assert ds.y.tolist() == [0.0, 1.0]  # user "a" sorts first
+        assert ds.x.tolist() == [[2.0, 3.0], [0.0, 1.0]]
+
+    def test_rows_grouped_by_sorted_user_in_file_order(self):
+        users = ["c", "a", "b", "a", "c", "b", "a"]
+        ds = preprocess(self._table(users, [4.0, 1.0, 4.0, 4.0, 1.0, 1.0, 4.0]), 10, 3.0)
+        assert ds.counts.tolist() == [3, 2, 2]
+        assert ds.x[:, 0].tolist() == [2.0, 6.0, 12.0, 4.0, 10.0, 0.0, 8.0]
+        assert ds.y.tolist() == [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0]
 
 
 class TestPca:
@@ -147,41 +156,53 @@ class TestPca:
 class TestSplit:
     def _dataset(self, sizes, seed=404, dim=2):
         gen = RngStream(seed).generator()
-        return BranchDataset([BranchData(gen.standard_normal((n, dim)),
-                                         gen.standard_normal(n)) for n in sizes], dim)
+        return from_branches([(gen.standard_normal((n, dim)), gen.standard_normal(n))
+                              for n in sizes], dim)
 
     def test_one_tenth(self):
         ds = self._dataset([10, 10])
         parts = split(ds, 0.1, RngStream(405))
-        for tr, te in zip(parts.train.branches, parts.test.branches):
-            assert te.n == 1 and tr.n == 9
+        assert parts.train.counts.tolist() == [9, 9]
+        assert parts.test.counts.tolist() == [1, 1]
 
     def test_zero_fraction(self):
         ds = self._dataset([3, 5])
         parts = split(ds, 0.0, RngStream(406))
-        assert all(b.n == 0 for b in parts.test.branches)
+        assert parts.test.counts.tolist() == [0, 0]
 
     def test_single_observation_stays_in_train(self):
         ds = self._dataset([1, 8])
         parts = split(ds, 0.5, RngStream(407))
-        assert parts.train.branches[0].n == 1
-        assert parts.test.branches[0].n == 0
-        assert parts.test.branches[1].n == 4
+        assert parts.train.counts.tolist() == [1, 4]
+        assert parts.test.counts.tolist() == [0, 4]
 
     def test_union_is_original_multiset(self):
         ds = self._dataset([7, 4, 9])
         parts = split(ds, 0.3, RngStream(408))
-        for orig, tr, te in zip(ds.branches, parts.train.branches, parts.test.branches):
+        for i in range(ds.n_branches):
+            tr, te, orig = parts.train.batch([i]), parts.test.batch([i]), ds.batch([i])
             rows = np.vstack([np.column_stack([tr.x, tr.y]),
                               np.column_stack([te.x, te.y])])
             orig_rows = np.column_stack([orig.x, orig.y])
             assert np.array_equal(
                 rows[np.lexsort(rows.T)], orig_rows[np.lexsort(orig_rows.T)])
 
+    def test_each_branch_draws_from_its_own_child_stream(self):
+        # Branch i's test rows are rng.child(i)'s choice among its rows, kept
+        # in their original order, whatever the other branches hold.
+        ds = self._dataset([7, 1, 9])
+        parts = split(ds, 0.3, RngStream(408))
+        for i, n_test in ((0, 2), (2, 3)):
+            chosen = np.sort(RngStream(408).child(i).generator().choice(
+                ds.counts[i], size=n_test, replace=False))
+            assert np.array_equal(parts.test.batch([i]).y, ds.batch([i]).y[chosen])
+            kept = np.setdiff1d(np.arange(ds.counts[i]), chosen)
+            assert np.array_equal(parts.train.batch([i]).x, ds.batch([i]).x[kept])
+
     def test_round_half_up(self):
         ds = self._dataset([5])
         parts = split(ds, 0.1, RngStream(409))  # 0.5 rounds to 1
-        assert parts.test.branches[0].n == 1
+        assert parts.test.counts.tolist() == [1]
 
     def test_invalid_fraction(self):
         with pytest.raises(InvalidDataError):
@@ -195,40 +216,87 @@ class TestContainer:
     def test_roundtrip_bitwise(self, tmp_path_factory, sizes, dim):
         tmp = tmp_path_factory.mktemp("container")
         gen = RngStream(sum(sizes) * 7 + dim).generator()
-        ds = BranchDataset([BranchData(gen.standard_normal((n, dim)),
-                                       gen.standard_normal(n)) for n in sizes], dim)
+        ds = from_branches([(gen.standard_normal((n, dim)), gen.standard_normal(n))
+                            for n in sizes], dim)
         save_dataset(ds, str(tmp / "ds"))
         back = load_dataset(str(tmp / "ds"))
         assert back.n_branches == ds.n_branches
         assert back.covariate_dim == dim
-        for a, b in zip(ds.branches, back.branches):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
+        assert np.array_equal(back.counts, ds.counts)
+        assert np.array_equal(back.x, ds.x)
+        assert np.array_equal(back.y, ds.y)
 
     def test_empty_test_branch_roundtrip(self, tmp_path):
-        ds = BranchDataset([BranchData(np.zeros((0, 2)), np.zeros(0)),
-                            BranchData(np.ones((2, 2)), np.ones(2))], 2)
+        ds = from_branches([(np.zeros((0, 2)), np.zeros(0)), (np.ones((2, 2)), np.ones(2))], 2)
         save_dataset(ds, str(tmp_path / "ds"))
         back = load_dataset(str(tmp_path / "ds"))
-        assert back.branches[0].n == 0 and back.branches[1].n == 2
+        assert back.counts.tolist() == [0, 2]
+        # a test split can have no rows at all: the file is shorter than one x row
+        none = from_branches([(np.zeros((0, 3)), np.zeros(0))] * 2, 3)
+        save_dataset(none, str(tmp_path / "none"))
+        back = load_dataset(str(tmp_path / "none"))
+        assert back.counts.tolist() == [0, 0] and back.x.shape == (0, 3)
+
+    def test_fixture_saves_back_byte_for_byte(self, tmp_path):
+        # The on-disk format is pinned by a committed file, not only by round trips.
+        fixture = Path(__file__).parent / "fixtures" / "v1_branch_dense" / "data"
+        save_dataset(load_dataset(str(fixture)), str(tmp_path / "ds"))
+        for ext in ("bin", "meta"):
+            assert ((tmp_path / f"ds.{ext}").read_bytes()
+                    == Path(f"{fixture}.{ext}").read_bytes())
+
+    def test_layout_is_documented_order(self, tmp_path):
+        ds = from_branches([(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])),
+                            (np.zeros((0, 2)), np.zeros(0)),
+                            (np.array([[7.0, 8.0]]), np.array([9.0]))], 2)
+        save_dataset(ds, str(tmp_path / "ds"))
+        want = (np.int64(2).astype("<i8").tobytes()
+                + np.arange(1.0, 7.0).astype("<f8").tobytes()
+                + np.int64(0).astype("<i8").tobytes()
+                + np.int64(1).astype("<i8").tobytes()
+                + np.arange(7.0, 10.0).astype("<f8").tobytes())
+        assert (tmp_path / "ds.bin").read_bytes() == want
+
+
+class TestDatasetConstructor:
+    """The columnar constructor rejects inconsistent columns."""
+
+    @pytest.mark.parametrize("x, y, counts, needle", [
+        (np.zeros((3, 2)), np.zeros(3), [4, -1], "non-negative"),
+        (np.zeros((3, 2)), np.zeros(3), [1, 1], "counts sum to 2 rows but x has 3"),
+        (np.zeros((3, 2)), np.zeros(2), [3], r"x has 3 rows but y has shape \(2,\)"),
+        (np.zeros(3), np.zeros(3), [3], "x must be 2-d"),
+    ])
+    def test_rejects(self, x, y, counts, needle):
+        with pytest.raises(InvalidDataError, match=needle):
+            BranchDataset(x, y, np.asarray(counts))
+
+    def test_from_branches_rejects_a_mismatched_branch(self):
+        with pytest.raises(InvalidDataError, match=r"branch 1: x has shape \(2, 3\)"):
+            from_branches([(np.zeros((1, 2)), np.zeros(1)), (np.zeros((2, 3)), np.zeros(2))], 2)
+        with pytest.raises(InvalidDataError, match="branch 0: x has 2 rows but y"):
+            from_branches([(np.zeros((2, 2)), np.zeros(3))], 2)
+
+    def test_full_batch_is_the_dataset(self):
+        ds = from_branches([(np.ones((2, 1)), np.ones(2)), (np.ones((1, 1)), np.ones(1))], 1)
+        assert ds.batch([0, 1]) is ds and ds.n_obs == 3
 
 
 def test_batch_gathers_branch_rows_in_batch_order():
     gen = RngStream(60).generator()
-    branches = [BranchData(gen.standard_normal((n, 2)), gen.standard_normal(n))
-                for n in (3, 0, 4, 2)]
-    data = BranchDataset(branches, 2)
+    branches = [(gen.standard_normal((n, 2)), gen.standard_normal(n)) for n in (3, 0, 4, 2)]
+    data = from_branches(branches, 2)
     full = data.batch(np.arange(4))
     assert full.counts.tolist() == [3, 0, 4, 2] and full.starts.tolist() == [0, 3, 3, 7]
     sub = data.batch([3, 1, 0])
     assert sub.counts.tolist() == [2, 0, 3]
-    assert np.array_equal(sub.x, np.concatenate([branches[3].x, branches[0].x]))
-    assert np.array_equal(sub.y, np.concatenate([branches[3].y, branches[0].y]))
+    assert np.array_equal(sub.x, np.concatenate([branches[3][0], branches[0][0]]))
+    assert np.array_equal(sub.y, np.concatenate([branches[3][1], branches[0][1]]))
     assert sub.seg.tolist() == [0, 0, 2, 2, 2]
     sums = sub.segment_sum(sub.y[None])
     assert sums[0, 1] == 0.0
-    assert sums[0, 0] == pytest.approx(branches[3].y.sum())
-    assert sums[0, 2] == pytest.approx(branches[0].y.sum())
+    assert sums[0, 0] == pytest.approx(branches[3][1].sum())
+    assert sums[0, 2] == pytest.approx(branches[0][1].sum())
     empty = data.batch([1])
     assert empty.segment_sum(np.zeros((2, 0))).shape == (2, 1)
 
@@ -240,8 +308,7 @@ class TestContainerValidation:
     def saved(self, tmp_path):
         # two branches, covariate dim 2: branch 0 is its count at [0, 8), x at
         # [8, 40) and y at [40, 56); branch 1 runs from 56 to 56 + 8 + 3 * 24 = 136
-        ds = BranchDataset([BranchData(np.ones((2, 2)), np.ones(2)),
-                            BranchData(np.zeros((3, 2)), np.zeros(3))], 2)
+        ds = from_branches([(np.ones((2, 2)), np.ones(2)), (np.zeros((3, 2)), np.zeros(3))], 2)
         path = str(tmp_path / "ds")
         save_dataset(ds, path)
         return path
@@ -288,6 +355,8 @@ class TestContainerValidation:
         ("covariate_dim = 2\n", "'branches'"),
         ("branches = two\ncovariate_dim = 2\n", r"ds\.meta:1: expected 'key = integer'"),
         ("branches = -1\ncovariate_dim = 2\n", "'branches'"),
+        ("branches = 1000000000000000\ncovariate_dim = 2\n",
+         r"ds\.bin: truncated at byte 136: branch 2's count at byte 136"),
     ])
     def test_bad_meta(self, saved, meta, needle):
         with open(f"{saved}.meta", "w") as fh:

@@ -8,9 +8,9 @@ from branchvi.amortize import (
     amort_from_tree,
     amort_to_tree,
     init_amortized,
-    net_forward,
+    net_forward_batch,
 )
-from branchvi.data import BranchData, BranchDataset
+from branchvi.data import from_branches
 from branchvi.errors import EstimatorError, MalformedParamsError
 from branchvi.estimators import (
     _STREAM_GLOBAL,
@@ -61,7 +61,8 @@ def _oracle_matched_branch(data, oracle):
     D = data.covariate_dim
     params = init_branch("dense", D, D, data.n_branches)
     params.v = oracle.posterior_global
-    for i, b in enumerate(data.branches):
+    for i in range(data.n_branches):
+        b = data.batch([i])
         C = np.linalg.inv(np.eye(D) + b.x.T @ b.x)
         C = 0.5 * (C + C.T)
         w = params.local(i)
@@ -166,8 +167,8 @@ class TestJointElbo:
                     start += spec.dim
                 x = np.concatenate(parts)
             theta, z = x[:D], x[D:].reshape(N, D)
-            log_p = model.log_prior(theta[None])[0] + sum(
-                model.log_branch(theta, z[i], b) for i, b in enumerate(data.branches))
+            log_p = (model.log_prior(theta[None])[0]
+                     + model.log_branch_vals(theta[None], z[None], data)[0].sum())
             terms.append(log_p - logq)
         assert est.value == pytest.approx(np.mean(terms), rel=0, abs=1e-10)
 
@@ -181,7 +182,7 @@ class TestBranchElbo:
     def test_zero_branches_matches_negative_kl(self):
         # estimate reduces to E[log p(theta) - log q_v(theta)] = -KL(q_v || prior)
         model = synthetic_model(2)
-        data = BranchDataset([], 2)
+        data = from_branches([], 2)
         params = init_branch("dense", 2, 2, 0)
         params = _perturb(params, branch_to_tree, branch_from_tree, 310)
         L = tril_map(params.v.chol)
@@ -357,7 +358,7 @@ class TestEstimatorUnbiasedness:
                 z = w0.mu + w0.A @ theta + L1 * b
                 logq_z = -0.5 * b * b - np.log(L1) - 0.5 * np.log(2 * np.pi)
                 lp = (model.log_prior(theta[None])[0]
-                      + model.log_branch(theta, z, data.branches[0]))
+                      + model.log_branch_vals(theta[None], z[None, None], data)[0, 0])
                 inner += wb * (lp - logq_t - logq_z)
             elbo_quad += wa * inner
         R = 20_000
@@ -391,10 +392,7 @@ class TestAmortizedElbo:
         ap = _perturb(ap, amort_to_tree, amort_from_tree, 355, scale=0.2)
         params = init_branch("dense", 1, 1, 3)
         params.v = ap.v
-        for i in range(3):
-            w, _ = net_forward(ap.net, data.branches[i])
-            row = params.local(i)
-            row.mu[:], row.A[:], row.chol.raw[:] = w.mu, w.A, w.chol.raw
+        params.W[:] = net_forward_batch(ap.net, data, np.arange(3))[0]
         sampler = MinibatchSampler(3, 2)
         for k in range(20):
             ea, _ = amortized_elbo(model, ap.v, ap.net, data, sampler,
@@ -413,10 +411,11 @@ class TestAmortizedElbo:
                                n_mc=2, want_grad=False)
         gen = RngStream(360).generator()
         perm_branches = []
-        for b in data.branches:
-            p = gen.permutation(b.n)
-            perm_branches.append(BranchData(b.x[p], b.y[p]))
-        data_p = BranchDataset(perm_branches, data.covariate_dim)
+        for i in range(data.n_branches):
+            b = data.batch([i])
+            p = gen.permutation(b.y.size)
+            perm_branches.append((b.x[p], b.y[p]))
+        data_p = from_branches(perm_branches, data.covariate_dim)
         e1, _ = amortized_elbo(model, ap.v, ap.net, data_p, sampler, RngStream(359),
                                n_mc=2, want_grad=False)
         # w_i identical bitwise; log_branch of the synthetic model sums in a

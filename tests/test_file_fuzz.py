@@ -1,7 +1,8 @@
 """Corrupt-file fuzzing of the readers: valid dataset (.bin) and checkpoint
 (.nt) files, truncated at random offsets or with random bytes flipped, must
 either load or raise InvalidDataError, and a command reading a file its
-loader rejects must exit 2 with an error line, never a traceback."""
+loader rejects must exit 2 with an error line, never a traceback. A dataset
+the loader accepts saves back to the same bytes."""
 
 import shutil
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from branchvi.checkpoint import load_tensors
 from branchvi.cli import load_checkpoint, main
-from branchvi.data import load_dataset
+from branchvi.data import load_dataset, save_dataset
 from branchvi.errors import InvalidDataError
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -91,8 +92,12 @@ def test_corrupt_dataset_loads_or_is_rejected(valid_files, data, tmp_path, capsy
     shutil.copy(f"{base}.meta", tmp_path / "data.meta")
     corrupt(src, tmp_path / "data.bin", cut, flips)
     try:
-        load_dataset(str(tmp_path / "data"))
+        ds = load_dataset(str(tmp_path / "data"))
     except InvalidDataError:
         exits_2(["train", "--model", "synthetic", "--dim", "1", "--data",
                  str(tmp_path / "data"), "--iters", "1", "--out-dir", str(tmp_path / "run")],
                 capsys)
+        return
+    # whatever the loader accepts, the writer reproduces byte for byte
+    save_dataset(ds, str(tmp_path / "again"))
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "data.bin").read_bytes()

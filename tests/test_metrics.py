@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import wilcoxon
 
 from branchvi.amortize import AmortArch, init_amortized
-from branchvi.data import BranchData, BranchDataset, SplitDataset, split
+from branchvi.data import SplitDataset, from_branches, split
 from branchvi.families import branch_from_tree, branch_to_tree, init_branch
 from branchvi.gaussmath import tril_unmap
 from branchvi.metrics import evaluate, log_mean_exp, write_report
@@ -72,7 +72,8 @@ class TestEvaluate:
         oracle = synthetic_oracle(data)
         params = init_branch("dense", 1, 1, 2)
         params.v = oracle.posterior_global
-        for i, b in enumerate(data.branches):
+        for i in range(data.n_branches):
+            b = data.batch([i])
             C = np.linalg.inv(np.eye(1) + b.x.T @ b.x)
             w = params.local(i)
             w.mu[:] = C @ (b.x.T @ b.y)
@@ -87,10 +88,9 @@ class TestEvaluate:
         D, N = 1, 2
         model = preference_model(D)
         gen = RngStream(506).generator()
-        train = BranchDataset([BranchData(gen.standard_normal((2, D)),
-                                          np.array([0.0, 1.0])) for _ in range(N)], D)
-        test = BranchDataset([BranchData(np.zeros((3, D)),
-                                         (gen.random(3) < 0.5).astype(float))
+        train = from_branches([(gen.standard_normal((2, D)), np.array([0.0, 1.0]))
+                               for _ in range(N)], D)
+        test = from_branches([(np.zeros((3, D)), (gen.random(3) < 0.5).astype(float))
                               for _ in range(N)], D)
         parts = SplitDataset(train, test)
         params = init_branch("dense", model.global_dim, D, N)
@@ -129,13 +129,13 @@ class TestEvaluate:
         D, N = 1, 3
         model = synthetic_model(D)
         gen = RngStream(513).generator()
-        train_branches = [BranchData(gen.standard_normal((2, D)), gen.standard_normal(2)),
-                          BranchData(np.zeros((0, D)), np.zeros(0)),
-                          BranchData(gen.standard_normal((2, D)), gen.standard_normal(2))]
-        test_branches = [BranchData(gen.standard_normal((1, D)), gen.standard_normal(1))
+        train_branches = [(gen.standard_normal((2, D)), gen.standard_normal(2)),
+                          (np.zeros((0, D)), np.zeros(0)),
+                          (gen.standard_normal((2, D)), gen.standard_normal(2))]
+        test_branches = [(gen.standard_normal((1, D)), gen.standard_normal(1))
                          for _ in range(N)]
-        parts = SplitDataset(BranchDataset(train_branches, D),
-                             BranchDataset(test_branches, D))
+        parts = SplitDataset(from_branches(train_branches, D),
+                             from_branches(test_branches, D))
         ap = init_amortized("dense", D, D, D, RngStream(514), AmortArch((3, 3), (4, 4)))
         with pytest.warns(UserWarning, match="empty train"):
             rep = evaluate(model, ap, parts, k=5, rng=RngStream(515))

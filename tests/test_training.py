@@ -5,9 +5,9 @@ import pytest
 
 from branchvi import families
 from branchvi.amortize import AmortArch, init_amortized
-from branchvi.errors import EstimatorError
+from branchvi.errors import EstimatorError, InvalidDataError
 from branchvi.families import init_branch, init_joint
-from branchvi.data import BranchData, BranchDataset
+from branchvi.data import from_branches
 from branchvi.models import (
     SyntheticConfig,
     preference_model,
@@ -124,6 +124,30 @@ def test_result_params_are_views_of_one_vector(kind):
     base = arrays[0].base
     assert base is not None and base.size == sum(a.size for a in arrays)
     assert all(a.base is base for a in arrays)
+
+
+@pytest.mark.parametrize("kind, batch_size, needle", [
+    ("joint", 2, "joint families cannot be subsampled"),
+    ("branch", 4, r"--batch-size must be in \[0, 3\]"),
+    ("amortized", 4, r"--batch-size must be in \[0, 3\]"),
+])
+def test_batch_size_checked_against_data_before_the_first_step(kind, batch_size, needle):
+    # A joint family has no subsampled estimator, so B must be 0 or N; any
+    # family's B is at most N. The library raises before it takes a step.
+    model, data = _setup()
+    params = {"joint": init_joint("dense", 1, 1, 3), "branch": init_branch("dense", 1, 1, 3),
+              "amortized": init_amortized("dense", 1, 1, 1, RngStream(746),
+                                          AmortArch((3, 3), (4, 4)))}[kind]
+    seen = []
+    with pytest.raises(InvalidDataError, match=needle):
+        train(model, params, data, kind=kind, schedule=LrSchedule(1e-2), iters=3,
+              rng=RngStream(747), n_mc=2, batch_size=batch_size, trace_every=1,
+              on_record=seen.append)
+    assert seen == []
+    if kind == "joint":  # the full batch, as 0 or as N, trains
+        for full in (0, 3):
+            train(model, params, data, kind=kind, schedule=LrSchedule(1e-2), iters=1,
+                  rng=RngStream(747), n_mc=2, batch_size=full, trace_every=0)
 
 
 def _reference_run(kind, model, params, data, sched, iters, rng, batch_size, n_mc):
@@ -306,14 +330,13 @@ def test_subsampled_step_builds_locals_for_the_batch_only(monkeypatch):
 def test_training_with_an_empty_branch_in_the_batch():
     # n_i = 0 is legal: the branch's observation term is 0, its local prior remains.
     gen = RngStream(730).generator()
-    branches = [BranchData(gen.standard_normal((3, 1)), gen.standard_normal(3)),
-                BranchData(np.zeros((0, 1)), np.zeros(0)),
-                BranchData(gen.standard_normal((2, 1)), gen.standard_normal(2))]
-    data = BranchDataset(branches, 1)
+    branches = [(gen.standard_normal((3, 1)), gen.standard_normal(3)),
+                (np.zeros((0, 1)), np.zeros(0)),
+                (gen.standard_normal((2, 1)), gen.standard_normal(2))]
+    data = from_branches(branches, 1)
     for model in (synthetic_model(1), preference_model(1)):
         if model.global_dim == 2:
-            data = BranchDataset([BranchData(b.x, (b.y > 0).astype(float))
-                                  for b in branches], 1)
+            data = from_branches([(x, (y > 0).astype(float)) for x, y in branches], 1)
         params = init_branch("dense", model.global_dim, 1, 3)
         res = train(model, params, data, kind="branch", schedule=LrSchedule(1e-2),
                     iters=200, rng=RngStream(731), n_mc=2, batch_size=2, trace_every=50)
