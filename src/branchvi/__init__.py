@@ -17,7 +17,7 @@ from .estimators import (
     joint_elbo,
     subsampled_branch_elbo,
 )
-from .families import BranchParams, JointFamily, LocalParams, joint_to_branch
+from .families import BranchParams, JointFamily, joint_to_branch
 from .gaussmath import GaussianSpec, UnconstrainedChol
 from .models import HbdModel, preference_model, synthetic_model, synthetic_oracle
 from .rng import RngStream
@@ -32,7 +32,6 @@ __all__ = [
     "GaussianSpec",
     "HbdModel",
     "JointFamily",
-    "LocalParams",
     "MinibatchSampler",
     "RngStream",
     "SplitDataset",

@@ -3,12 +3,11 @@
 Pipeline per branch: a feature MLP embeds each (x_ij, y_ij) pair, the
 embeddings and their elementwise squares are mean-pooled over observations
 (order-invariant by construction) and concatenated, and a parameter MLP
-maps the pooled vector to the raw local parameter vector: one row of the
-packed local layout, which unpacks into LocalParams. The net runs over a
-whole batch of branches at once (one feature-MLP pass over the stacked
-observation rows, one param-MLP pass over the pooled rows). Forward and
-backward passes are written out by hand; the tape carries exactly the
-activations the backward pass needs.
+maps the pooled vector to the raw local parameter vector: one row in the
+layout of BranchParams.W. The net runs over a whole batch of branches at
+once (one feature-MLP pass over the stacked observation rows, one param-MLP
+pass over the pooled rows). Forward and backward passes are written out by
+hand; the tape carries exactly the activations the backward pass needs.
 
 Every forward product runs on fixed blocks of rows (one stacked BLAS call
 per layer; FEAT_BLOCK_ROWS for the feature MLP, PARAM_BLOCK_ROWS for the

@@ -28,6 +28,7 @@ from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
 from .families import (
     BranchParams,
     JointFamily,
+    assemble_joint,
     factor_from_tree,
     factor_gamma,
     family_param_count,
@@ -37,7 +38,7 @@ from .families import (
     joint_to_branch,
     local_param_size,
 )
-from .gaussmath import GaussianSpec, mvn_logpdf
+from .gaussmath import LOG_2PI, mvn_logpdf, tril_map_raw, tril_solve
 from .metrics import evaluate, write_report
 from .models import (
     HbdModel,
@@ -103,6 +104,10 @@ class RunConfig:
             ("--trace-every", self.trace_every, self.trace_every >= 0, ">= 0"),
             ("--k-samples", self.k_samples, self.k_samples >= 1, ">= 1"),
             ("--lr", self.lr, math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("--drop-every", self.drop_every, self.drop_every >= 1, ">= 1"),
+            ("--drop-factor", self.drop_factor,
+             math.isfinite(self.drop_factor) and self.drop_factor > 0, "finite and > 0"),
+            ("--max-drops", self.max_drops, self.max_drops >= 0, ">= 0"),
             ("--gamma", self.gamma, self.gamma > 0, "> 0"),
             ("--test-fraction", self.test_fraction, 0 <= self.test_fraction < 1,
              "in [0, 1)"),
@@ -127,13 +132,18 @@ def parse_config_file(path: str) -> dict:
             raw = raw.strip()
             if key not in fields:
                 raise InvalidDataError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
-            if ftype in ("int", int):
-                values[key] = int(raw)
-            elif ftype in ("float", float):
-                values[key] = float(raw)
-            else:
+            # the annotations are strings (postponed evaluation)
+            number = {"int": (int, "an integer"), "float": (float, "a float")}.get(
+                fields[key].type)
+            if number is None:
                 values[key] = raw
+                continue
+            convert, noun = number
+            try:
+                values[key] = convert(raw)
+            except ValueError:
+                raise InvalidDataError(
+                    f"{path}:{lineno}: {key!r} needs {noun}, got {raw!r}") from None
     return values
 
 
@@ -489,8 +499,6 @@ def cmd_convert(cfg: RunConfig) -> int:
     # Spot check: theta marginal must be preserved exactly; conditional
     # densities agree up to any cross-branch coupling the joint carried.
     if params.structure == "dense":
-        from .families import assemble_joint
-
         mean_b, cov_b = assemble_joint(branch)
         Lj = params.spec.cov()
         theta_err = max(float(np.max(np.abs(mean_b[:params.global_dim]
@@ -512,16 +520,15 @@ def cmd_convert(cfg: RunConfig) -> int:
 
 
 def _branch_logq_at(branch: BranchParams, x: np.ndarray) -> float:
-    # Only reached for dense conversions (v is a GaussianSpec there).
-    D, dz = branch.global_dim, branch.local_dim
+    """log q(x) of a dense branch family (v is a GaussianSpec) at x = (theta, z)."""
+    D, dz, N = branch.global_dim, branch.local_dim, branch.n_branches
     theta = x[:D]
-    logq = mvn_logpdf(GaussianSpec(branch.v.mean, branch.v.chol), theta)
-    for i in range(branch.n_branches):
-        w = branch.local(i)
-        z = x[D + i * dz:D + (i + 1) * dz]
-        mean = w.mu + (w.A @ theta if w.A is not None else 0.0)
-        logq += mvn_logpdf(GaussianSpec(mean, w.chol), z)
-    return logq
+    L = tril_map_raw(branch.raw, dz, branch.gamma)                   # (N, dz, dz)
+    R = x[D:].reshape(N, dz) - branch.mu - branch.A @ theta
+    T = tril_solve(L, R[:, None, :])
+    logdet = float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
+    return (mvn_logpdf(branch.v, theta) - 0.5 * float(np.sum(T * T)) - logdet
+            - 0.5 * N * dz * LOG_2PI)
 
 
 def cmd_check(_cfg: RunConfig) -> int:
@@ -580,14 +587,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (InvalidDataError, MalformedParamsError, FileNotFoundError) as exc:
+    except (InvalidDataError, MalformedParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = {"generate": cmd_generate, "train": cmd_train, "eval": cmd_eval,
                "convert": cmd_convert, "check": cmd_check}[args.command]
     try:
         return handler(cfg)
-    except (InvalidDataError, MalformedParamsError, FileNotFoundError) as exc:
+    except (InvalidDataError, MalformedParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimatorError, NonFiniteGradientError) as exc:

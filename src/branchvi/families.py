@@ -35,7 +35,7 @@ from .gaussmath import (
     tril_map_backward_raw,
     tril_map_raw,
     tril_size,
-    tril_unmap,
+    tril_unmap_raw,
 )
 
 STRUCTURES = ("dense", "block", "diag")
@@ -64,36 +64,6 @@ class DiagGaussian:
         return diag_transform(self.scale_raw, self.gamma)
 
 
-@dataclass
-class LocalParams:
-    """Parameters of one conditional q(z_i | theta).
-
-    Dense: (mu, A, chol); block: (mu, chol); diag: (mu, scale_raw). ``gamma``
-    is the diagonal map's; with ``chol`` set it is taken from ``chol``.
-    """
-
-    mu: np.ndarray
-    A: np.ndarray | None = None
-    chol: UnconstrainedChol | None = None
-    scale_raw: np.ndarray | None = None
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if (self.chol is None) == (self.scale_raw is None):
-            raise MalformedParamsError("exactly one of chol / scale_raw must be set")
-        if self.A is not None and self.scale_raw is not None:
-            raise MalformedParamsError("A is only valid for dense conditionals")
-        if self.chol is not None:
-            self.gamma = self.chol.gamma
-
-    @property
-    def structure(self) -> str:
-        if self.scale_raw is not None:
-            return "diag"
-        return "dense" if self.A is not None else "block"
-
-
 def local_param_size(structure: str, global_dim: int, local_dim: int) -> int:
     if structure == "dense":
         return local_dim + local_dim * global_dim + tril_size(local_dim)
@@ -104,40 +74,15 @@ def local_param_size(structure: str, global_dim: int, local_dim: int) -> int:
     raise MalformedParamsError(f"unknown structure {structure!r}")
 
 
-def unpack_local(raw: np.ndarray, structure: str, global_dim: int, local_dim: int,
-                 gamma: float = 1.0) -> LocalParams:
-    """Raw layout: mu, then A row-major (dense only), then covariance entries.
-
-    The fields are views into ``raw``.
-    """
-    dz, D = local_dim, global_dim
-    mu = raw[:dz]
-    if structure == "dense":
-        A = raw[dz:dz + dz * D].reshape(dz, D)
-        chol = UnconstrainedChol(raw[dz + dz * D:], dz, gamma)
-        return LocalParams(mu, A=A, chol=chol)
-    if structure == "block":
-        return LocalParams(mu, chol=UnconstrainedChol(raw[dz:], dz, gamma))
-    return LocalParams(mu, scale_raw=raw[dz:], gamma=gamma)
-
-
-def pack_local(w: LocalParams) -> np.ndarray:
-    """Inverse of unpack_local: the packed row of one conditional."""
-    parts = [w.mu]
-    if w.A is not None:
-        parts.append(w.A.ravel())
-    parts.append(w.chol.raw if w.chol is not None else w.scale_raw)
-    return np.concatenate(parts)
-
-
 @dataclass
 class BranchParams:
     """Global factor v plus every branch's local parameters stacked in W.
 
-    Row i of W is branch i's locals in the packed order of ``unpack_local``:
-    [mu | A row-major | raw] for dense, [mu | raw] for block and
-    [mu | scale_raw] for diag. The properties below and ``local(i)`` are
-    views, so writes through them land in W.
+    Row i of W is branch i's locals, packed as [mu | A row-major | raw] for
+    dense, [mu | raw] for block and [mu | scale_raw] for diag: mu (dz,), A
+    (dz, D), raw the row-major packed Cholesky vector of UnconstrainedChol
+    (tril(dz),) and scale_raw (dz,). The properties below are views, so
+    writes through them land in W.
     """
 
     structure: str
@@ -186,11 +131,6 @@ class BranchParams:
     def scale_raw(self) -> np.ndarray | None:
         """(N, dz) raw diagonal scales; None outside diag."""
         return self.W[:, self.local_dim:] if self.structure == "diag" else None
-
-    def local(self, i) -> LocalParams:
-        """Branch i's LocalParams as views into row i of W."""
-        return unpack_local(self.W[i], self.structure, self.global_dim, self.local_dim,
-                            self.gamma)
 
 
 @dataclass
@@ -266,16 +206,11 @@ def joint_to_branch(fam: JointFamily) -> BranchParams:
         St = cov[:D, :D]
         bp = init_branch("dense", D, dz, N, gamma)
         bp.v = spec_from_moments(mu[:D], St, gamma)
-        St_inv = np.linalg.inv(St)
-        for i in range(N):
-            s = slice(D + i * dz, D + (i + 1) * dz)
-            S_ti = cov[:D, s]                      # (D, dz)
-            A = S_ti.T @ St_inv                    # (dz, D)
-            cond_cov = cov[s, s] - A @ S_ti
-            cond_cov = 0.5 * (cond_cov + cond_cov.T)
-            bp.mu[i] = mu[s] - A @ mu[:D]
-            bp.A[i] = A
-            bp.raw[i] = tril_unmap(np.linalg.cholesky(cond_cov), gamma).raw
+        S = cov[:D, D:].reshape(D, N, dz).transpose(1, 0, 2)      # (N, D, dz): S_ti
+        A = S.transpose(0, 2, 1) @ np.linalg.inv(St)             # (N, dz, D)
+        bp.mu[:] = mu[D:].reshape(N, dz) - A @ mu[:D]
+        bp.A[:] = A
+        bp.raw[:] = _chol_raw(_diag_blocks(cov[D:, D:], N, dz) - A @ S, gamma)
         return bp
     if fam.structure == "block":
         gamma = fam.theta_spec.chol.gamma
@@ -284,12 +219,8 @@ def joint_to_branch(fam: JointFamily) -> BranchParams:
                             UnconstrainedChol(fam.theta_spec.chol.raw.copy(), D, gamma))
         if N:
             Lz = tril_map(fam.locals_spec.chol)
-            cov_z = Lz @ Lz.T
             bp.mu[:] = fam.locals_spec.mean.reshape(N, dz)
-            for i in range(N):
-                s = slice(i * dz, (i + 1) * dz)
-                blk = 0.5 * (cov_z[s, s] + cov_z[s, s].T)
-                bp.raw[i] = tril_unmap(np.linalg.cholesky(blk), gamma).raw
+            bp.raw[:] = _chol_raw(_diag_blocks(Lz @ Lz.T, N, dz), gamma)
         return bp
     bp = init_branch("diag", D, dz, N, fam.diag.gamma)
     bp.v = DiagGaussian(fam.diag.mean[:D].copy(), fam.diag.scale_raw[:D].copy(),
@@ -297,6 +228,17 @@ def joint_to_branch(fam: JointFamily) -> BranchParams:
     bp.mu[:] = fam.diag.mean[D:].reshape(N, dz)
     bp.scale_raw[:] = fam.diag.scale_raw[D:].reshape(N, dz)
     return bp
+
+
+def _diag_blocks(cov, N, dz):
+    """The N (dz, dz) diagonal blocks of an (N dz, N dz) matrix."""
+    i = np.arange(N)
+    return cov.reshape(N, dz, N, dz)[i, :, i, :]
+
+
+def _chol_raw(C, gamma):
+    """Packed Cholesky rows of a stack of covariances, symmetrized first."""
+    return tril_unmap_raw(np.linalg.cholesky(0.5 * (C + C.transpose(0, 2, 1))), gamma)
 
 
 def assemble_joint(params: BranchParams):

@@ -118,16 +118,21 @@ def tril_map_raw(raw: np.ndarray, dim: int, gamma: float = 1.0) -> np.ndarray:
 
 def tril_unmap(L: np.ndarray, gamma: float = 1.0) -> UnconstrainedChol:
     """Invert tril_map for a factor with positive diagonal."""
-    d = L.shape[0]
-    if L.shape != (d, d):
-        raise MalformedParamsError("tril_unmap expects a square matrix")
-    if np.any(np.diag(L) <= 0):
+    return UnconstrainedChol(tril_unmap_raw(L, gamma), L.shape[-1], gamma)
+
+
+def tril_unmap_raw(L: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """tril_unmap over a stack of factors: L (..., d, d) -> packed raw (..., tril(d))."""
+    d = L.shape[-1]
+    if L.ndim < 2 or L.shape[-2] != d:
+        raise MalformedParamsError("tril_unmap expects square matrices")
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    if np.any(diag <= 0):
         raise MalformedParamsError("tril_unmap requires a strictly positive diagonal")
-    rows, cols = np.tril_indices(d)
-    raw = L[rows, cols].copy()
-    dpos = packed_diag_indices(d)
-    raw[dpos] = diag_transform_inv(np.diag(L), gamma)
-    return UnconstrainedChol(raw, d, gamma)
+    rows, cols = _tril_indices(d)
+    raw = L[..., rows, cols]
+    raw[..., packed_diag_indices(d)] = diag_transform_inv(diag, gamma)
+    return raw
 
 
 def tril_map_backward(u: UnconstrainedChol, grad_L: np.ndarray) -> np.ndarray:

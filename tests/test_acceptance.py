@@ -159,11 +159,11 @@ def test_criterion_3_conversion_equivalence():
     for _ in range(100):
         x = fam.spec.mean + gen.standard_normal(P) * 1.3
         theta = x[:D]
-        lq = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
+        lq = mvn_logpdf(bp.v, theta)
         for i in range(bp.n_branches):
-            w = bp.local(i)
             z = x[D + i * dz:D + (i + 1) * dz]
-            lq += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
+            chol = UnconstrainedChol(bp.raw[i], dz, bp.gamma)
+            lq += mvn_logpdf(GaussianSpec(bp.mu[i] + bp.A[i] @ theta, chol), z)
         worst = max(worst, abs(lq - mvn_logpdf(fam.spec, x)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and theta_mean_err < 1e-12 and theta_cov_err < 1e-12

@@ -21,7 +21,8 @@ from branchvi.amortize import (
 )
 from branchvi.data import from_branches
 from branchvi.errors import InvalidDataError, MalformedParamsError
-from branchvi.families import local_param_size, pack_local, unpack_local
+from branchvi.families import local_param_size
+from branchvi.gaussmath import tril_map_raw, tril_size
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
 
@@ -66,11 +67,9 @@ class TestNetForward:
         from branchvi.amortize import AmortNet
 
         net = AmortNet(feat, param, "dense", 2, 2, 2)
-        w = unpack_local(_row(net, *_branch(75))[0], "dense", 2, 2)
-        assert np.all(w.mu == 0) and np.all(w.A == 0) and np.all(w.chol.raw == 0)
-        from branchvi.gaussmath import tril_map
-
-        assert np.allclose(tril_map(w.chol), np.eye(2))
+        row = _row(net, *_branch(75))[0]   # [mu | A | raw], all zero
+        assert row.shape == (out_dim,) and np.all(row == 0)
+        assert np.allclose(tril_map_raw(row[-tril_size(2):], 2), np.eye(2))
 
     def test_branches_processed_independently(self):
         net = net_init("diag", 1, 2, 2, RngStream(77), TINY)
@@ -303,19 +302,6 @@ class TestNetInit:
 
 
 class TestPacking:
-    @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
-    def test_unpack_pack_roundtrip(self, structure):
-        D, dz = 3, 2
-        size = local_param_size(structure, D, dz)
-        raw = RngStream(94).normal(size)
-        w = unpack_local(raw, structure, D, dz)
-        parts = [w.mu]
-        if w.A is not None:
-            parts.append(w.A.ravel())
-        parts.append(w.chol.raw if w.chol is not None else w.scale_raw)
-        assert np.array_equal(np.concatenate(parts), raw)
-        assert np.array_equal(pack_local(w), raw)
-
     def test_param_count(self):
         net = net_init("dense", 1, 1, 1, RngStream(95), TINY)
         n_by_hand = sum(w.size + b.size for w, b in

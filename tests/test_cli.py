@@ -382,10 +382,9 @@ class TestResumeValidation:
         params, it, _, adam = load_checkpoint(V1_BRANCH_DENSE / "checkpoint.nt")
         assert it == 2 and adam.t == 2 and params.W.shape == (3, 2 + 4 + 3)
         for i in range(3):
-            w = params.local(i)
-            assert np.array_equal(w.mu, v1[f"params.w.{i:06d}.mu"])
-            assert np.array_equal(w.A, v1[f"params.w.{i:06d}.A"])
-            assert np.array_equal(w.chol.raw, v1[f"params.w.{i:06d}.raw"])
+            assert np.array_equal(params.mu[i], v1[f"params.w.{i:06d}.mu"])
+            assert np.array_equal(params.A[i], v1[f"params.w.{i:06d}.A"])
+            assert np.array_equal(params.raw[i], v1[f"params.w.{i:06d}.raw"])
         del v1["params.w.000001.raw"]
         save_tensors(tmp_path / "broken.nt", v1)
         with pytest.raises(InvalidDataError, match="w.000001.raw"):
@@ -398,6 +397,9 @@ class TestNumericValidation:
         ("--trace-every", "-1"), ("--k-samples", "0"), ("--lr", "0"), ("--lr", "-0.001"),
         ("--lr", "nan"), ("--lr", "inf"), ("--gamma", "0"), ("--gamma", "nan"),
         ("--test-fraction", "1"), ("--test-fraction", "-0.1"),
+        ("--drop-every", "0"), ("--drop-every", "-5"), ("--max-drops", "-1"),
+        ("--max-drops", "-2"), ("--drop-factor", "0"), ("--drop-factor", "-0.1"),
+        ("--drop-factor", "nan"), ("--drop-factor", "inf"),
     ])
     def test_out_of_range_flag_exits_2(self, flag, value, capsys):
         rc = _run("train", "--data", "unused", flag, value)
@@ -438,8 +440,31 @@ class TestConvert:
         rc = _run("convert", "--checkpoint", str(path), "--out-dir", str(tmp_path))
         assert rc == 0
         branch, _, _, _ = load_checkpoint(tmp_path / "checkpoint_branch.nt")
-        for i in range(branch.n_branches):
-            assert np.allclose(branch.local(i).A, 0.0, atol=1e-15)
+        assert branch.A.shape == (2, 1, 1) and np.allclose(branch.A, 0.0, atol=1e-15)
+
+    def test_printed_check_on_a_conditionally_independent_joint(self, tmp_path, capsys):
+        # z_i independent of z_j given theta: the branch family has the joint's
+        # density, so the spot check reads rounding error only.
+        from branchvi.cli import save_checkpoint
+        from branchvi.gaussmath import GaussianSpec, tril_unmap
+
+        D, dz, N = 2, 2, 3
+        P = D + N * dz
+        gen = np.random.default_rng(600)
+        L = np.tril(gen.standard_normal((P, P)) * 0.5)
+        L[np.arange(P), np.arange(P)] = np.abs(np.diag(L)) + 0.6
+        L[D:, D:] *= np.kron(np.eye(N), np.ones((dz, dz)))   # no cross-branch blocks
+        fam = JointFamily("dense", D, dz, N,
+                          spec=GaussianSpec(gen.standard_normal(P), tril_unmap(L)))
+        save_checkpoint(str(tmp_path / "joint.nt"), fam)
+        rc = _run("convert", "--checkpoint", str(tmp_path / "joint.nt"),
+                  "--out-dir", str(tmp_path))
+        out = capsys.readouterr().out
+        assert rc == 0
+        m = re.search(r"theta-marginal max abs err (\S+); "
+                      r"density spot-check max \|delta\| (\S+) ", out)
+        assert m, out
+        assert float(m.group(1)) < 1e-12 and float(m.group(2)) < 1e-9
 
     def test_convert_rejects_branch_checkpoint(self, tmp_path):
         from branchvi.cli import save_checkpoint
@@ -462,8 +487,28 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("nonsense = 1\n")
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidDataError, match="bad.cfg:1: unknown key 'nonsense'"):
             parse_config_file(str(cfg_path))
+
+    @pytest.mark.parametrize("line, message", [
+        ("iters = abc", "'iters' needs an integer, got 'abc'"),
+        ("iters = 1.5", "'iters' needs an integer, got '1.5'"),
+        ("lr = fast", "'lr' needs a float, got 'fast'"),
+    ])
+    def test_unparsable_value_exits_2_naming_the_line(self, tmp_path, capsys, line, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"# header\n{line}\n")
+        rc = _run("train", "--config", str(cfg_path), "--data", "unused")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {cfg_path}:2: {message}\n"
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path, tmp_path / "missing.cfg"):
+            rc = _run("train", "--config", str(path), "--data", "unused")
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: ") and str(path) in err
 
     def test_flags_override_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

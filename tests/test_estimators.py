@@ -10,7 +10,7 @@ from branchvi.amortize import (
     init_amortized,
     net_forward_batch,
 )
-from branchvi.data import from_branches
+from branchvi.data import BranchDataset, from_branches
 from branchvi.errors import EstimatorError, MalformedParamsError
 from branchvi.estimators import (
     _STREAM_GLOBAL,
@@ -32,8 +32,9 @@ from branchvi.families import (
     joint_to_branch,
     joint_to_tree,
 )
-from branchvi.gaussmath import (LOG_2PI, GaussianSpec, mvn_logpdf, spec_from_moments,
-                               tril_map, tril_unmap)
+from branchvi.gaussmath import (LOG_2PI, GaussianSpec, UnconstrainedChol, mvn_logpdf,
+                               spec_from_moments, tril_map, tril_map_raw, tril_unmap,
+                               tril_unmap_raw)
 from branchvi.models import (
     SyntheticConfig,
     synthetic_forward_sample,
@@ -58,17 +59,21 @@ def _perturb(params, to_tree, from_tree, seed, scale=0.3):
 
 
 def _oracle_matched_branch(data, oracle):
+    """The synthetic model's exact posterior as a dense branch family.
+
+    v is the theta posterior; row i holds z_i | theta = N(C_i (b_i + theta), C_i)
+    with C_i = (I + X_i'X_i)^{-1} and b_i = X_i'y_i: mu_i = C_i b_i, A_i = C_i.
+    """
     D = data.covariate_dim
+    G = data.segment_sum(data.xt[:, None, :] * data.xt[None, :, :]).transpose(2, 0, 1)
+    b = data.segment_sum(data.xt * data.y).T                      # (N, D)
+    C = np.linalg.inv(np.eye(D) + G)
+    C = 0.5 * (C + C.transpose(0, 2, 1))
     params = init_branch("dense", D, D, data.n_branches)
     params.v = oracle.posterior_global
-    for i in range(data.n_branches):
-        b = data.batch([i])
-        C = np.linalg.inv(np.eye(D) + b.x.T @ b.x)
-        C = 0.5 * (C + C.T)
-        w = params.local(i)
-        w.mu[:] = C @ (b.x.T @ b.y)
-        w.A[:] = C
-        w.chol.raw[:] = tril_unmap(np.linalg.cholesky(C)).raw
+    params.mu[:] = np.einsum("nij,nj->ni", C, b)
+    params.A[:] = C
+    params.raw[:] = tril_unmap_raw(np.linalg.cholesky(C))
     return params
 
 
@@ -179,6 +184,23 @@ class TestJointElbo:
 
 
 class TestBranchElbo:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_oracle_matched_estimate_is_log_marginal(self, D):
+        # At the exact posterior, log p(y, theta, z) - log q(theta, z) = log p(y)
+        # at every draw; branch 1's rows are dropped, so it has none.
+        full, _ = synthetic_forward_sample(
+            SyntheticConfig(D, 40, tuple(2 + i % 5 for i in range(40))), RngStream(350 + D))
+        keep = np.repeat(np.arange(40) != 1, full.counts)
+        counts = full.counts.copy()
+        counts[1] = 0
+        data = BranchDataset(full.x[keep], full.y[keep], counts, full.has_covariates)
+        model, oracle = synthetic_model(D), synthetic_oracle(data)
+        params = _oracle_matched_branch(data, oracle)
+        for k in range(50):
+            est, _ = branch_elbo(model, params, data, RngStream(354, k), n_mc=1,
+                                 want_grad=False)
+            assert est.value == pytest.approx(oracle.log_marginal, rel=1e-9, abs=0)
+
     def test_zero_branches_matches_negative_kl(self):
         # estimate reduces to E[log p(theta) - log q_v(theta)] = -KL(q_v || prior)
         model = synthetic_model(2)
@@ -211,16 +233,14 @@ class TestBranchElbo:
         # the single-sample estimate is log p(x) - log q(x); with equal
         # densities at every point the estimates agree pointwise for any
         # shared sample, so checking density equality covers the estimator
-        from branchvi.gaussmath import mvn_logpdf
-
         for k in range(100):
             x = fam.spec.mean + gen.standard_normal(P)
             theta = x[:1]
-            lq_branch = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
+            lq_branch = mvn_logpdf(bp.v, theta)
             for i in range(bp.n_branches):
-                w = bp.local(i)
-                z = x[1 + i:2 + i]
-                lq_branch += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
+                spec = GaussianSpec(bp.mu[i] + bp.A[i] @ theta,
+                                    UnconstrainedChol(bp.raw[i], 1, bp.gamma))
+                lq_branch += mvn_logpdf(spec, x[1 + i:2 + i])
             assert abs(lq_branch - mvn_logpdf(fam.spec, x)) < 1e-9
 
     def test_matches_joint_after_conversion_in_distribution(self):
@@ -253,7 +273,7 @@ class TestBranchElbo:
     def test_non_finite_density_raises_with_branch(self):
         model, data = _problem(1, 3, 2, seed=325)
         params = init_branch("dense", 1, 1, 3)
-        params.local(2).mu[:] = np.nan
+        params.mu[2] = np.nan
         with pytest.raises(EstimatorError) as exc:
             branch_elbo(model, params, data, RngStream(326))
         assert exc.value.branch == 2
@@ -347,15 +367,14 @@ class TestEstimatorUnbiasedness:
         norm_w = weights / np.sqrt(2 * np.pi)
         L0 = tril_map(params.v.chol)[0, 0]
         mu0 = params.v.mean[0]
-        w0 = params.local(0)
-        L1 = tril_map(w0.chol)[0, 0]
+        L1 = tril_map_raw(params.raw, 1, params.gamma)[0, 0, 0]
         elbo_quad = 0.0
         for a, wa in zip(nodes, norm_w):
             theta = np.array([mu0 + L0 * a])
             logq_t = -0.5 * a * a - np.log(L0) - 0.5 * np.log(2 * np.pi)
             inner = 0.0
             for b, wb in zip(nodes, norm_w):
-                z = w0.mu + w0.A @ theta + L1 * b
+                z = params.mu[0] + params.A[0] @ theta + L1 * b
                 logq_z = -0.5 * b * b - np.log(L1) - 0.5 * np.log(2 * np.pi)
                 lp = (model.log_prior(theta[None])[0]
                       + model.log_branch_vals(theta[None], z[None, None], data)[0, 0])

@@ -9,7 +9,6 @@ from branchvi.families import (
     BranchParams,
     DiagGaussian,
     JointFamily,
-    LocalParams,
     assemble_joint,
     branch_from_tree,
     branch_to_tree,
@@ -23,7 +22,6 @@ from branchvi.families import (
     joint_to_branch,
     joint_to_tree,
     local_draw_rows,
-    pack_local,
     local_grad_rows,
 )
 from branchvi.gaussmath import (
@@ -36,6 +34,7 @@ from branchvi.gaussmath import (
     spec_from_moments,
     tril_map,
     tril_map_backward,
+    tril_map_raw,
     tril_size,
     tril_unmap,
 )
@@ -73,12 +72,23 @@ def _joint_draw(fam, eps):
     return X[0, :D], X[0, D:].reshape(fam.n_branches, fam.local_dim), logqs[0]
 
 
-def _local_draw(w: LocalParams, theta, eps):
-    """One branch's local draw (M = B = 1): z and its conditional log q."""
-    Z, logqs, _ = local_draw_rows(pack_local(w)[None], w.structure, w.gamma,
+def _local_draw(params: BranchParams, i, theta, eps):
+    """Branch i's local draw (M = B = 1): z and its conditional log q."""
+    Z, logqs, _ = local_draw_rows(params.W[[i]], params.structure, params.gamma,
                                   np.asarray(theta, dtype=float)[None],
                                   np.asarray(eps, dtype=float)[None, None])
     return Z[0, 0], logqs[0, 0]
+
+
+def _chol(params: BranchParams, i) -> UnconstrainedChol:
+    """Branch i's Cholesky factor (dense or block) as a standalone object."""
+    return UnconstrainedChol(params.raw[i], params.local_dim, params.gamma)
+
+
+def _cond_spec(params: BranchParams, i, theta) -> GaussianSpec:
+    """q(z_i | theta) of a dense or block branch family, for mvn_logpdf."""
+    mean = params.mu[i] + (params.A[i] @ theta if params.A is not None else 0.0)
+    return GaussianSpec(mean, _chol(params, i))
 
 
 class TestJointSampling:
@@ -142,60 +152,56 @@ class TestBranchSampling:
         assert np.array_equal(t1, t2) and np.array_equal(l1, l2)
 
     def test_local_affine_arithmetic(self):
-        w = LocalParams(np.array([1.0]), A=np.array([[2.0]]),
-                        chol=UnconstrainedChol(np.zeros(1), 1))
-        z, logq = _local_draw(w, np.array([3.0]), np.zeros(1))
+        params = init_branch("dense", 1, 1, 1)
+        params.mu[0], params.A[0] = 1.0, 2.0
+        z, logq = _local_draw(params, 0, np.array([3.0]), np.zeros(1))
         assert z[0] == pytest.approx(7.0)
 
     def test_local_reduces_to_standard_normal(self):
-        w = LocalParams(np.zeros(2), A=np.zeros((2, 3)),
-                        chol=UnconstrainedChol(np.zeros(3), 2))
+        params = init_branch("dense", 3, 2, 1)
         eps = RngStream(37).normal(2)
         for theta_scale in (0.0, 5.0):
-            z, logq = _local_draw(w, np.full(3, theta_scale), eps)
+            z, logq = _local_draw(params, 0, np.full(3, theta_scale), eps)
             assert np.allclose(z, eps)
 
     def test_local_conditional_density(self):
         gen = RngStream(38).generator()
-        w = LocalParams(gen.standard_normal(2), A=gen.standard_normal((2, 3)),
-                        chol=UnconstrainedChol(gen.standard_normal(3), 2))
+        params = init_branch("dense", 3, 2, 1)
+        params.mu[0] = gen.standard_normal(2)
+        params.A[0] = gen.standard_normal((2, 3))
+        params.raw[0] = gen.standard_normal(3)
         theta = gen.standard_normal(3)
-        z, logq = _local_draw(w, theta, RngStream(39).normal(2))
-        ref = mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
+        z, logq = _local_draw(params, 0, theta, RngStream(39).normal(2))
+        ref = mvn_logpdf(_cond_spec(params, 0, theta), z)
         assert logq == pytest.approx(ref, abs=1e-10)
 
     @pytest.mark.parametrize("structure", ["block", "diag"])
     def test_no_coupling_structures_ignore_theta(self, structure):
         # Table-style structure rule: without A, locals cannot depend on theta.
         params = _random_branch_params(structure, 3, 2, 1, seed=40)
-        w = params.local(0)
         eps = RngStream(41).normal(2)
-        z1, q1 = _local_draw(w, np.zeros(3), eps)
-        z2, q2 = _local_draw(w, np.full(3, 9.0), eps)
+        z1, q1 = _local_draw(params, 0, np.zeros(3), eps)
+        z2, q2 = _local_draw(params, 0, np.full(3, 9.0), eps)
         assert np.array_equal(z1, z2) and q1 == q2
 
     def test_structure_field_validation(self):
         with pytest.raises(MalformedParamsError):
             # a block-width row (mu, raw) has no A columns for a dense family
             BranchParams("dense", 1, 1, init_branch("dense", 1, 1, 0).v, np.zeros((1, 2)))
-        with pytest.raises(MalformedParamsError):
-            LocalParams(np.zeros(1))
 
 
 class TestJointToBranch:
     def test_identity_covariance(self):
         fam = init_joint("dense", 2, 1, 2)
         bp = joint_to_branch(fam)
-        for i in range(bp.n_branches):
-            w = bp.local(i)
-            assert np.allclose(w.A, 0.0, atol=1e-12)
-            assert np.allclose(tril_map(w.chol), np.eye(1), atol=1e-12)
+        assert np.allclose(bp.A, 0.0, atol=1e-12)
+        assert np.allclose(tril_map_raw(bp.raw, 1, bp.gamma), np.eye(1), atol=1e-12)
 
     def test_two_dim_by_hand(self):
         spec = spec_from_moments(np.array([0.0, 0.0]), np.array([[2.0, 1.0], [1.0, 2.0]]))
         bp = joint_to_branch(JointFamily("dense", 1, 1, 1, spec=spec))
-        assert bp.local(0).A[0, 0] == pytest.approx(0.5, abs=1e-12)
-        L = tril_map(bp.local(0).chol)
+        assert bp.A[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+        L = tril_map(_chol(bp, 0))
         assert (L @ L.T)[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_theta_marginal_preserved(self):
@@ -226,11 +232,10 @@ class TestJointToBranch:
         for _ in range(100):
             x = fam.spec.mean + gen.standard_normal(fam.total_dim) * 1.5
             theta = x[:D]
-            lq = mvn_logpdf(GaussianSpec(bp.v.mean, bp.v.chol), theta)
+            lq = mvn_logpdf(bp.v, theta)
             for i in range(bp.n_branches):
-                w = bp.local(i)
                 z = x[D + i * dz:D + (i + 1) * dz]
-                lq += mvn_logpdf(GaussianSpec(w.mu + w.A @ theta, w.chol), z)
+                lq += mvn_logpdf(_cond_spec(bp, i, theta), z)
             assert abs(lq - mvn_logpdf(fam.spec, x)) < 1e-9
 
     @pytest.mark.parametrize("structure", ["block", "diag"])
@@ -238,18 +243,17 @@ class TestJointToBranch:
         fam = _random_joint(structure, 2, 2, 2, seed=45)
         bp = joint_to_branch(fam)
         assert bp.A is None
-        assert all(bp.local(i).A is None for i in range(bp.n_branches))
         if structure == "diag":
             # regrouping is a re-indexing of the same per-coordinate factors
             assert np.allclose(bp.v.mean, fam.diag.mean[:2])
             assert np.allclose(bp.v.scale_raw, fam.diag.scale_raw[:2])
-            assert np.allclose(bp.local(1).mu, fam.diag.mean[4:6])
-            assert np.allclose(bp.local(1).scale_raw, fam.diag.scale_raw[4:6])
+            assert np.allclose(bp.mu[1], fam.diag.mean[4:6])
+            assert np.allclose(bp.scale_raw[1], fam.diag.scale_raw[4:6])
         else:
             Lz = tril_map(fam.locals_spec.chol)
             cov_z = Lz @ Lz.T
             for i in range(bp.n_branches):
-                Lw = tril_map(bp.local(i).chol)
+                Lw = tril_map(_chol(bp, i))
                 blk = cov_z[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2]
                 assert np.allclose(Lw @ Lw.T, blk, atol=1e-10)
 
@@ -270,13 +274,10 @@ class TestJointToBranch:
         gen = RngStream(49).generator()
         for _ in range(20):
             theta = gen.standard_normal(1)
-            for i in range(params.n_branches):
-                w_a, w_b = params.local(i), back.local(i)
-                m_a = w_a.mu + w_a.A @ theta
-                m_b = w_b.mu + w_b.A @ theta
-                assert np.allclose(m_a, m_b, atol=1e-9)
-                La, Lb = tril_map(w_a.chol), tril_map(w_b.chol)
-                assert np.allclose(La @ La.T, Lb @ Lb.T, atol=1e-9)
+            assert np.allclose(params.mu + params.A @ theta, back.mu + back.A @ theta,
+                               atol=1e-9)
+        La, Lb = (tril_map_raw(p.raw, 1, p.gamma) for p in (params, back))
+        assert np.allclose(La @ La.transpose(0, 2, 1), Lb @ Lb.transpose(0, 2, 1), atol=1e-9)
 
 
 class TestParamCounts:
@@ -315,18 +316,18 @@ class TestStackedLocals:
 
     @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
     def test_local_views_write_through_to_W(self, structure):
+        # Row layout: [mu | A row-major | raw] (dense), [mu | raw], [mu | scale_raw].
         params = init_branch(structure, 2, 3, 4)
-        w = params.local(2)
-        w.mu[:] = 1.0
-        if w.A is not None:
-            w.A[:] = 2.0
-        (w.chol.raw if w.chol is not None else w.scale_raw)[:] = 3.0
-        assert np.all(params.W[[0, 1, 3]] == 0.0)
-        assert np.array_equal(params.mu[2], np.full(3, 1.0))
+        params.mu[2] = 1.0
+        parts = [np.full(3, 1.0)]
         if structure == "dense":
-            assert np.array_equal(params.A[2], np.full((3, 2), 2.0))
+            params.A[2] = np.arange(6.0).reshape(3, 2)
+            parts.append(np.arange(6.0))
         cov = params.scale_raw if structure == "diag" else params.raw
-        assert np.all(cov[2] == 3.0)
+        cov[2] = 3.0
+        parts.append(np.full(cov.shape[1], 3.0))
+        assert np.all(params.W[[0, 1, 3]] == 0.0)
+        assert np.array_equal(params.W[2], np.concatenate(parts))
 
 
 class TestTreeRoundTrip:
@@ -367,19 +368,18 @@ class TestBatchedLocals:
         Z, logq, _ = local_draw_rows(params.W[batch], structure, params.gamma, THETA, EPS)
         for m in range(THETA.shape[0]):
             for pos, i in enumerate(batch):
-                w = params.local(i)
-                z, lq = _local_draw(w, THETA[m], EPS[m, pos])
+                z, lq = _local_draw(params, i, THETA[m], EPS[m, pos])
                 assert np.array_equal(z, Z[m, pos]) and lq == logq[m, pos]
                 if structure == "diag":
-                    sd = diag_transform(w.scale_raw, params.gamma)
-                    ref_z = w.mu + sd * EPS[m, pos]
-                    ref_q = float(np.sum(-0.5 * ((ref_z - w.mu) / sd) ** 2 - np.log(sd))
+                    mu = params.mu[i]
+                    sd = diag_transform(params.scale_raw[i], params.gamma)
+                    ref_z = mu + sd * EPS[m, pos]
+                    ref_q = float(np.sum(-0.5 * ((ref_z - mu) / sd) ** 2 - np.log(sd))
                                   - 0.5 * sd.size * LOG_2PI)
                 else:
-                    L = tril_map(w.chol)
-                    mean = w.mu + (w.A @ THETA[m] if w.A is not None else 0.0)
-                    ref_z = mean + L @ EPS[m, pos]
-                    ref_q = mvn_logpdf(GaussianSpec(mean, w.chol), ref_z)
+                    spec = _cond_spec(params, i, THETA[m])
+                    ref_z = spec.mean + tril_map(spec.chol) @ EPS[m, pos]
+                    ref_q = mvn_logpdf(spec, ref_z)
                 assert np.allclose(Z[m, pos], ref_z, rtol=0, atol=1e-12)
                 assert abs(logq[m, pos] - ref_q) < 1e-10
 
@@ -390,19 +390,20 @@ class TestBatchedLocals:
         _, _, aux = local_draw_rows(rows, structure, params.gamma, THETA, EPS)
         G = local_grad_rows(rows, structure, params.gamma, aux, THETA, EPS, GZ, scale, n_mc)
         for pos, i in enumerate(batch):
-            w, E, g = params.local(i), EPS[:, pos], GZ[:, pos]
+            E, g = EPS[:, pos], GZ[:, pos]
             parts = [scale * g.sum(axis=0)]
             if structure == "diag":
-                sd = diag_transform(w.scale_raw, params.gamma)
+                sd = diag_transform(params.scale_raw[i], params.gamma)
                 parts.append(((scale * g * E).sum(axis=0) + n_mc * scale / sd)
-                             * diag_transform_grad(w.scale_raw, params.gamma))
+                             * diag_transform_grad(params.scale_raw[i], params.gamma))
             else:
-                if w.A is not None:
+                if structure == "dense":
                     parts.append((scale * (g.T @ THETA)).ravel())
-                L = tril_map(w.chol)
+                chol = _chol(params, i)
+                L = tril_map(chol)
                 GL = scale * np.tril(g.T @ E)
                 GL[np.arange(2), np.arange(2)] += n_mc * scale / np.diag(L)
-                parts.append(tril_map_backward(w.chol, GL))
+                parts.append(tril_map_backward(chol, GL))
             assert np.allclose(G[pos], np.concatenate(parts), rtol=1e-12, atol=1e-12)
 
     def test_grad_rows_match_finite_differences(self, structure):

@@ -7,7 +7,6 @@ from scipy.stats import wilcoxon
 from branchvi.amortize import AmortArch, init_amortized
 from branchvi.data import SplitDataset, from_branches, split
 from branchvi.families import branch_from_tree, branch_to_tree, init_branch
-from branchvi.gaussmath import tril_unmap
 from branchvi.metrics import evaluate, log_mean_exp, write_report
 from branchvi.models import (
     SyntheticConfig,
@@ -18,6 +17,7 @@ from branchvi.models import (
 )
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten, tree_unflatten
+from test_estimators import _oracle_matched_branch
 
 
 def _synthetic_setup(D=1, N=2, n=4, seed=500, test_fraction=0.25):
@@ -70,15 +70,7 @@ class TestEvaluate:
     def test_oracle_matched_train_ll_equals_log_marginal(self):
         model, data, parts = _synthetic_setup(test_fraction=0.0)
         oracle = synthetic_oracle(data)
-        params = init_branch("dense", 1, 1, 2)
-        params.v = oracle.posterior_global
-        for i in range(data.n_branches):
-            b = data.batch([i])
-            C = np.linalg.inv(np.eye(1) + b.x.T @ b.x)
-            w = params.local(i)
-            w.mu[:] = C @ (b.x.T @ b.y)
-            w.A[:] = C
-            w.chol.raw[:] = tril_unmap(np.linalg.cholesky(C)).raw
+        params = _oracle_matched_branch(data, oracle)
         rep = evaluate(model, params, parts, k=50, rng=RngStream(505))
         assert rep.train_ll == pytest.approx(oracle.log_marginal, abs=1e-6)
         assert rep.train_elbo == pytest.approx(oracle.log_marginal, abs=1e-6)
