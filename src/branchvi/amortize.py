@@ -226,8 +226,9 @@ def net_forward_batch(net: AmortNet, obs: BranchBatch, branches):
     # the means bitwise invariant to observation order (float addition is not
     # associative otherwise). E^2 is summed in E's sorted order, which is as
     # much a function of the multiset (equal E give equal E^2). One sort per
-    # branch: numpy has no segmented sort, and a lexsort by (branch, value)
-    # over the whole batch is about 15x slower at B = 25.
+    # branch, as in BranchBatch.segment_sort: numpy has no segmented sort, and
+    # a whole-batch lexsort by (branch, value) is several times slower. The
+    # sums stay per branch: np.add.reduceat over S is not bitwise S.sum(axis=0).
     K = E.shape[1]
     pooled = np.empty((obs.n_branches, 2 * K))
     for j, (s, c) in enumerate(zip(obs.starts.tolist(), obs.counts.tolist())):

@@ -98,6 +98,8 @@ class RunConfig:
         if self.structure not in _STRUCT_CODES:
             raise InvalidDataError(f"unknown structure {self.structure!r}")
         for flag, value, ok, rule in (
+            ("--seed", self.seed, self.seed >= 0, ">= 0"),
+            ("--dim", self.dim, self.dim >= 1, ">= 1"),
             ("--n-mc", self.n_mc, self.n_mc >= 1, ">= 1"),
             ("--iters", self.iters, self.iters >= 0, ">= 0"),
             ("--batch-size", self.batch_size, self.batch_size >= 0, ">= 0"),
@@ -108,7 +110,8 @@ class RunConfig:
             ("--drop-factor", self.drop_factor,
              math.isfinite(self.drop_factor) and self.drop_factor > 0, "finite and > 0"),
             ("--max-drops", self.max_drops, self.max_drops >= 0, ">= 0"),
-            ("--gamma", self.gamma, self.gamma > 0, "> 0"),
+            ("--gamma", self.gamma, math.isfinite(self.gamma) and self.gamma > 0,
+             "finite and > 0"),
             ("--test-fraction", self.test_fraction, 0 <= self.test_fraction < 1,
              "in [0, 1)"),
         ):

@@ -31,7 +31,8 @@ class BranchBatch:
 
     Batch position j owns rows starts[j] : starts[j] + counts[j] of x and y;
     a branch may own no rows. ``xt`` is x transposed and contiguous. Models
-    reduce per-row terms to per-branch terms with ``segment_sum``.
+    reduce per-row terms to per-branch terms with ``segment_sum`` (after
+    ``segment_sort`` where the sum must not depend on the rows' order).
     """
 
     x: np.ndarray        # (n, x_dim)
@@ -62,6 +63,19 @@ class BranchBatch:
         if self._nonempty.any():
             out[..., self._nonempty] = np.add.reduceat(a, self.starts[self._nonempty],
                                                        axis=-1)
+        return out
+
+    def segment_sort(self, a: np.ndarray) -> np.ndarray:
+        """Each branch's rows sorted along the last axis: a (..., n) -> (..., n).
+
+        One in-place sort per branch (numpy has no segmented sort; a lexsort
+        by (branch, value) over the whole batch is several times slower), so a
+        branch's sorted rows do not depend on the rest of the batch.
+        """
+        out = a.copy()
+        for s, c in zip(self.starts.tolist(), self.counts.tolist()):
+            if c > 1:
+                out[..., s:s + c].sort(axis=-1)
         return out
 
 

@@ -194,12 +194,11 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, neither of which
+    # overflows: min(x, -x) = -|x| is -x on the first side and x on the other,
+    # and unlike -|x| it keeps a nan's sign.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def preference_global_dim(D: int) -> int:
@@ -242,13 +241,12 @@ def preference_model(D: int, gamma: float = 1.0) -> HbdModel:
 
     def _obs_term(Z, obs: BranchBatch):
         # Each branch's per-observation terms are summed in sorted order
-        # (lexsort by branch, then value), so the sum is exactly invariant
-        # to permuting the observations within the branch.
+        # (one sort per branch), so the sum is exactly invariant to
+        # permuting the observations within the branch.
         _check_binary(obs.y)
         eta = _rows_dot(obs, Z)
         per_obs = obs.y * eta - _softplus(eta)
-        order = np.lexsort((per_obs, np.broadcast_to(obs.seg, per_obs.shape)), axis=-1)
-        return obs.segment_sum(np.take_along_axis(per_obs, order, axis=-1)), eta
+        return obs.segment_sum(obs.segment_sort(per_obs)), eta
 
     def log_branch_vals(THETA, Z, obs: BranchBatch):
         return _local_parts(THETA, Z)[0] + _obs_term(Z, obs)[0]

@@ -33,9 +33,16 @@ class AdamState:
     # Step of each W row's last update (int64, one per row), or None when the
     # parameters have no lazily updated rows.
     tau: np.ndarray | None = None
-    # Two scratch vectors of the gradient's size, kept across steps so a
-    # step allocates nothing (adam_step creates them on first use).
+    # Two scratch vectors, kept across steps so a step allocates nothing
+    # (adam_step creates them on first use): one slice long for a dense step,
+    # the gradient's size for a lazy one.
     work: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+# A dense step runs _update over consecutive slices of this many entries, so
+# the six vectors it streams (m, s, p, g and the scratch) stay in cache. Every
+# op is elementwise, so the slicing is bitwise the same as one pass.
+_SLICE = 16384
 
 
 def adam_init(n_params: int) -> AdamState:
@@ -44,10 +51,23 @@ def adam_init(n_params: int) -> AdamState:
 
 def _check_finite(grads, where):
     """Raise for the first non-finite entry; ``where`` maps its index in
-    ``grads`` to its flat parameter index."""
-    if not np.isfinite(grads).all():
-        bad = np.flatnonzero(~np.isfinite(grads))
+    ``grads`` to its flat parameter index.
+
+    g.g is finite whenever every entry is, so one dot product clears the
+    common case. Only a non-finite g.g (a nan/inf entry, or finite entries
+    whose squares overflow, which must not raise) runs the exact search.
+    """
+    if math.isfinite(float(np.dot(grads, grads))):
+        return
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if bad.size:
         raise NonFiniteGradientError(f"non-finite gradient at flat index {int(where(bad[0]))}")
+
+
+def _scratch(state: AdamState, size: int):
+    if state.work is None or state.work[0].size != size:
+        state.work = (np.empty(size), np.empty(size))
+    return state.work
 
 
 def _update(state, t, lr, m, s, p, g, u, v):
@@ -85,13 +105,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     ``schedule``), then takes the dense update. Every other row, its moments
     and its tau stay as they are.
     """
-    if state.work is None or state.work[0].shape != grads.shape:
-        state.work = (np.empty_like(grads), np.empty_like(grads))
-    u, v = state.work
     t = state.t + 1
     if rows is None:
         _check_finite(grads, lambda j: j)
-        _update(state, t, lr, state.m, state.s, params, grads, u, v)
+        u, v = _scratch(state, min(grads.size, _SLICE))
+        for a in range(0, grads.size, _SLICE):
+            sl, n = slice(a, a + _SLICE), min(_SLICE, grads.size - a)
+            _update(state, t, lr, state.m[sl], state.s[sl], params[sl], grads[sl],
+                    u[:n], v[:n])
         if state.tau is not None:
             state.tau[:] = t
         state.t = t
@@ -101,6 +122,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     idx = np.concatenate((np.arange(head),
                           (rows[:, None] * width + (head + np.arange(width))).ravel()))
     _check_finite(grads, idx.__getitem__)
+    u, v = _scratch(state, grads.size)
     p, m, s = params[idx], state.m[idx], state.s[idx]
     tau = state.tau[rows]
     k = np.where(tau > 0, t - 1 - tau, 0)  # a never-updated row has m = s = 0

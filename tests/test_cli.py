@@ -400,11 +400,24 @@ class TestNumericValidation:
         ("--drop-every", "0"), ("--drop-every", "-5"), ("--max-drops", "-1"),
         ("--max-drops", "-2"), ("--drop-factor", "0"), ("--drop-factor", "-0.1"),
         ("--drop-factor", "nan"), ("--drop-factor", "inf"),
+        ("--seed", "-1"), ("--dim", "0"), ("--dim", "-1"), ("--gamma", "inf"),
     ])
     def test_out_of_range_flag_exits_2(self, flag, value, capsys):
         rc = _run("train", "--data", "unused", flag, value)
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--dim", "0"), ("--dim", "-1"), ("--gamma", "inf"),
+    ])
+    def test_generate_writes_nothing_for_an_out_of_range_flag(self, flag, value, tmp_path,
+                                                               capsys):
+        rc = _run("generate", "--model", "preference", "--branches", "3", "--obs", "4",
+                  flag, value, "--out-dir", str(tmp_path / "gen"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "gen").exists()
 
 
 class TestConvert:

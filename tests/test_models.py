@@ -11,10 +11,12 @@ import branchvi
 
 from branchvi.data import BranchDataset, from_branches
 from branchvi.errors import InvalidDataError
-from branchvi.gaussmath import LOG_2PI, mvn_logpdf
+from branchvi.gaussmath import LOG_2PI, dot_last, mvn_logpdf
 from branchvi.models import (
     PreferenceConfig,
     SyntheticConfig,
+    _sigmoid,
+    _softplus,
     preference_forward_sample,
     preference_global_dim,
     preference_model,
@@ -461,3 +463,73 @@ def test_batched_preference_value_is_bitwise_invariant_to_permuting_a_branch():
         obs = BranchDataset(data.x[rows], data.y[rows], data.counts)
         assert np.array_equal(m.log_branch_grad(THETA, Z, obs)[0], base)
         assert np.array_equal(m.log_branch_vals(THETA, Z, obs), base)
+
+
+def _masked_sigmoid(x):
+    """The sigmoid as a boolean-mask gather and scatter, one formula per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_formula():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0])
+    gen = np.random.default_rng(40)
+    x = np.concatenate([special] + [gen.standard_normal(10 ** 4) * scale
+                                    for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0)])
+    got, want = _sigmoid(x), _masked_sigmoid(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[0] == got[1] == 0.5 and got[2] == 1.0 and got[3] == 0.0
+    assert np.all(np.isnan(got[4:6])) and np.signbit(got[5]) and not np.signbit(got[4])
+    X = x[14:].reshape(10, -1)  # the (M, n) shape the model passes
+    assert np.array_equal(_sigmoid(X).view(np.int64), _masked_sigmoid(X).view(np.int64))
+
+
+def _lexsort_obs_term(Z, obs):
+    """The preference observation term summed after one lexsort of the whole
+    batch by (branch, value)."""
+    eta = dot_last(np.take(Z, obs.seg, axis=1), obs.x)
+    per_obs = obs.y * eta - _softplus(eta)
+    order = np.lexsort((per_obs, np.broadcast_to(obs.seg, per_obs.shape)), axis=-1)
+    return obs.segment_sum(np.take_along_axis(per_obs, order, axis=-1))
+
+
+class TestObsTermAgainstLexsort:
+    @pytest.mark.parametrize("M", [1, 10])
+    def test_ragged_batch_with_ties_and_an_empty_branch(self, M):
+        D = 2
+        gen = np.random.default_rng(41 + M)
+        counts = np.array([5, 0, 13, 1, 8, 30, 2])
+        # covariates on a coarse grid and repeated rows, so per-row terms tie
+        x = gen.integers(-2, 3, size=(counts.sum(), D)).astype(float)
+        x[10:14] = x[9]
+        y = (gen.random(counts.sum()) < 0.5).astype(float)
+        y[10:14] = y[9]
+        obs = BranchDataset(x, y, counts)
+        m = preference_model(D, gamma=1.3)
+        THETA = gen.standard_normal((M, m.global_dim))
+        Z = np.round(gen.standard_normal((M, counts.size, D)), 1)
+        want = _lexsort_obs_term(Z, obs)
+        assert np.array_equal(m.log_obs_vals(THETA, Z, obs), want)
+        assert np.all(want[:, 1] == 0.0)
+
+    def test_full_batch_of_2000_branches(self):
+        D, M, N = 2, 2, 2000
+        gen = np.random.default_rng(43)
+        counts = gen.integers(0, 40, N)
+        n = int(counts.sum())
+        obs = BranchDataset(gen.standard_normal((n, D)),
+                            (gen.random(n) < 0.5).astype(float), counts)
+        m = preference_model(D)
+        THETA = gen.standard_normal((M, m.global_dim)) * 0.5
+        Z = gen.standard_normal((M, N, D))
+        # With no rows the observation term is exactly 0, so this is the local term.
+        no_rows = BranchDataset(np.zeros((0, D)), np.zeros(0), np.zeros(N, dtype=np.int64))
+        local = m.log_branch_vals(THETA, Z, no_rows)
+        want = local + _lexsort_obs_term(Z, obs)
+        assert np.array_equal(m.log_branch_vals(THETA, Z, obs), want)
+        assert np.array_equal(m.log_branch_grad(THETA, Z, obs)[0], want)

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from branchvi.errors import NonFiniteGradientError
-from branchvi.optim import AdamState, LrSchedule, adam_init, adam_step, catch_up, lr_at
+from branchvi.optim import (
+    _SLICE,
+    AdamState,
+    LrSchedule,
+    _update,
+    adam_init,
+    adam_step,
+    catch_up,
+    lr_at,
+)
 
 
 def reference_adam_step(state: AdamState, params, grads, lr):
@@ -274,3 +283,89 @@ class TestLazyRows:
         state = AdamState(np.zeros(27), np.zeros(27), 4, tau=np.zeros(6, dtype=np.int64))
         adam_step(state, np.zeros(27), np.ones(27), 0.1)
         assert np.all(state.tau == 5)
+
+
+class TestSlicedDenseStep:
+    """The dense step runs _update slice by slice with one slice of scratch."""
+
+    @pytest.mark.parametrize("n", [1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7])
+    def test_matches_one_update_pass_bitwise(self, n):
+        gen = np.random.default_rng(n)
+        state, params = adam_init(n), gen.standard_normal(n)
+        ref, ref_params = adam_init(n), params.copy()
+        u, v = np.empty(n), np.empty(n)
+        for k in range(5):
+            grads = gen.standard_normal(n) * 10.0 ** gen.uniform(-8, 4, size=n)
+            grads[gen.random(n) < 0.1] = 0.0
+            lr = 1e-2 if k < 3 else 1e-3
+            adam_step(state, params, grads, lr)
+            ref.t += 1
+            _update(ref, ref.t, lr, ref.m, ref.s, ref_params, grads, u, v)
+            assert state.t == ref.t
+            assert np.array_equal(params, ref_params), k
+            assert np.array_equal(state.m, ref.m) and np.array_equal(state.s, ref.s), k
+            assert all(w.size == min(n, _SLICE) for w in state.work)
+
+
+def _bad_positions(size):
+    return [0, size // 2, size - 1]
+
+
+class TestFiniteCheck:
+    HEAD, N, WIDTH = 3, 6, 4
+    ROWS = np.array([1, 4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_dense_rejection_names_the_index_and_writes_nothing(self, bad, where):
+        n = 2 * _SLICE + 5
+        gen = np.random.default_rng(50)
+        state = AdamState(gen.uniform(-1, 1, n), gen.uniform(0.5, 2.0, n), 7)
+        params = gen.standard_normal(n)
+        before = params.copy(), state.m.copy(), state.s.copy()
+        grads = gen.standard_normal(n)
+        j = _bad_positions(n)[where]
+        grads[j] = bad
+        with pytest.raises(NonFiniteGradientError, match=rf"flat index {j}$"):
+            adam_step(state, params, grads, 0.1)
+        assert state.t == 7
+        for got, want in zip((params, state.m, state.s), before):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_lazy_rejection_names_the_flat_index_and_writes_nothing(self, bad, where):
+        size = self.HEAD + self.N * self.WIDTH
+        gen = np.random.default_rng(51)
+        state = AdamState(gen.uniform(-1, 1, size), gen.uniform(0.5, 2.0, size), 9,
+                          tau=np.array([2, 9, 4, 0, 5, 8], dtype=np.int64))
+        params = gen.standard_normal(size)
+        before = params.copy(), state.m.copy(), state.s.copy(), state.tau.copy()
+        grads = gen.standard_normal(self.HEAD + self.ROWS.size * self.WIDTH)
+        j = _bad_positions(grads.size)[where]
+        grads[j] = bad
+        if j < self.HEAD:
+            flat = j
+        else:
+            r, c = divmod(j - self.HEAD, self.WIDTH)
+            flat = self.HEAD + self.ROWS[r] * self.WIDTH + c
+        with pytest.raises(NonFiniteGradientError, match=rf"flat index {flat}$"):
+            adam_step(state, params, grads, 0.1, rows=self.ROWS, width=self.WIDTH,
+                      schedule=LrSchedule(0.1))
+        assert state.t == 9
+        for got, want in zip((params, state.m, state.s, state.tau), before):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_finite_gradient_whose_squared_norm_overflows_takes_the_step(self, lazy):
+        size = self.HEAD + self.N * self.WIDTH
+        n = self.HEAD + self.ROWS.size * self.WIDTH if lazy else size
+        grads = np.where(np.arange(n) % 2 == 0, 1e200, -1e200)
+        state = AdamState(np.zeros(size), np.zeros(size), 0,
+                          tau=np.zeros(self.N, dtype=np.int64))
+        params = np.zeros(size)
+        kw = dict(rows=self.ROWS, width=self.WIDTH, schedule=LrSchedule(0.1)) if lazy else {}
+        with np.errstate(over="ignore"):  # g . g and g * g overflow
+            assert not np.isfinite(np.dot(grads, grads))
+            adam_step(state, params, grads, 0.1, **kw)
+        assert state.t == 1 and np.all(np.isfinite(params))
