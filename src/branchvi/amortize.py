@@ -24,13 +24,7 @@ import numpy as np
 
 from .data import BranchBatch, BranchDataset
 from .errors import InvalidDataError, MalformedParamsError
-from .families import (
-    factor_from_tree,
-    factor_gamma,
-    factor_tree,
-    init_branch,
-    local_param_size,
-)
+from .families import init_branch, local_param_size
 from .rng import RngStream
 
 # std of a standard normal truncated to (-2, 2); draws are rescaled by it so
@@ -300,17 +294,6 @@ def net_to_tree(net: AmortNet) -> dict:
                        net.param.biases)
 
 
-def net_from_tree(net: AmortNet, tree: dict) -> AmortNet:
-    feat = MlpWeights([tree[f"feat.{l}.W"] for l in range(len(net.feat.weights))],
-                      [tree[f"feat.{l}.b"] for l in range(len(net.feat.weights))],
-                      net.feat.slope)
-    param = MlpWeights([tree[f"param.{l}.W"] for l in range(len(net.param.weights))],
-                       [tree[f"param.{l}.b"] for l in range(len(net.param.weights))],
-                       net.param.slope)
-    return AmortNet(feat, param, net.structure, net.global_dim, net.local_dim,
-                    net.x_dim, net.gamma)
-
-
 def net_param_count(net: AmortNet) -> int:
     return sum(arr.size for arr in net_to_tree(net).values())
 
@@ -343,17 +326,3 @@ def init_amortized(structure: str, global_dim: int, local_dim: int, x_dim: int,
     v = init_branch(structure, global_dim, local_dim, 0, gamma).v
     net = net_init(structure, global_dim, local_dim, x_dim, rng, arch, gamma)
     return AmortParams(v, net)
-
-
-def amort_to_tree(params: AmortParams) -> dict:
-    tree = factor_tree("v", params.v)
-    for k, a in net_to_tree(params.net).items():
-        tree[f"net.{k}"] = a
-    return tree
-
-
-def amort_from_tree(params: AmortParams, tree: dict) -> AmortParams:
-    v = factor_from_tree("v", tree, params.structure, params.global_dim,
-                         factor_gamma(params.v))
-    net_tree = {k[len("net."):]: a for k, a in tree.items() if k.startswith("net.")}
-    return AmortParams(v, net_from_tree(params.net, net_tree))

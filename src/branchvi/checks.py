@@ -15,12 +15,12 @@ from . import amortize, gaussmath
 from .amortize import AmortArch, MlpWeights, init_amortized, mlp_forward, net_forward_batch
 from .data import from_branches
 from .estimators import MinibatchSampler, branch_elbo, joint_elbo, subsampled_branch_elbo
-from .families import (branch_from_tree, branch_to_tree, init_branch, init_joint,
-                       joint_from_tree, joint_to_tree)
+from .families import init_branch, init_joint
 from .models import SyntheticConfig, synthetic_forward_sample, synthetic_model
 from .optim import LrSchedule, lr_at
 from .rng import RngStream
-from .trees import tree_flatten, tree_unflatten
+from .training import params_to_tree
+from .trees import tree_flatten, tree_rebind, tree_views
 
 
 def _check_diag_transform():
@@ -75,22 +75,25 @@ def _small_problem():
     return model, data
 
 
-def _gradient_matches_differences(params, to_tree, from_tree, estimate):
+def _gradient_matches_differences(params, estimate):
     """Central differences of ``estimate(params, want_grad)`` on 12 random
-    coordinates of perturbed ``params`` against its gradient, to 1e-3."""
-    template = to_tree(params)
-    base = tree_flatten(template) + RngStream(105).generator().standard_normal(
-        tree_flatten(template).size) * 0.2
-    params = from_tree(params, tree_unflatten(template, base))
+    coordinates of perturbed ``params`` (views into one flat vector, moved
+    an entry at a time) against its gradient, to 1e-3."""
+    tree = params_to_tree(params)
+    flat = tree_flatten(tree)
+    flat += RngStream(105).generator().standard_normal(flat.size) * 0.2
+    params = tree_rebind(params, tree, tree_views({k: a.shape for k, a in tree.items()}, flat))
     _, grads = estimate(params, True)
-    gflat = np.concatenate([grads[k].ravel() for k in template])
+    gflat = np.concatenate([grads[k].ravel() for k in tree])
     h = 1e-5
     gen = RngStream(107).generator()
-    for j in gen.choice(base.size, size=min(12, base.size), replace=False):
-        fp = base.copy(); fp[j] += h
-        fm = base.copy(); fm[j] -= h
-        vp, _ = estimate(from_tree(params, tree_unflatten(template, fp)), False)
-        vm, _ = estimate(from_tree(params, tree_unflatten(template, fm)), False)
+    for j in gen.choice(flat.size, size=min(12, flat.size), replace=False):
+        x = flat[j]
+        flat[j] = x + h
+        vp, _ = estimate(params, False)
+        flat[j] = x - h
+        vm, _ = estimate(params, False)
+        flat[j] = x
         fd = (vp.value - vm.value) / (2 * h)
         if abs(fd - gflat[j]) / max(abs(fd), 1e-6) > 1e-3:
             return False
@@ -100,14 +103,14 @@ def _gradient_matches_differences(params, to_tree, from_tree, estimate):
 def _check_branch_gradient():
     model, data = _small_problem()
     return _gradient_matches_differences(
-        init_branch("dense", 2, 2, 4), branch_to_tree, branch_from_tree,
+        init_branch("dense", 2, 2, 4),
         lambda p, g: branch_elbo(model, p, data, RngStream(106), n_mc=2, want_grad=g))
 
 
 def _check_joint_gradients():
     model, data = _small_problem()
     return all(_gradient_matches_differences(
-        init_joint(structure, 2, 2, 4), joint_to_tree, joint_from_tree,
+        init_joint(structure, 2, 2, 4),
         lambda p, g: joint_elbo(model, p, data, RngStream(106), n_mc=2, want_grad=g))
         for structure in ("dense", "block"))
 

@@ -29,7 +29,6 @@ from .families import (
     BranchParams,
     JointFamily,
     assemble_joint,
-    factor_from_tree,
     factor_gamma,
     family_param_count,
     init_branch,
@@ -52,7 +51,8 @@ from .models import (
 )
 from .optim import AdamState, LrSchedule
 from .rng import RngStream
-from .training import params_from_tree, params_to_tree, train
+from .training import params_to_tree, train
+from .trees import tree_rebind
 
 _KIND_CODES = {"joint": 0, "branch": 1, "amortized": 2}
 _STRUCT_CODES = {"dense": 0, "block": 1, "diag": 2}
@@ -270,18 +270,26 @@ def load_checkpoint(path: str):
             f"family of {want} values; the checkpoint holds {held}")
     try:
         if kind == "joint":
-            params = params_from_tree(init_joint(structure, gdim, ldim, nb, gamma), ptree)
+            template = init_joint(structure, gdim, ldim, nb, gamma)
         elif kind == "branch":
             if "w" not in ptree:
                 _stack_v1_locals(ptree, structure, gdim, ldim, nb)
-            params = params_from_tree(init_branch(structure, gdim, ldim, nb, gamma), ptree)
+            template = init_branch(structure, gdim, ldim, nb, gamma)
         else:
-            params = AmortParams(factor_from_tree("v", ptree, structure, gdim, gamma),
-                                 _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
+            template = AmortParams(init_branch(structure, gdim, ldim, 0, gamma).v,
+                                   _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
     except KeyError as exc:
         raise InvalidDataError(f"{path}: checkpoint lacks 'params.{exc.args[0]}'") from None
-    except MalformedParamsError as exc:  # arrays of the wrong shape for the family
+    except MalformedParamsError as exc:  # network layers that do not fit together
         raise InvalidDataError(f"{path}: {exc}") from None
+    layout = params_to_tree(template)
+    for k, a in layout.items():
+        if k not in ptree:
+            raise InvalidDataError(f"{path}: checkpoint lacks 'params.{k}'")
+        if ptree[k].shape != a.shape:
+            raise InvalidDataError(f"{path}: 'params.{k}' has shape {ptree[k].shape}; the "
+                                   f"{kind}/{structure} family needs {a.shape}")
+    params = tree_rebind(template, layout, {k: ptree[k] for k in layout})
     adam = None
     if "opt.m" in tree:
         m = tree["opt.m"]
@@ -441,11 +449,17 @@ def cmd_train(cfg: RunConfig) -> int:
 def _check_resume(path, params, cfg: RunConfig, model: HbdModel,
                   data: BranchDataset) -> None:
     """Reject a checkpoint whose family or dims do not fit this run."""
-    kind, structure, dims, _ = _checkpoint_meta(params)
+    kind, structure, _, _ = _checkpoint_meta(params)
     if (kind, structure) != (cfg.family, cfg.structure):
         raise InvalidDataError(
             f"{path}: checkpoint holds a {kind}/{structure} family; this run trains "
             f"--family {cfg.family} --structure {cfg.structure}")
+    _check_dims(path, params, model, data)
+
+
+def _check_dims(path, params, model: HbdModel, data: BranchDataset) -> None:
+    """Reject a checkpoint whose dims do not fit the model and data."""
+    kind, _, dims, _ = _checkpoint_meta(params)
     want = [model.global_dim, model.local_dim,
             0 if kind == "amortized" else data.n_branches,
             data.covariate_dim if kind == "amortized" else 0]
@@ -476,6 +490,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     split_ds = SplitDataset(train_data, test_data)
     model = build_model(cfg, train_data)
     params, _, _, _ = load_checkpoint(cfg.checkpoint)
+    _check_dims(cfg.checkpoint, params, model, train_data)
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = evaluate(model, params, split_ds, cfg.k_samples, RngStream(cfg.seed, 3))
     write_report(report, os.path.join(cfg.out_dir, "report.txt"),

@@ -16,7 +16,7 @@ ever needed during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,31 +305,6 @@ def factor_tree(prefix, v) -> dict:
     return {f"{prefix}.mean": v.mean, f"{prefix}.raw": v.chol.raw}
 
 
-def factor_from_tree(prefix, tree: dict, structure: str, dim: int, gamma: float):
-    """Inverse of factor_tree for one factor (a diag structure gives a DiagGaussian)."""
-    if structure == "diag":
-        return DiagGaussian(tree[f"{prefix}.mean"], tree[f"{prefix}.scale_raw"], gamma)
-    return GaussianSpec(tree[f"{prefix}.mean"],
-                        UnconstrainedChol(tree[f"{prefix}.raw"], dim, gamma))
-
-
-def branch_to_tree(params: BranchParams) -> dict:
-    """Three entries for any number of branches: v.mean, v.raw|v.scale_raw, w.
-
-    Flattened, ``w`` gives each branch's locals in turn, so the flat order is
-    the same as that of the per-branch ``w.%06d.*`` keys of earlier versions.
-    """
-    tree = factor_tree("v", params.v)
-    tree["w"] = params.W
-    return tree
-
-
-def branch_from_tree(params: BranchParams, tree: dict) -> BranchParams:
-    """Rebuild with the same shapes/structure but arrays taken from ``tree``."""
-    v = factor_from_tree("v", tree, params.structure, params.global_dim, params.gamma)
-    return BranchParams(params.structure, params.global_dim, params.local_dim, v, tree["w"])
-
-
 def joint_factors(fam: JointFamily) -> list:
     """The factors of a joint family as (prefix, factor, start, stop) slices of x = (theta, z).
 
@@ -342,21 +317,6 @@ def joint_factors(fam: JointFamily) -> list:
             out.append(("locals", fam.locals_spec, fam.global_dim, fam.total_dim))
         return out
     return [("q", fam.spec if fam.structure == "dense" else fam.diag, 0, fam.total_dim)]
-
-
-def joint_to_tree(fam: JointFamily) -> dict:
-    tree = {}
-    for prefix, v, _, _ in joint_factors(fam):
-        tree.update(factor_tree(prefix, v))
-    return tree
-
-
-def joint_from_tree(fam: JointFamily, tree: dict) -> JointFamily:
-    vs = [factor_from_tree(prefix, tree, fam.structure, stop - start, factor_gamma(v))
-          for prefix, v, start, stop in joint_factors(fam)]
-    if fam.structure == "block":
-        return replace(fam, theta_spec=vs[0], locals_spec=vs[1] if len(vs) > 1 else None)
-    return replace(fam, **{"spec" if fam.structure == "dense" else "diag": vs[0]})
 
 
 # ---------------------------------------------------------------------------

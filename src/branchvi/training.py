@@ -15,44 +15,36 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .amortize import AmortParams, amort_from_tree, amort_to_tree
+from .amortize import AmortParams, net_to_tree
 from .data import BranchDataset
 from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
                      NonFiniteGradientError)
 from .estimators import MinibatchSampler, amortized_elbo, joint_elbo, subsampled_branch_elbo
-from .families import (
-    BranchParams,
-    JointFamily,
-    branch_from_tree,
-    branch_to_tree,
-    joint_from_tree,
-    joint_to_tree,
-)
+from .families import BranchParams, JointFamily, factor_tree, joint_factors
 from .models import HbdModel
 from .optim import AdamState, LrSchedule, adam_init, adam_step, catch_up_tables, lr_at
 from .rng import RngStream
-from .trees import tree_flatten, tree_views
+from .trees import tree_flatten, tree_rebind, tree_views
 
 EMA_SMOOTHING = 0.001
 
 
 def params_to_tree(params) -> dict:
+    """The container's own arrays by checkpoint key (``params.<key>``), in
+    flat order: each joint factor's ``<prefix>.mean`` and ``.raw`` (or
+    ``.scale_raw``); ``v.*`` then ``w`` (each branch's row of locals in
+    turn) for a branch family; ``v.*`` then ``net.*`` for an amortized one.
+    """
     if isinstance(params, JointFamily):
-        return joint_to_tree(params)
+        tree = {}
+        for prefix, v, _, _ in joint_factors(params):
+            tree.update(factor_tree(prefix, v))
+        return tree
     if isinstance(params, BranchParams):
-        return branch_to_tree(params)
+        return {**factor_tree("v", params.v), "w": params.W}
     if isinstance(params, AmortParams):
-        return amort_to_tree(params)
-    raise MalformedParamsError(f"unknown parameter container {type(params).__name__}")
-
-
-def params_from_tree(params, tree: dict):
-    if isinstance(params, JointFamily):
-        return joint_from_tree(params, tree)
-    if isinstance(params, BranchParams):
-        return branch_from_tree(params, tree)
-    if isinstance(params, AmortParams):
-        return amort_from_tree(params, tree)
+        return {**factor_tree("v", params.v),
+                **{f"net.{k}": a for k, a in net_to_tree(params.net).items()}}
     raise MalformedParamsError(f"unknown parameter container {type(params).__name__}")
 
 
@@ -127,7 +119,7 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     tree = params_to_tree(params)
     shapes = {k: a.shape for k, a in tree.items()}
     flat = tree_flatten(tree)  # a copy of the caller's values
-    params = params_from_tree(params, tree_views(shapes, flat))
+    params = tree_rebind(params, tree, tree_views(shapes, flat))
     lazy = isinstance(params, BranchParams) and 0 < batch_size < params.n_branches
     if lazy:  # the estimator returns w's gradient as the batch's rows of W
         shapes["w"] = (batch_size, params.W.shape[1])

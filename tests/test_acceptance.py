@@ -12,8 +12,6 @@ import pytest
 
 from branchvi.amortize import (
     AmortArch,
-    amort_from_tree,
-    amort_to_tree,
     init_amortized,
     net_backward_batch,
     net_forward_batch,
@@ -30,16 +28,12 @@ from branchvi.estimators import (
 )
 from branchvi.families import (
     JointFamily,
-    branch_from_tree,
-    branch_to_tree,
     factor_draw_batch,
     factor_grad_accum,
     family_param_count,
     init_branch,
     init_joint,
-    joint_from_tree,
     joint_to_branch,
-    joint_to_tree,
 )
 from branchvi.gaussmath import (
     GaussianSpec,
@@ -62,20 +56,13 @@ from branchvi.models import (
 )
 from branchvi.optim import LrSchedule
 from branchvi.rng import RngStream
-from branchvi.trees import tree_flatten, tree_unflatten
-from branchvi.training import train
+from branchvi.training import params_to_tree, train
+from helpers import central_differences, flat_grads, perturb
 
 
 def _report(num, name, ok, detail):
     print(f"\nACCEPTANCE {num} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _perturb(params, to_tree, from_tree, seed, scale=0.3):
-    tree = to_tree(params)
-    flat = tree_flatten(tree)
-    flat = flat + RngStream(seed).generator().standard_normal(flat.size) * scale
-    return from_tree(params, tree_unflatten(tree, flat))
 
 
 def _mc_elbo(estimate_fn, reps, stream):
@@ -178,8 +165,7 @@ def test_criterion_4_subsampling_unbiasedness():
     cfg = SyntheticConfig(D, N, (n_i,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(700))
     model = synthetic_model(D)
-    params = _perturb(init_branch("dense", D, D, N), branch_to_tree,
-                      branch_from_tree, 701)
+    params = perturb(init_branch("dense", D, D, N), 701, 0.3)
     sampler = MinibatchSampler(N, 3)
     R = 20_000
     full = np.array([branch_elbo(model, params, data, RngStream(702, k), n_mc=1,
@@ -300,62 +286,45 @@ def test_criterion_6_gradient_integrity():
     _, tape = net_forward_batch(ap.net, b, [0])
     net_grads = net_backward_batch(ap.net, tape, upstream[None, :])
     tree = net_to_tree(ap.net)
-    from branchvi.amortize import net_from_tree
-
-    def net_value(t):
-        return float(upstream @ net_forward_batch(net_from_tree(ap.net, t), b, [0])[0][0])
-
-    for key in tree:
-        for j in range(tree[key].size):
-            tp = {k: v.copy() for k, v in tree.items()}
-            tm = {k: v.copy() for k, v in tree.items()}
-            tp[key].flat[j] += h
-            tm[key].flat[j] -= h
-            fd = (net_value(tp) - net_value(tm)) / (2 * h)
-            if abs(fd - net_grads[key].flat[j]) / max(abs(fd), 1e-7) > 1e-4:
-                failures.append(f"net {key}[{j}]")
+    fds = central_differences(
+        ap.net, lambda n: float(upstream @ net_forward_batch(n, b, [0])[0][0]), h, tree)
+    for j, (fd, g) in enumerate(zip(fds, flat_grads(net_grads, tree))):
+        if abs(fd - g) / max(abs(fd), 1e-7) > 1e-4:
+            failures.append(f"net[{j}]")
 
     # all four estimators end to end with common random numbers (1e-3)
     cfg = SyntheticConfig(1, 2, (2, 2))
     data, _ = synthetic_forward_sample(cfg, RngStream(802))
     model = synthetic_model(1)
 
-    def check_estimator(label, params, to_tree, from_tree, run):
-        template = to_tree(params)
+    def check_estimator(label, params, run):
+        template = params_to_tree(params)
         est, grads = run(params, want_grad=True)
         if "w" in grads:  # branch estimators return the gradient rows of W[est.batch]
             G = np.zeros_like(template["w"])
             G[est.batch] = grads["w"]
             grads["w"] = G
-        gflat = np.concatenate([grads[k].ravel() for k in template])
-        flat = tree_flatten(template)
-        for j in range(flat.size):
-            fp, fm = flat.copy(), flat.copy()
-            fp[j] += h
-            fm[j] -= h
-            vp, _ = run(from_tree(params, tree_unflatten(template, fp)), want_grad=False)
-            vm, _ = run(from_tree(params, tree_unflatten(template, fm)), want_grad=False)
-            fd = (vp.value - vm.value) / (2 * h)
-            if abs(fd - gflat[j]) / max(abs(fd), 1e-6) > 1e-3:
+        fds = central_differences(params, lambda p: run(p, want_grad=False)[0].value, h)
+        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, template))):
+            if abs(fd - g) / max(abs(fd), 1e-6) > 1e-3:
                 failures.append(f"{label}[{j}]")
 
-    bp = _perturb(init_branch("dense", 1, 1, 2), branch_to_tree, branch_from_tree, 803)
-    check_estimator("branch", bp, branch_to_tree, branch_from_tree,
+    bp = perturb(init_branch("dense", 1, 1, 2), 803, 0.3)
+    check_estimator("branch", bp,
                     lambda p, want_grad: branch_elbo(model, p, data, RngStream(804),
                                                      n_mc=3, want_grad=want_grad))
     sampler = MinibatchSampler(2, 1)
-    check_estimator("subsampled", bp, branch_to_tree, branch_from_tree,
+    check_estimator("subsampled", bp,
                     lambda p, want_grad: subsampled_branch_elbo(
                         model, p, data, sampler, RngStream(805), n_mc=3,
                         want_grad=want_grad))
-    jf = _perturb(init_joint("dense", 1, 1, 2), joint_to_tree, joint_from_tree, 806)
-    check_estimator("joint", jf, joint_to_tree, joint_from_tree,
+    jf = perturb(init_joint("dense", 1, 1, 2), 806, 0.3)
+    check_estimator("joint", jf,
                     lambda p, want_grad: joint_elbo(model, p, data, RngStream(807),
                                                     n_mc=3, want_grad=want_grad))
-    ap2 = _perturb(init_amortized("dense", 1, 1, 1, RngStream(808),
-                                  AmortArch((3, 3), (4, 4))),
-                   amort_to_tree, amort_from_tree, 809, scale=0.2)
-    check_estimator("amortized", ap2, amort_to_tree, amort_from_tree,
+    ap2 = perturb(init_amortized("dense", 1, 1, 1, RngStream(808),
+                                 AmortArch((3, 3), (4, 4))), 809, 0.2)
+    check_estimator("amortized", ap2,
                     lambda p, want_grad: amortized_elbo(
                         model, p.v, p.net, data, MinibatchSampler(2, 2),
                         RngStream(810), n_mc=2, want_grad=want_grad))
@@ -407,8 +376,7 @@ def test_criterion_8_metrics_identities():
     data, _ = synthetic_forward_sample(cfg, RngStream(1000))
     parts = split(data, 0.25, RngStream(1001))
     model = synthetic_model(1)
-    params = _perturb(init_branch("dense", 1, 1, 2), branch_to_tree,
-                      branch_from_tree, 1002, scale=0.4)
+    params = perturb(init_branch("dense", 1, 1, 2), 1002, 0.4)
 
     rep1 = evaluate(model, params, parts, k=1, rng=RngStream(1003))
     k1_ok = rep1.train_ll == rep1.train_elbo

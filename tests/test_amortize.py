@@ -25,6 +25,7 @@ from branchvi.families import local_param_size
 from branchvi.gaussmath import tril_map_raw, tril_size
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
+from helpers import central_differences, flat_grads
 
 TINY = AmortArch(feat_widths=(3, 3), param_widths=(4, 4), slope=0.01)
 
@@ -92,18 +93,9 @@ class TestNetBackward:
         _, tape = _row(net, *b)
         grads = net_backward_batch(net, tape, upstream[None, :])
         tree = net_to_tree(net)
-        h = 1e-6
-        from branchvi.amortize import net_from_tree
-
-        for key in tree:
-            flat_idx = np.unravel_index(range(tree[key].size), tree[key].shape)
-            for j in range(tree[key].size):
-                tp = {k: v.copy() for k, v in tree.items()}
-                tm = {k: v.copy() for k, v in tree.items()}
-                tp[key].flat[j] += h
-                tm[key].flat[j] -= h
-                fd = (value(net_from_tree(net, tp)) - value(net_from_tree(net, tm))) / (2 * h)
-                assert grads[key].flat[j] == pytest.approx(fd, rel=1e-4, abs=1e-7), key
+        fds = central_differences(net, value, 1e-6, tree)
+        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, tree))):
+            assert g == pytest.approx(fd, rel=1e-4, abs=1e-7), j
 
     def test_zero_upstream_gives_zero_grads(self):
         net = net_init("dense", 1, 1, 1, RngStream(83), TINY)
@@ -197,20 +189,10 @@ class TestBatchedNet:
         _, tape = net_forward_batch(net, obs, idx)
         grads = net_backward_batch(net, tape, G)
         tree = net_to_tree(net)
-        h = 1e-6
-        from branchvi.amortize import net_from_tree
-
-        def value(t):
-            return float(np.sum(G * net_forward_batch(net_from_tree(net, t), obs, idx)[0]))
-
-        for key in tree:
-            for j in range(tree[key].size):
-                tp = {k: v.copy() for k, v in tree.items()}
-                tm = {k: v.copy() for k, v in tree.items()}
-                tp[key].flat[j] += h
-                tm[key].flat[j] -= h
-                fd = (value(tp) - value(tm)) / (2 * h)
-                assert grads[key].flat[j] == pytest.approx(fd, rel=1e-4, abs=1e-7), key
+        fds = central_differences(
+            net, lambda n: float(np.sum(G * net_forward_batch(n, obs, idx)[0])), 1e-6, tree)
+        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, tree))):
+            assert g == pytest.approx(fd, rel=1e-4, abs=1e-7), j
 
     def test_empty_branch_in_batch_names_it(self):
         net = net_init("diag", 1, 1, 1, RngStream(171), TINY)

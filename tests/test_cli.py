@@ -760,6 +760,49 @@ class TestCorruptCheckpoint:
         for err in self._eval_and_resume(data, bad, tmp_path, capsys):
             assert needle in err
 
+    @pytest.mark.parametrize("family, key, want", [
+        ("joint", "q", 4), ("branch", "v", 1), ("amortized", "v", 1),
+    ])
+    def test_misshapen_params_exit_2(self, trained, tmp_path, capsys, family, key, want):
+        # diag factors: nothing but this check ties their length to the dims
+        data, _ = trained
+        run_dir = tmp_path / family
+        assert _run("train", "--model", "synthetic", "--dim", "1", "--data", str(data),
+                    "--family", family, "--structure", "diag", "--iters", "2",
+                    "--seed", "8", "--out-dir", str(run_dir)) == 0
+        tree = load_tensors(run_dir / "checkpoint.nt")
+        assert tree[f"params.{key}.mean"].shape == (want,)
+        for field in ("mean", "scale_raw"):
+            tree[f"params.{key}.{field}"] = np.zeros(want + 2)
+        bad = tmp_path / "misshapen.nt"
+        save_tensors(bad, tree)
+        needle = (f"'params.{key}.mean' has shape ({want + 2},); the {family}/diag family "
+                  f"needs ({want},)")
+        with pytest.raises(InvalidDataError, match=re.escape(needle)):
+            load_checkpoint(bad)
+        for err in self._eval_and_resume(data, bad, tmp_path, capsys):
+            assert needle in err
+
+
+@pytest.mark.parametrize("family", ["branch", "amortized"])
+def test_eval_rejects_checkpoint_dims_that_do_not_fit(family, tmp_path, capsys):
+    for dim in (1, 2):
+        _run("generate", "--model", "synthetic", "--dim", str(dim), "--branches", "3",
+             "--obs", "4", "--seed", "8", "--out-dir", str(tmp_path / f"gen{dim}"))
+    assert _run("train", "--model", "synthetic", "--dim", "2", "--family", family,
+                "--data", str(tmp_path / "gen2" / "data"), "--iters", "2", "--seed", "8",
+                "--out-dir", str(tmp_path / "run")) == 0
+    capsys.readouterr()
+    rc = _run("eval", "--model", "synthetic", "--dim", "1", "--family", family,
+              "--checkpoint", str(tmp_path / "run" / "checkpoint.nt"),
+              "--data", str(tmp_path / "gen1" / "data"), "--k-samples", "10",
+              "--out-dir", str(tmp_path / "eval"))
+    out = capsys.readouterr()
+    assert rc == 2 and "Traceback" not in out.err + out.out
+    assert out.err.startswith("error: ") and "global dim 2 != 1" in out.err
+    if family == "amortized":
+        assert "covariate dim 2 != 1" in out.err
+
 
 def test_generate_oracle_at_scale(tmp_path):
     # 5000 branches x 20 observations: the closed-form oracle stays cheap.

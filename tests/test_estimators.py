@@ -5,8 +5,6 @@ import pytest
 
 from branchvi.amortize import (
     AmortArch,
-    amort_from_tree,
-    amort_to_tree,
     init_amortized,
     net_forward_batch,
 )
@@ -24,13 +22,9 @@ from branchvi.estimators import (
 from branchvi.families import (
     JointFamily,
     assemble_joint,
-    branch_from_tree,
-    branch_to_tree,
     init_branch,
     init_joint,
-    joint_from_tree,
     joint_to_branch,
-    joint_to_tree,
 )
 from branchvi.gaussmath import (LOG_2PI, GaussianSpec, UnconstrainedChol, mvn_logpdf,
                                spec_from_moments, tril_map, tril_map_raw, tril_unmap,
@@ -42,20 +36,14 @@ from branchvi.models import (
     synthetic_oracle,
 )
 from branchvi.rng import RngStream
-from branchvi.trees import tree_flatten, tree_unflatten
+from branchvi.training import params_to_tree
+from helpers import central_differences, flat_grads, perturb
 
 
 def _problem(D, N, n, seed):
     cfg = SyntheticConfig(D, N, (n,) * N)
     data, _ = synthetic_forward_sample(cfg, RngStream(seed))
     return synthetic_model(D), data
-
-
-def _perturb(params, to_tree, from_tree, seed, scale=0.3):
-    tree = to_tree(params)
-    flat = tree_flatten(tree)
-    flat = flat + RngStream(seed).generator().standard_normal(flat.size) * scale
-    return from_tree(params, tree_unflatten(tree, flat))
 
 
 def _oracle_matched_branch(data, oracle):
@@ -119,7 +107,7 @@ class TestJointElbo:
     def test_elbo_below_log_marginal(self):
         model, data = _problem(1, 2, 3, seed=302)
         oracle = synthetic_oracle(data)
-        fam = _perturb(init_joint("dense", 1, 1, 2), joint_to_tree, joint_from_tree, 303)
+        fam = perturb(init_joint("dense", 1, 1, 2), 303, 0.3)
         vals = np.array([joint_elbo(model, fam, data, RngStream(304, k), n_mc=1,
                                     want_grad=False)[0].value for k in range(10_000)])
         se = vals.std() / np.sqrt(vals.size)
@@ -128,22 +116,12 @@ class TestJointElbo:
     def test_gradient_matches_finite_differences(self):
         model, data = _problem(1, 2, 2, seed=305)
         for structure in ("dense", "block", "diag"):
-            fam = _perturb(init_joint(structure, 1, 1, 2), joint_to_tree,
-                           joint_from_tree, 306)
-            template = joint_to_tree(fam)
+            fam = perturb(init_joint(structure, 1, 1, 2), 306, 0.3)
             est, grads = joint_elbo(model, fam, data, RngStream(307), n_mc=3)
-            gflat = np.concatenate([grads[k].ravel() for k in template])
-            flat = tree_flatten(template)
-            h = 1e-5
-            for j in range(flat.size):
-                fp, fm = flat.copy(), flat.copy()
-                fp[j] += h
-                fm[j] -= h
-                vp, _ = joint_elbo(model, joint_from_tree(fam, tree_unflatten(template, fp)),
-                                   data, RngStream(307), n_mc=3, want_grad=False)
-                vm, _ = joint_elbo(model, joint_from_tree(fam, tree_unflatten(template, fm)),
-                                   data, RngStream(307), n_mc=3, want_grad=False)
-                fd = (vp.value - vm.value) / (2 * h)
+            gflat = flat_grads(grads, params_to_tree(fam))
+            fds = central_differences(fam, lambda f: joint_elbo(
+                model, f, data, RngStream(307), n_mc=3, want_grad=False)[0].value, 1e-5)
+            for j, fd in enumerate(fds):
                 assert gflat[j] == pytest.approx(fd, rel=1e-3, abs=1e-7)
 
     @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
@@ -151,7 +129,7 @@ class TestJointElbo:
         # log q(x) from the factor densities at x, not from the sampling noise
         D, N, n_mc = 2, 3, 6
         model, data = _problem(D, N, 4, seed=309)
-        fam = _perturb(init_joint(structure, D, D, N), joint_to_tree, joint_from_tree, 310)
+        fam = perturb(init_joint(structure, D, D, N), 310, 0.3)
         est, _ = joint_elbo(model, fam, data, RngStream(311), n_mc=n_mc)
         EPS = RngStream(311).child(_STREAM_GLOBAL).normal((n_mc, fam.total_dim))
         terms = []
@@ -206,7 +184,7 @@ class TestBranchElbo:
         model = synthetic_model(2)
         data = from_branches([], 2)
         params = init_branch("dense", 2, 2, 0)
-        params = _perturb(params, branch_to_tree, branch_from_tree, 310)
+        params = perturb(params, 310, 0.3)
         L = tril_map(params.v.chol)
         cov = L @ L.T
         mu = params.v.mean
@@ -263,8 +241,7 @@ class TestBranchElbo:
 
     def test_deterministic_under_fixed_stream(self):
         model, data = _problem(2, 3, 4, seed=319)
-        params = _perturb(init_branch("block", 2, 2, 3), branch_to_tree,
-                          branch_from_tree, 320)
+        params = perturb(init_branch("block", 2, 2, 3), 320, 0.3)
         e1, g1 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
         e2, g2 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
         assert e1.value == e2.value
@@ -282,8 +259,7 @@ class TestBranchElbo:
 class TestSubsampledBranchElbo:
     def test_full_batch_is_bitwise_identical(self):
         model, data = _problem(2, 5, 3, seed=330)
-        params = _perturb(init_branch("dense", 2, 2, 5), branch_to_tree,
-                          branch_from_tree, 331)
+        params = perturb(init_branch("dense", 2, 2, 5), 331, 0.3)
         e1, g1 = branch_elbo(model, params, data, RngStream(332), n_mc=4)
         e2, g2 = subsampled_branch_elbo(model, params, data, MinibatchSampler(5, 5),
                                         RngStream(332), n_mc=4)
@@ -293,8 +269,7 @@ class TestSubsampledBranchElbo:
 
     def test_unbiased_against_full_estimate(self):
         model, data = _problem(1, 10, 2, seed=333)
-        params = _perturb(init_branch("dense", 1, 1, 10), branch_to_tree,
-                          branch_from_tree, 334)
+        params = perturb(init_branch("dense", 1, 1, 10), 334, 0.3)
         sampler = MinibatchSampler(10, 3)
         R = 4000
         full = np.array([branch_elbo(model, params, data, RngStream(335, k), n_mc=1,
@@ -308,30 +283,18 @@ class TestSubsampledBranchElbo:
 
     def test_gradient_matches_finite_differences(self):
         model, data = _problem(1, 4, 2, seed=337)
-        params = _perturb(init_branch("dense", 1, 1, 4), branch_to_tree,
-                          branch_from_tree, 338)
+        params = perturb(init_branch("dense", 1, 1, 4), 338, 0.3)
         sampler = MinibatchSampler(4, 2)
-        template = branch_to_tree(params)
         est, grads = subsampled_branch_elbo(model, params, data, sampler,
                                             RngStream(339), n_mc=3)
         assert grads["w"].shape == (2, params.W.shape[1])  # the batch's rows only
         G = np.zeros_like(params.W)
         G[est.batch] = grads["w"]
         grads["w"] = G
-        gflat = np.concatenate([grads[k].ravel() for k in template])
-        flat = tree_flatten(template)
-        h = 1e-5
-        for j in range(flat.size):
-            fp, fm = flat.copy(), flat.copy()
-            fp[j] += h
-            fm[j] -= h
-            vp, _ = subsampled_branch_elbo(
-                model, branch_from_tree(params, tree_unflatten(template, fp)), data,
-                sampler, RngStream(339), n_mc=3, want_grad=False)
-            vm, _ = subsampled_branch_elbo(
-                model, branch_from_tree(params, tree_unflatten(template, fm)), data,
-                sampler, RngStream(339), n_mc=3, want_grad=False)
-            fd = (vp.value - vm.value) / (2 * h)
+        gflat = flat_grads(grads, params_to_tree(params))
+        fds = central_differences(params, lambda p: subsampled_branch_elbo(
+            model, p, data, sampler, RngStream(339), n_mc=3, want_grad=False)[0].value, 1e-5)
+        for j, fd in enumerate(fds):
             assert gflat[j] == pytest.approx(fd, rel=1e-3, abs=1e-7)
 
 
@@ -361,8 +324,7 @@ class TestEstimatorUnbiasedness:
     def test_against_gauss_hermite_quadrature(self):
         # D=1, N=1, n=1: ELBO(q) by 2-d Gauss-Hermite vs estimator MC means
         model, data = _problem(1, 1, 1, seed=340)
-        params = _perturb(init_branch("dense", 1, 1, 1), branch_to_tree,
-                          branch_from_tree, 341, scale=0.4)
+        params = perturb(init_branch("dense", 1, 1, 1), 341, 0.4)
         nodes, weights = np.polynomial.hermite_e.hermegauss(80)
         norm_w = weights / np.sqrt(2 * np.pi)
         L0 = tril_map(params.v.chol)[0, 0]
@@ -408,7 +370,7 @@ class TestAmortizedElbo:
         model, data = _problem(1, 3, 3, seed=353)
         ap = init_amortized("dense", 1, 1, 1, RngStream(354),
                             AmortArch((3, 3), (4, 4)))
-        ap = _perturb(ap, amort_to_tree, amort_from_tree, 355, scale=0.2)
+        ap = perturb(ap, 355, 0.2)
         params = init_branch("dense", 1, 1, 3)
         params.v = ap.v
         params.W[:] = net_forward_batch(ap.net, data, np.arange(3))[0]
@@ -445,23 +407,13 @@ class TestAmortizedElbo:
         model, data = _problem(1, 2, 2, seed=361)
         ap = init_amortized("dense", 1, 1, 1, RngStream(362),
                             AmortArch((3, 3), (4, 4)))
-        ap = _perturb(ap, amort_to_tree, amort_from_tree, 363, scale=0.2)
+        ap = perturb(ap, 363, 0.2)
         sampler = MinibatchSampler(2, 2)
-        template = amort_to_tree(ap)
         est, grads = amortized_elbo(model, ap.v, ap.net, data, sampler,
                                     RngStream(364), n_mc=2)
-        gflat = np.concatenate([grads[k].ravel() for k in template])
-        flat = tree_flatten(template)
-        h = 1e-5
-        for j in range(flat.size):
-            fp, fm = flat.copy(), flat.copy()
-            fp[j] += h
-            fm[j] -= h
-            ap_p = amort_from_tree(ap, tree_unflatten(template, fp))
-            ap_m = amort_from_tree(ap, tree_unflatten(template, fm))
-            vp, _ = amortized_elbo(model, ap_p.v, ap_p.net, data, sampler,
-                                   RngStream(364), n_mc=2, want_grad=False)
-            vm, _ = amortized_elbo(model, ap_m.v, ap_m.net, data, sampler,
-                                   RngStream(364), n_mc=2, want_grad=False)
-            fd = (vp.value - vm.value) / (2 * h)
+        gflat = flat_grads(grads, params_to_tree(ap))
+        fds = central_differences(ap, lambda a: amortized_elbo(
+            model, a.v, a.net, data, sampler, RngStream(364), n_mc=2,
+            want_grad=False)[0].value, 1e-5)
+        for j, fd in enumerate(fds):
             assert gflat[j] == pytest.approx(fd, rel=1e-3, abs=1e-7)

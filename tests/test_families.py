@@ -4,23 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from branchvi.amortize import AmortArch, init_amortized
 from branchvi.errors import MalformedParamsError
 from branchvi.families import (
     BranchParams,
     DiagGaussian,
     JointFamily,
     assemble_joint,
-    branch_from_tree,
-    branch_to_tree,
     factor_draw_batch,
     family_param_count,
     init_branch,
     init_joint,
     joint_draw_batch,
     joint_factors,
-    joint_from_tree,
     joint_to_branch,
-    joint_to_tree,
     local_draw_rows,
     local_grad_rows,
 )
@@ -39,7 +36,9 @@ from branchvi.gaussmath import (
     tril_unmap,
 )
 from branchvi.rng import RngStream
-from branchvi.trees import tree_flatten, tree_unflatten
+from branchvi.training import params_to_tree
+from branchvi.trees import tree_flatten, tree_rebind
+from helpers import perturb
 
 
 def gaussian_entropy(spec: GaussianSpec) -> float:
@@ -50,19 +49,11 @@ def gaussian_entropy(spec: GaussianSpec) -> float:
 
 
 def _random_branch_params(structure, D, dz, N, seed, scale=0.4):
-    params = init_branch(structure, D, dz, N)
-    tree = branch_to_tree(params)
-    flat = tree_flatten(tree)
-    flat = flat + RngStream(seed).generator().standard_normal(flat.size) * scale
-    return branch_from_tree(params, tree_unflatten(tree, flat))
+    return perturb(init_branch(structure, D, dz, N), seed, scale)
 
 
 def _random_joint(structure, D, dz, N, seed, scale=0.4):
-    fam = init_joint(structure, D, dz, N)
-    tree = joint_to_tree(fam)
-    flat = tree_flatten(tree)
-    flat = flat + RngStream(seed).generator().standard_normal(flat.size) * scale
-    return joint_from_tree(fam, tree_unflatten(tree, flat))
+    return perturb(init_joint(structure, D, dz, N), seed, scale)
 
 
 def _joint_draw(fam, eps):
@@ -299,20 +290,20 @@ class TestParamCounts:
         for structure in ("dense", "block", "diag"):
             fam = init_joint(structure, 2, 3, 2)
             want = family_param_count("joint", structure, 2, 2, 3)
-            assert tree_flatten(joint_to_tree(fam)).size == want
+            assert tree_flatten(params_to_tree(fam)).size == want
 
     def test_branch_matches_tree_size(self):
         for structure in ("dense", "block", "diag"):
             params = init_branch(structure, 2, 3, 4)
             want = family_param_count("branch", structure, 4, 2, 3)
-            assert tree_flatten(branch_to_tree(params)).size == want
+            assert tree_flatten(params_to_tree(params)).size == want
 
 
 class TestStackedLocals:
     @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
     def test_tree_size_does_not_grow_with_branches(self, structure):
-        assert (len(branch_to_tree(init_branch(structure, 2, 2, 1)))
-                == len(branch_to_tree(init_branch(structure, 2, 2, 5000))))
+        assert (len(params_to_tree(init_branch(structure, 2, 2, 1)))
+                == len(params_to_tree(init_branch(structure, 2, 2, 5000))))
 
     @pytest.mark.parametrize("structure", ["dense", "block", "diag"])
     def test_local_views_write_through_to_W(self, structure):
@@ -330,24 +321,83 @@ class TestStackedLocals:
         assert np.array_equal(params.W[2], np.concatenate(parts))
 
 
+def _rebind_copies(params):
+    """params rebound to copies of its arrays: (tree, copies, rebound)."""
+    tree = params_to_tree(params)
+    copies = {k: a.copy() for k, a in tree.items()}
+    return tree, copies, tree_rebind(params, tree, copies)
+
+
 class TestTreeRoundTrip:
     @given(st.sampled_from(["dense", "block", "diag"]), st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_branch_tree_roundtrip(self, structure, N):
         params = _random_branch_params(structure, 2, 1, N, seed=50 + N)
-        tree = branch_to_tree(params)
-        flat = tree_flatten(tree)
-        back = branch_from_tree(params, tree_unflatten(tree, flat))
-        assert np.array_equal(tree_flatten(branch_to_tree(back)), flat)
+        tree, copies, back = _rebind_copies(params)
+        assert np.array_equal(tree_flatten(params_to_tree(back)), tree_flatten(tree))
 
     @given(st.sampled_from(["dense", "block", "diag"]))
     @settings(max_examples=10, deadline=None)
     def test_joint_tree_roundtrip(self, structure):
         fam = _random_joint(structure, 2, 1, 2, seed=60)
-        tree = joint_to_tree(fam)
-        flat = tree_flatten(tree)
-        back = joint_from_tree(fam, tree_unflatten(tree, flat))
-        assert np.array_equal(tree_flatten(joint_to_tree(back)), flat)
+        tree, copies, back = _rebind_copies(fam)
+        assert np.array_equal(tree_flatten(params_to_tree(back)), tree_flatten(tree))
+
+    @pytest.mark.parametrize("kind, structure, want", [
+        ("joint", "dense", ["q.mean", "q.raw"]),
+        ("joint", "block", ["theta.mean", "theta.raw", "locals.mean", "locals.raw"]),
+        ("joint", "diag", ["q.mean", "q.scale_raw"]),
+        ("branch", "dense", ["v.mean", "v.raw", "w"]),
+        ("branch", "block", ["v.mean", "v.raw", "w"]),
+        ("branch", "diag", ["v.mean", "v.scale_raw", "w"]),
+        ("amortized", "dense", ["v.mean", "v.raw"]),
+        ("amortized", "block", ["v.mean", "v.raw"]),
+        ("amortized", "diag", ["v.mean", "v.scale_raw"]),
+    ])
+    def test_layout_is_pinned(self, kind, structure, want):
+        # the keys are the checkpoint's params.* names, in the flat packing order
+        if kind == "joint":
+            params = init_joint(structure, 2, 2, 3)
+        elif kind == "branch":
+            params = init_branch(structure, 2, 2, 3)
+        else:
+            params = init_amortized(structure, 2, 2, 2, RngStream(61))
+            want = want + [f"net.{mlp}.{l}.{a}" for mlp in ("feat", "param")
+                           for l in range(4) for a in ("W", "b")]
+        assert list(params_to_tree(params)) == want
+
+    def test_block_joint_without_branches_has_no_locals(self):
+        assert list(params_to_tree(init_joint("block", 2, 2, 0))) == ["theta.mean",
+                                                                      "theta.raw"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: _random_joint("block", 2, 1, 2, seed=62),
+        lambda: _random_branch_params("dense", 2, 2, 3, seed=63),
+        lambda: init_amortized("diag", 2, 2, 1, RngStream(64), AmortArch((3, 3), (4, 4))),
+    ], ids=["joint", "branch", "amortized"])
+    def test_rebind_holds_the_given_arrays_and_leaves_the_caller_alone(self, make):
+        params = make()
+        before = tree_flatten(params_to_tree(params))
+        tree, copies, back = _rebind_copies(params)
+        assert back is not params and type(back) is type(params)
+        assert all(a is copies[k] for k, a in params_to_tree(back).items())
+        assert all(a is tree[k] for k, a in params_to_tree(params).items())
+        for a in copies.values():
+            a += 1.0
+        assert np.array_equal(tree_flatten(params_to_tree(params)), before)
+        assert np.array_equal(tree_flatten(params_to_tree(back)), before + 1.0)
+
+    def test_rebind_checks_the_new_arrays(self):
+        params = init_branch("dense", 2, 2, 3)
+        tree = params_to_tree(params)
+        with pytest.raises(MalformedParamsError, match="W has shape"):
+            tree_rebind(params, tree, {**tree, "w": np.zeros((3, tree["w"].shape[1] + 1))})
+
+    def test_rebind_rejects_arrays_the_container_does_not_hold(self):
+        params = init_branch("dense", 2, 2, 3)
+        tree = params_to_tree(params)
+        with pytest.raises(ValueError, match="does not hold the arrays \\['w'\\]"):
+            tree_rebind(params, {**tree, "w": tree["w"].copy()}, tree)
 
 
 def _rows_problem(structure, seed, D=3, dz=2, N=5, M=4, gamma=2.5):

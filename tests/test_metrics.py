@@ -6,7 +6,7 @@ from scipy.stats import wilcoxon
 
 from branchvi.amortize import AmortArch, init_amortized
 from branchvi.data import SplitDataset, from_branches, split
-from branchvi.families import branch_from_tree, branch_to_tree, init_branch
+from branchvi.families import init_branch
 from branchvi.metrics import evaluate, log_mean_exp, write_report
 from branchvi.models import (
     SyntheticConfig,
@@ -16,7 +16,7 @@ from branchvi.models import (
     synthetic_oracle,
 )
 from branchvi.rng import RngStream
-from branchvi.trees import tree_flatten, tree_unflatten
+from helpers import perturb
 from test_estimators import _oracle_matched_branch
 
 
@@ -29,11 +29,7 @@ def _synthetic_setup(D=1, N=2, n=4, seed=500, test_fraction=0.25):
 
 
 def _loose_params(D, N, seed=501):
-    params = init_branch("dense", D, D, N)
-    tree = branch_to_tree(params)
-    flat = tree_flatten(tree)
-    flat = flat + RngStream(seed).generator().standard_normal(flat.size) * 0.4
-    return branch_from_tree(params, tree_unflatten(tree, flat))
+    return perturb(init_branch("dense", D, D, N), seed, 0.4)
 
 
 class TestLogMeanExp:

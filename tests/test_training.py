@@ -16,10 +16,10 @@ from branchvi.models import (
 from branchvi.optim import AdamState, LrSchedule, adam_init, lr_at
 from branchvi.rng import RngStream
 from branchvi.estimators import branch_elbo
-from branchvi.training import make_estimator, params_from_tree, params_to_tree, train
-from branchvi.trees import tree_flatten, tree_unflatten
+from branchvi.training import make_estimator, params_to_tree, train
+from branchvi.trees import tree_flatten
+from helpers import flat_copy, flat_grads
 from test_optim import reference_adam_step
-from branchvi.families import branch_to_tree
 
 
 def _setup(seed=700):
@@ -44,8 +44,8 @@ def test_resume_matches_uninterrupted_run():
                    start_iter=100, adam=first.adam, ema=first.ema)
 
     assert second.ema == pytest.approx(full.ema, abs=1e-9)
-    f_full = tree_flatten(branch_to_tree(full.params))
-    f_resumed = tree_flatten(branch_to_tree(second.params))
+    f_full = tree_flatten(params_to_tree(full.params))
+    f_resumed = tree_flatten(params_to_tree(second.params))
     assert np.allclose(f_full, f_resumed, atol=1e-12)
     by_iter = {r.iter: r for r in full.records}
     for rec in second.records:
@@ -90,7 +90,7 @@ def _check_callers_state_unchanged(batch_size):
                   batch_size=batch_size)
     first = train(model, init_branch("dense", 1, 1, 3), data, iters=20, **common)
     m, s, t, tau = first.adam.m.copy(), first.adam.s.copy(), first.adam.t, first.adam.tau.copy()
-    flat = tree_flatten(branch_to_tree(first.params))
+    flat = tree_flatten(params_to_tree(first.params))
     # read-only, so any write into the caller's arrays fails loudly
     for a in (first.adam.m, first.adam.s, first.adam.tau, first.params.W,
               first.params.v.mean, first.params.v.chol.raw):
@@ -100,11 +100,11 @@ def _check_callers_state_unchanged(batch_size):
     assert first.adam.t == t
     assert np.array_equal(first.adam.m, m) and np.array_equal(first.adam.s, s)
     assert np.array_equal(first.adam.tau, tau)
-    assert np.array_equal(tree_flatten(branch_to_tree(first.params)), flat)
+    assert np.array_equal(tree_flatten(params_to_tree(first.params)), flat)
     assert runs[0].adam is not first.adam and runs[0].adam.t == 40
     assert not np.shares_memory(runs[0].params.W, first.params.W)
-    assert np.array_equal(tree_flatten(branch_to_tree(runs[0].params)),
-                          tree_flatten(branch_to_tree(runs[1].params)))
+    assert np.array_equal(tree_flatten(params_to_tree(runs[0].params)),
+                          tree_flatten(params_to_tree(runs[1].params)))
 
 
 @pytest.mark.parametrize("kind", ["joint", "branch", "amortized"])
@@ -150,17 +150,17 @@ def test_batch_size_checked_against_data_before_the_first_step(kind, batch_size,
 
 
 def _reference_run(kind, model, params, data, sched, iters, rng, batch_size, n_mc):
-    """train's dense trajectory, written with the per-step tree round trip and
-    the functional reference Adam step."""
+    """train's dense trajectory, written with the functional reference Adam
+    step copied into the parameters' flat vector after every step."""
     estimator = make_estimator(kind, model, data, batch_size, n_mc)
     template = params_to_tree(params)
-    flat = tree_flatten(template)
+    params, flat = flat_copy(params)
     state = adam_init(flat.size)
     for t in range(iters):
         _, grads = estimator(params, rng.child(t))
-        g = np.concatenate([grads[k].ravel() for k in template])
-        state, flat = reference_adam_step(state, flat, g, lr_at(sched, t))
-        params = params_from_tree(params, tree_unflatten(template, flat))
+        state, stepped = reference_adam_step(state, flat, flat_grads(grads, template),
+                                             lr_at(sched, t))
+        flat[:] = stepped
     return flat, state
 
 
