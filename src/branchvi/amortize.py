@@ -18,7 +18,7 @@ the equality of chunked and one-pass no-grad forwards, rest on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,8 +234,8 @@ def net_forward_batch(net: AmortNet, obs: BranchBatch, branches):
     return out, NetTape(feat_cache, E, param_cache, obs)
 
 
-def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
-    """Gradients of sum_j G[j] . row_j with respect to all weights/biases.
+def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> AmortNet:
+    """Gradient of sum_j G[j] . row_j: an AmortNet of weight and bias gradients.
 
     One reverse pass: each branch's pooled gradient spreads evenly over its
     observation rows, and the sum over branches happens inside the weight
@@ -248,7 +248,8 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> dict:
     g_E *= 2.0 * tape.embed
     g_E += gq[:, :K][tape.obs.seg]
     gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E, input_grad=False)
-    return _layer_tree(gW_f, gb_f, gW_p, gb_p)
+    return replace(net, feat=MlpWeights(gW_f, gb_f, net.feat.slope),
+                   param=MlpWeights(gW_p, gb_p, net.param.slope))
 
 
 # Observation rows per chunk of ``net_rows``: bounds a no-grad forward's
@@ -278,20 +279,13 @@ def net_rows(net: AmortNet, data: BranchDataset, idx) -> np.ndarray:
     return out
 
 
-def _layer_tree(feat_W, feat_b, param_W, param_b) -> dict:
-    tree = {}
-    for l, (w, b) in enumerate(zip(feat_W, feat_b)):
-        tree[f"feat.{l}.W"] = w
-        tree[f"feat.{l}.b"] = b
-    for l, (w, b) in enumerate(zip(param_W, param_b)):
-        tree[f"param.{l}.W"] = w
-        tree[f"param.{l}.b"] = b
-    return tree
-
-
 def net_to_tree(net: AmortNet) -> dict:
-    return _layer_tree(net.feat.weights, net.feat.biases, net.param.weights,
-                       net.param.biases)
+    tree = {}
+    for name, mlp in (("feat", net.feat), ("param", net.param)):
+        for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            tree[f"{name}.{l}.W"] = w
+            tree[f"{name}.{l}.b"] = b
+    return tree
 
 
 def net_param_count(net: AmortNet) -> int:

@@ -283,6 +283,10 @@ def load_checkpoint(path: str):
     except MalformedParamsError as exc:  # network layers that do not fit together
         raise InvalidDataError(f"{path}: {exc}") from None
     layout = params_to_tree(template)
+    stray = [k for k in ptree if k not in layout]
+    if stray:
+        raise InvalidDataError(f"{path}: 'params.{stray[0]}' is not an array of the "
+                               f"{kind}/{structure} family")
     for k, a in layout.items():
         if k not in ptree:
             raise InvalidDataError(f"{path}: checkpoint lacks 'params.{k}'")
@@ -330,8 +334,10 @@ def _stack_v1_locals(ptree, structure, gdim, ldim, nb) -> None:
 
 def _load_net(structure, gdim, ldim, x_dim, gamma, ptree):
     def layers(prefix):
+        # runs until a layer has neither array, so a missing one is named
+        # (as is layer 0's weights when the MLP has no layers at all)
         Ws, bs, l = [], [], 0
-        while f"net.{prefix}.{l}.W" in ptree:
+        while l == 0 or any(f"net.{prefix}.{l}.{a}" in ptree for a in "Wb"):
             Ws.append(ptree[f"net.{prefix}.{l}.W"])
             bs.append(ptree[f"net.{prefix}.{l}.b"])
             l += 1
@@ -371,7 +377,6 @@ def cmd_generate(cfg: RunConfig) -> int:
     if cfg.n_branches < 1:
         print("error: n_branches must be at least 1", file=sys.stderr)
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
     obs = (cfg.obs_per_branch,) * cfg.n_branches
     if cfg.model == "synthetic":
         gen_cfg = SyntheticConfig(cfg.dim, cfg.n_branches, obs)
@@ -379,6 +384,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     else:
         gen_cfg = PreferenceConfig(cfg.dim, cfg.n_branches, obs, cfg.gamma)
         data, latents = preference_forward_sample(gen_cfg, RngStream(cfg.seed, 0))
+    os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, "data")
     save_dataset(data, base)
     ckpt.save_tensors(os.path.join(cfg.out_dir, "latents.nt"),

@@ -11,7 +11,8 @@ all MC copies; the value and gradients are the average over copies.
 Gradients are "total" reparameterized gradients: the log-density of each
 factor at its own sample is expressed through the sampling noise, so the
 only q-dependence left is the log-determinant of the factor diagonals and
-no matrix inversion is needed.
+no matrix inversion is needed. Each estimator's gradient is a container of
+its parameters' type (laid out by ``training.params_to_tree``), or None.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortize import AmortNet, net_backward_batch, net_forward_batch, net_rows
+from .amortize import AmortNet, AmortParams, net_backward_batch, net_forward_batch, net_rows
 from .data import BranchDataset
 from .errors import EstimatorError, MalformedParamsError
 from .families import (
     BranchParams,
     JointFamily,
     factor_draw_batch,
-    factor_grad_accum,
-    factor_tree,
+    factor_grad,
     joint_draw_batch,
     joint_factors,
     local_draw_rows,
@@ -37,6 +37,7 @@ from .families import (
 )
 from .models import HbdModel
 from .rng import RngStream
+from .trees import tree_rebind
 
 _STREAM_BATCH = 0
 _STREAM_GLOBAL = 1
@@ -94,13 +95,6 @@ def _check_branch_finite(values, batch):
             branch=branch, copy=m)
 
 
-def _factor_grads(prefix, v, aux, EPS, G, n_mc) -> dict:
-    """One factor's copy-averaged gradient tree; each copy's -log q has weight 1."""
-    g_mean, g_raw = factor_grad_accum(v, aux, EPS, G, ent_total=n_mc)
-    keys = list(factor_tree(prefix, v))
-    return {keys[0]: g_mean / n_mc, keys[1]: g_raw / n_mc}
-
-
 # ---------------------------------------------------------------------------
 # Joint estimator.
 
@@ -110,7 +104,7 @@ def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
     """Single-family estimate: average over n_mc draws of log p - log q.
 
     All copies go through one batched draw, one model call and one backward
-    pass per factor of ``joint_factors``.
+    pass per factor of ``joint_factors``, each factor's gradient in its place.
     """
     N = data.n_branches
     if fam.n_branches != N:
@@ -131,10 +125,11 @@ def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
     if not want_grad:
         return ElboEstimate(value, n_mc, batch), None
     G = np.concatenate([G_prior + GT.sum(axis=1), GZ.reshape(n_mc, -1)], axis=1)
-    grads = {}
+    factors, grads = {}, {}
     for (prefix, v, start, stop), aux in zip(joint_factors(fam), auxs):
-        grads.update(_factor_grads(prefix, v, aux, EPS[:, start:stop], G[:, start:stop], n_mc))
-    return ElboEstimate(value, n_mc, batch), grads
+        factors[prefix] = v
+        grads[prefix] = factor_grad(v, aux, EPS[:, start:stop], G[:, start:stop], n_mc)
+    return ElboEstimate(value, n_mc, batch), tree_rebind(fam, factors, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +143,8 @@ def _branch_core(model, v, rows, structure, gamma, obs, batch, scale, rng, n_mc,
     rows (B, P_w) are the batch's packed locals (BranchParams.W layout) with
     the family's structure and gamma, and obs the batch's observations. All
     copies and branches go through one batched draw, one model call and one
-    backward pass. Returns (value, g_v tree, gradient rows (B, P_w) summed
-    over copies), the last two None without ``want_grad``.
+    backward pass. Returns (value, v's gradient as a factor like v, gradient
+    rows (B, P_w) summed over copies), the last two None without ``want_grad``.
     """
     D = model.global_dim
     dz = model.local_dim
@@ -169,12 +164,13 @@ def _branch_core(model, v, rows, structure, gamma, obs, batch, scale, rng, n_mc,
         return value, None, None
     G_THETA = G_prior + scale * (GT + local_theta_grad(rows, structure, GZ, D)).sum(axis=1)
     G_rows = local_grad_rows(rows, structure, gamma, aux_w, THETA, eps_loc, GZ, scale, n_mc)
-    return value, _factor_grads("v", v, aux_v, eps_glob, G_THETA, n_mc), G_rows
+    return value, factor_grad(v, aux_v, eps_glob, G_THETA, n_mc), G_rows
 
 
 def branch_elbo(model: HbdModel, params: BranchParams, data: BranchDataset,
                 rng: RngStream, n_mc: int = DEFAULT_N_MC, want_grad: bool = True):
-    """Full-sum branch estimate; one theta draw shared by all branches per copy."""
+    """Full-sum branch estimate; one theta draw shared by all branches per
+    copy. The gradient is a BranchParams whose W covers all N rows."""
     N = data.n_branches
     if params.n_branches != N:
         raise MalformedParamsError(f"params hold {params.n_branches} branches, data has {N}")
@@ -188,9 +184,9 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
     """Minibatched branch estimate; local terms reweighted by N/|B|.
 
     Unbiased for the branch ELBO. With batch_size == N this reduces bitwise
-    to branch_elbo (same streams, same arithmetic). The gradient's ``w``
-    entry holds the gradient rows of W[est.batch] only; every other row's
-    gradient is zero.
+    to branch_elbo (same streams, same arithmetic). The gradient is a
+    BranchParams whose W (len(est.batch), P_w) holds the gradient rows of
+    W[est.batch] only; every other row's gradient is zero.
     """
     N = data.n_branches
     if sampler.n_branches != N:
@@ -205,16 +201,16 @@ def subsampled_branch_elbo(model: HbdModel, params: BranchParams, data: BranchDa
 def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad):
     """Branch estimate over ``batch``; only the batch rows of W are touched.
 
-    The ``w`` entry of the gradient tree holds the gradient rows (len(batch),
-    P_w) of W[batch], row j for branch batch[j]; at batch = arange(N) they
-    are the whole of W's gradient.
+    The gradient's W holds the gradient rows (len(batch), P_w) of W[batch],
+    row j for branch batch[j]; at batch = arange(N) they are the whole of
+    W's gradient.
     """
     value, g_v, G_rows = _branch_core(model, params.v, params.W[batch], params.structure,
                                       params.gamma, data.batch(batch), batch, scale, rng,
                                       n_mc, want_grad)
-    if want_grad:
-        g_v["w"] = G_rows / n_mc
-    return ElboEstimate(value, n_mc, np.asarray(batch)), g_v
+    grads = BranchParams(params.structure, params.global_dim, params.local_dim, g_v,
+                         G_rows / n_mc) if want_grad else None
+    return ElboEstimate(value, n_mc, np.asarray(batch)), grads
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,8 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
     over the batch's stacked observations per call (w_i does not condition
     on theta), and gradients flow back into it through one backward pass
     with the MC-averaged gradient rows, and into v through the usual
-    reparameterized path. Without ``want_grad`` the rows come from the
-    chunked, tape-free ``net_rows``.
+    reparameterized path; the gradient is an AmortParams of the two. Without
+    ``want_grad`` the rows come from the chunked, tape-free ``net_rows``.
     """
     if not model.symmetric:
         raise MalformedParamsError("amortized families require a symmetric model")
@@ -248,9 +244,6 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
         rows = net_rows(net, data, batch)
     value, g_v, G_rows = _branch_core(model, v, rows, net.structure, net.gamma, obs,
                                       batch, scale, rng, n_mc, want_grad)
-    if not want_grad:
-        return ElboEstimate(value, n_mc, batch), None
-    grads = dict(g_v)
-    for k, a in net_backward_batch(net, tape, G_rows / n_mc).items():
-        grads[f"net.{k}"] = a
+    grads = (AmortParams(g_v, net_backward_batch(net, tape, G_rows / n_mc))
+             if want_grad else None)
     return ElboEstimate(value, n_mc, batch), grads

@@ -323,10 +323,9 @@ def joint_factors(fam: JointFamily) -> list:
 # Batched draws and backward passes: over MC copies for a global or joint
 # factor, over (MC copy, batch branch) for branch locals. Every factor draw
 # returns (X, logqs, aux); the backward pass takes aux back with the noise and
-# the upstream gradient on the samples, plus the total weight on the -log q
-# terms, and returns gradients on the factor's parameters. Gradients enter the
-# parameter updates only as sums over copies, so the per-copy outer products
-# collapse into single contractions.
+# the upstream gradient on the samples and returns the copy-averaged gradient.
+# Gradients enter the parameter updates only as sums over copies, so the
+# per-copy outer products collapse into single contractions.
 
 
 def factor_draw_batch(v, EPS):
@@ -340,18 +339,19 @@ def factor_draw_batch(v, EPS):
     return mvn_draw_batch(v, EPS)
 
 
-def factor_grad_accum(v, aux, EPS, G, ent_total):
-    """Sum over copies of the factor gradients; ent_total weights -log q."""
+def factor_grad(v, aux, EPS, G, n_mc):
+    """Gradient of the n_mc copies' average, a factor of ``v``'s type; each
+    copy's sample carries its row of G and its -log q weight 1."""
+    g_mean = G.sum(axis=0) / n_mc
     if isinstance(v, DiagGaussian):
-        g_mean = G.sum(axis=0)
-        g_raw = ((G * EPS).sum(axis=0) + ent_total / aux) \
+        g_raw = ((G * EPS).sum(axis=0) + n_mc / aux) \
             * diag_transform_grad(v.scale_raw, v.gamma)
-        return g_mean, g_raw
-    g_mean = G.sum(axis=0)
+        return DiagGaussian(g_mean, g_raw / n_mc, v.gamma)
     GL = np.tril(G.T @ EPS)
     idx = np.arange(v.dim)
-    GL[idx, idx] += ent_total / np.diag(aux)
-    return g_mean, tril_map_backward(v.chol, GL)
+    GL[idx, idx] += n_mc / np.diag(aux)
+    return GaussianSpec(g_mean, UnconstrainedChol(tril_map_backward(v.chol, GL) / n_mc,
+                                                  v.dim, v.chol.gamma))
 
 
 def joint_draw_batch(fam: JointFamily, EPS):

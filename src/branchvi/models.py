@@ -284,6 +284,8 @@ class PreferenceConfig:
             raise InvalidDataError("n_branches must be positive")
         if len(self.obs_per_branch) != self.n_branches:
             raise InvalidDataError("obs_per_branch must have length n_branches")
+        if any(n < 0 for n in self.obs_per_branch):
+            raise InvalidDataError("observation counts must be non-negative")
 
 
 def preference_forward_sample(config: PreferenceConfig, rng: RngStream):

@@ -9,7 +9,6 @@ the estimate with smoothing 0.001.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +33,7 @@ def params_to_tree(params) -> dict:
     flat order: each joint factor's ``<prefix>.mean`` and ``.raw`` (or
     ``.scale_raw``); ``v.*`` then ``w`` (each branch's row of locals in
     turn) for a branch family; ``v.*`` then ``net.*`` for an amortized one.
+    Gradients, containers of the same types, are laid out alike.
     """
     if isinstance(params, JointFamily):
         tree = {}
@@ -108,23 +108,17 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     ``rng`` is the run-level stream; iteration t uses rng.child(t) so the
     trajectory is independent of how the run is segmented across resumes.
 
-    The run holds one flat parameter vector, in the order of
-    ``params_to_tree``, and one gradient buffer. The parameters it trains
-    (and returns) have every array as a view into that vector; the caller's
-    params and AdamState are copied in once and never written. A branch run
-    with a batch smaller than N takes lazy-row Adam steps on W (see
-    ``optim.adam_step``); every other run takes dense ones.
+    The run holds one flat parameter vector, and flattens each gradient, in
+    the order of ``params_to_tree``. The parameters it trains (and returns)
+    have every array as a view into that vector; the caller's params and
+    AdamState are copied in once and never written. A branch run with a batch
+    smaller than N takes lazy-row Adam steps on W (see ``optim.adam_step``).
     """
     estimator = make_estimator(kind, model, data, batch_size, n_mc)
     tree = params_to_tree(params)
-    shapes = {k: a.shape for k, a in tree.items()}
     flat = tree_flatten(tree)  # a copy of the caller's values
-    params = tree_rebind(params, tree, tree_views(shapes, flat))
+    params = tree_rebind(params, tree, tree_views({k: a.shape for k, a in tree.items()}, flat))
     lazy = isinstance(params, BranchParams) and 0 < batch_size < params.n_branches
-    if lazy:  # the estimator returns w's gradient as the batch's rows of W
-        shapes["w"] = (batch_size, params.W.shape[1])
-    gbuf = np.empty(sum(math.prod(s) for s in shapes.values()))
-    gviews = tree_views(shapes, gbuf)
     adam = _adam_copy(adam, flat.size, params)
     if lazy:  # build the catch-up's tables now, not inside the step that first needs them
         catch_up_tables(adam.beta1, adam.beta2)
@@ -141,14 +135,13 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
         est_value = float(est.value)
         ema = est_value if ema is None else (
             EMA_SMOOTHING * est_value + (1.0 - EMA_SMOOTHING) * ema)
-        for k, view in gviews.items():
-            view[...] = grads[k]
+        g = tree_flatten(params_to_tree(grads))
         try:
             if lazy:
-                adam_step(adam, flat, gbuf, lr, rows=est.batch, width=params.W.shape[1],
+                adam_step(adam, flat, g, lr, rows=est.batch, width=params.W.shape[1],
                           schedule=schedule)
             else:
-                adam_step(adam, flat, gbuf, lr)
+                adam_step(adam, flat, g, lr)
         except NonFiniteGradientError as exc:
             raise NonFiniteGradientError(f"iteration {t}: {exc}") from exc
         if trace_every and (t % trace_every == 0 or t == iters - 1):

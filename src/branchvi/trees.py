@@ -2,7 +2,8 @@
 
 A parameter tree is an ordered dict name -> float64 array whose insertion
 order is the flat packing order. ``training.params_to_tree`` names a
-container's own arrays; ``tree_rebind`` copies the container around other
+container's own arrays, and a gradient's, since gradients are containers of
+the parameters' type; ``tree_rebind`` copies the container around other
 arrays for those names, such as views into one flat vector.
 """
 
@@ -37,18 +38,19 @@ def tree_views(shapes: dict, vec: np.ndarray) -> dict:
 
 
 def tree_rebind(obj, old: dict, new: dict):
-    """A copy of ``obj`` holding ``new[k]`` wherever ``obj`` held the array ``old[k]``.
+    """A copy of ``obj`` holding ``new[k]`` wherever ``obj`` held the object ``old[k]``.
 
-    Arrays are matched by identity, and each one of ``old`` must occur. The
+    The objects of ``old`` (arrays, or whole parts such as a joint family's
+    factors) are matched by identity, and each one must occur. The
     dataclasses and lists on the way are rebuilt, dataclasses through
-    ``dataclasses.replace`` so that their constructors check the new arrays;
-    ``obj`` itself is left as it was.
+    ``dataclasses.replace`` so that their constructors check the new
+    objects; ``obj`` itself is left as it was.
     """
     key = {id(a): k for k, a in old.items()}
     unseen = set(old)
 
     def walk(o):
-        if isinstance(o, np.ndarray) and id(o) in key:
+        if id(o) in key:
             unseen.discard(key[id(o)])
             return new[key[id(o)]]
         if isinstance(o, list):

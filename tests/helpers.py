@@ -25,9 +25,9 @@ def perturb(params, seed, scale):
     return copy
 
 
-def flat_grads(grads: dict, tree: dict) -> np.ndarray:
-    """A gradient tree packed in the order of ``tree``."""
-    return np.concatenate([grads[k].ravel() for k in tree])
+def flat_grads(grads) -> np.ndarray:
+    """A gradient container packed in the order of ``params_to_tree``."""
+    return tree_flatten(params_to_tree(grads))
 
 
 def central_differences(obj, value, h, tree=None):

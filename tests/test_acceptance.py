@@ -27,9 +27,10 @@ from branchvi.estimators import (
     subsampled_branch_elbo,
 )
 from branchvi.families import (
+    BranchParams,
     JointFamily,
     factor_draw_batch,
-    factor_grad_accum,
+    factor_grad,
     family_param_count,
     init_branch,
     init_joint,
@@ -56,7 +57,8 @@ from branchvi.models import (
 )
 from branchvi.optim import LrSchedule
 from branchvi.rng import RngStream
-from branchvi.training import params_to_tree, train
+from branchvi.training import train
+from branchvi.trees import tree_flatten
 from helpers import central_differences, flat_grads, perturb
 
 
@@ -180,7 +182,7 @@ def test_criterion_4_subsampling_unbiasedness():
     e1, g1 = branch_elbo(model, params, data, RngStream(704), n_mc=4)
     e2, g2 = subsampled_branch_elbo(model, params, data, MinibatchSampler(N, N),
                                     RngStream(704), n_mc=4)
-    bitwise = e1.value == e2.value and all(np.array_equal(g1[k], g2[k]) for k in g1)
+    bitwise = e1.value == e2.value and np.array_equal(flat_grads(g1), flat_grads(g2))
     elapsed = time.perf_counter() - t0
     ok = mean_gap < 3 * se and bitwise and elapsed < 300
     _report(4, "subsampled estimator unbiasedness", ok,
@@ -265,7 +267,8 @@ def test_criterion_6_gradient_integrity():
         return float(uvec @ X[0]) - logqs[0]
 
     _, _, aux = factor_draw_batch(spec, eps[None])
-    g_mean, g_raw = factor_grad_accum(spec, aux, eps[None], uvec[None], ent_total=1.0)
+    g = factor_grad(spec, aux, eps[None], uvec[None], 1)
+    g_mean, g_raw = g.mean, g.chol.raw
     for j in range(d):
         mp, mm = spec.mean.copy(), spec.mean.copy()
         mp[j] += h; mm[j] -= h
@@ -288,7 +291,7 @@ def test_criterion_6_gradient_integrity():
     tree = net_to_tree(ap.net)
     fds = central_differences(
         ap.net, lambda n: float(upstream @ net_forward_batch(n, b, [0])[0][0]), h, tree)
-    for j, (fd, g) in enumerate(zip(fds, flat_grads(net_grads, tree))):
+    for j, (fd, g) in enumerate(zip(fds, tree_flatten(net_to_tree(net_grads)))):
         if abs(fd - g) / max(abs(fd), 1e-7) > 1e-4:
             failures.append(f"net[{j}]")
 
@@ -298,14 +301,13 @@ def test_criterion_6_gradient_integrity():
     model = synthetic_model(1)
 
     def check_estimator(label, params, run):
-        template = params_to_tree(params)
         est, grads = run(params, want_grad=True)
-        if "w" in grads:  # branch estimators return the gradient rows of W[est.batch]
-            G = np.zeros_like(template["w"])
-            G[est.batch] = grads["w"]
-            grads["w"] = G
+        if isinstance(grads, BranchParams):  # W holds the gradient rows of W[est.batch]
+            G = np.zeros_like(params.W)
+            G[est.batch] = grads.W
+            grads.W = G
         fds = central_differences(params, lambda p: run(p, want_grad=False)[0].value, h)
-        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, template))):
+        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads))):
             if abs(fd - g) / max(abs(fd), 1e-6) > 1e-3:
                 failures.append(f"{label}[{j}]")
 

@@ -25,7 +25,7 @@ from branchvi.families import local_param_size
 from branchvi.gaussmath import tril_map_raw, tril_size
 from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
-from helpers import central_differences, flat_grads
+from helpers import central_differences
 
 TINY = AmortArch(feat_widths=(3, 3), param_widths=(4, 4), slope=0.01)
 
@@ -94,14 +94,14 @@ class TestNetBackward:
         grads = net_backward_batch(net, tape, upstream[None, :])
         tree = net_to_tree(net)
         fds = central_differences(net, value, 1e-6, tree)
-        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, tree))):
+        for j, (fd, g) in enumerate(zip(fds, tree_flatten(net_to_tree(grads)))):
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-7), j
 
     def test_zero_upstream_gives_zero_grads(self):
         net = net_init("dense", 1, 1, 1, RngStream(83), TINY)
         _, tape = _row(net, *_branch(84, n=3, x_dim=1))
         grads = net_backward_batch(net, tape, np.zeros((1, local_param_size("dense", 1, 1))))
-        assert all(np.all(g == 0) for g in grads.values())
+        assert all(np.all(g == 0) for g in net_to_tree(grads).values())
 
     def test_duplicated_observation_gradient_matches_single(self):
         net = net_init("block", 1, 1, 1, RngStream(85), TINY)
@@ -109,8 +109,8 @@ class TestNetBackward:
         upstream = RngStream(87).normal((1, local_param_size("block", 1, 1)))
         _, tape1 = _row(net, x, y)
         _, tape2 = _row(net, np.vstack([x, x]), np.concatenate([y, y]))
-        g1 = net_backward_batch(net, tape1, upstream)
-        g2 = net_backward_batch(net, tape2, upstream)
+        g1 = net_to_tree(net_backward_batch(net, tape1, upstream))
+        g2 = net_to_tree(net_backward_batch(net, tape2, upstream))
         for key in g1:
             assert np.allclose(g1[key], g2[key], atol=1e-12), key
 
@@ -170,11 +170,11 @@ class TestBatchedNet:
         idx = np.arange(data.n_branches)
         G = RngStream(166).normal((idx.size, local_param_size("dense", 2, 2)))
         _, tape = net_forward_batch(net, data.batch(idx), idx)
-        batched = net_backward_batch(net, tape, G)
+        batched = net_to_tree(net_backward_batch(net, tape, G))
         summed = None
         for i in idx:
             part = data.batch([i])
-            g = net_backward_batch(net, _row(net, part.x, part.y)[1], G[i:i + 1])
+            g = net_to_tree(net_backward_batch(net, _row(net, part.x, part.y)[1], G[i:i + 1]))
             summed = g if summed is None else {k: summed[k] + g[k] for k in g}
         for key in summed:
             scale = max(np.max(np.abs(summed[key])), 1e-300)
@@ -191,7 +191,7 @@ class TestBatchedNet:
         tree = net_to_tree(net)
         fds = central_differences(
             net, lambda n: float(np.sum(G * net_forward_batch(n, obs, idx)[0])), 1e-6, tree)
-        for j, (fd, g) in enumerate(zip(fds, flat_grads(grads, tree))):
+        for j, (fd, g) in enumerate(zip(fds, tree_flatten(net_to_tree(grads)))):
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-7), j
 
     def test_empty_branch_in_batch_names_it(self):

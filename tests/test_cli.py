@@ -390,6 +390,14 @@ class TestResumeValidation:
         with pytest.raises(InvalidDataError, match="w.000001.raw"):
             load_checkpoint(tmp_path / "broken.nt")
 
+    def test_v1_key_beyond_the_branches_is_rejected(self, tmp_path):
+        v1 = load_tensors(V1_BRANCH_DENSE / "checkpoint.nt")
+        v1["params.w.000003.mu"] = np.zeros(2)  # the family has branches 0-2
+        save_tensors(tmp_path / "stray.nt", v1)
+        with pytest.raises(InvalidDataError, match=re.escape(
+                "'params.w.000003.mu' is not an array of the branch/dense family")):
+            load_checkpoint(tmp_path / "stray.nt")
+
 
 class TestNumericValidation:
     @pytest.mark.parametrize("flag, value", [
@@ -406,6 +414,16 @@ class TestNumericValidation:
         rc = _run("train", "--data", "unused", flag, value)
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+    def test_generate_preference_rejects_a_negative_count(self, tmp_path, capsys):
+        rc = _run("generate", "--model", "preference", "--branches", "3", "--obs", "-1",
+                  "--out-dir", str(tmp_path / "gen"))
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err.startswith("error:") and "Traceback" not in out.err + out.out
+        assert not (tmp_path / "gen").exists()
+        assert _run("generate", "--model", "preference", "--branches", "3", "--obs", "0",
+                    "--out-dir", str(tmp_path / "gen")) == 0  # zero counts stay legal
 
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--dim", "0"), ("--dim", "-1"), ("--gamma", "inf"),
@@ -778,6 +796,30 @@ class TestCorruptCheckpoint:
         save_tensors(bad, tree)
         needle = (f"'params.{key}.mean' has shape ({want + 2},); the {family}/diag family "
                   f"needs ({want},)")
+        with pytest.raises(InvalidDataError, match=re.escape(needle)):
+            load_checkpoint(bad)
+        for err in self._eval_and_resume(data, bad, tmp_path, capsys):
+            assert needle in err
+
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda t: t.update({"params.junk": np.zeros(1)}),
+         "'params.junk' is not an array of the amortized/dense family"),
+        (lambda t: [t.pop(k) for k in list(t) if k.startswith("params.net.")],
+         "lacks 'params.net.feat.0.W'"),
+        (lambda t: t.pop("params.net.param.3.W"), "lacks 'params.net.param.3.W'"),
+    ], ids=["stray-key", "no-net", "no-last-param-weights"])
+    def test_bad_amortized_params_exit_2(self, trained, tmp_path, capsys, edit, needle):
+        data, _ = trained
+        run_dir = tmp_path / "amortized"
+        assert _run("train", "--model", "synthetic", "--dim", "1", "--data", str(data),
+                    "--family", "amortized", "--iters", "2", "--seed", "8",
+                    "--out-dir", str(run_dir)) == 0
+        tree = load_tensors(run_dir / "checkpoint.nt")
+        assert "params.net.param.3.b" in tree and "params.net.param.4.W" not in tree
+        edit(tree)
+        bad = tmp_path / "amortized.nt"
+        save_tensors(bad, tree)
         with pytest.raises(InvalidDataError, match=re.escape(needle)):
             load_checkpoint(bad)
         for err in self._eval_and_resume(data, bad, tmp_path, capsys):

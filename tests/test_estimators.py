@@ -118,7 +118,7 @@ class TestJointElbo:
         for structure in ("dense", "block", "diag"):
             fam = perturb(init_joint(structure, 1, 1, 2), 306, 0.3)
             est, grads = joint_elbo(model, fam, data, RngStream(307), n_mc=3)
-            gflat = flat_grads(grads, params_to_tree(fam))
+            gflat = flat_grads(grads)
             fds = central_differences(fam, lambda f: joint_elbo(
                 model, f, data, RngStream(307), n_mc=3, want_grad=False)[0].value, 1e-5)
             for j, fd in enumerate(fds):
@@ -245,7 +245,8 @@ class TestBranchElbo:
         e1, g1 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
         e2, g2 = branch_elbo(model, params, data, RngStream(321), n_mc=5)
         assert e1.value == e2.value
-        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
+        t1, t2 = params_to_tree(g1), params_to_tree(g2)
+        assert all(np.array_equal(t1[k], t2[k]) for k in t1)
 
     def test_non_finite_density_raises_with_branch(self):
         model, data = _problem(1, 3, 2, seed=325)
@@ -264,8 +265,9 @@ class TestSubsampledBranchElbo:
         e2, g2 = subsampled_branch_elbo(model, params, data, MinibatchSampler(5, 5),
                                         RngStream(332), n_mc=4)
         assert e1.value == e2.value
-        assert set(g1) == set(g2)
-        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
+        t1, t2 = params_to_tree(g1), params_to_tree(g2)
+        assert list(t1) == list(t2)
+        assert all(np.array_equal(t1[k], t2[k]) for k in t1)
 
     def test_unbiased_against_full_estimate(self):
         model, data = _problem(1, 10, 2, seed=333)
@@ -287,11 +289,11 @@ class TestSubsampledBranchElbo:
         sampler = MinibatchSampler(4, 2)
         est, grads = subsampled_branch_elbo(model, params, data, sampler,
                                             RngStream(339), n_mc=3)
-        assert grads["w"].shape == (2, params.W.shape[1])  # the batch's rows only
+        assert grads.W.shape == (2, params.W.shape[1])  # the batch's rows only
         G = np.zeros_like(params.W)
-        G[est.batch] = grads["w"]
-        grads["w"] = G
-        gflat = flat_grads(grads, params_to_tree(params))
+        G[est.batch] = grads.W
+        grads.W = G
+        gflat = flat_grads(grads)
         fds = central_differences(params, lambda p: subsampled_branch_elbo(
             model, p, data, sampler, RngStream(339), n_mc=3, want_grad=False)[0].value, 1e-5)
         for j, fd in enumerate(fds):
@@ -318,6 +320,36 @@ def test_non_finite_prior_names_the_first_copy(kind, want_grad):
                        want_grad=want_grad)
     assert exc.value.copy == 2 and exc.value.branch is None
     assert "MC copy 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("structure", ["dense", "block", "diag"])
+@pytest.mark.parametrize("kind", ["joint", "branch", "amortized"])
+def test_gradient_is_a_container_of_the_parameters_type(kind, structure):
+    # a branch gradient's W holds the rows of W[est.batch] only
+    model, data = _problem(2, 3, 2, seed=329)
+    sampler = MinibatchSampler(3, 2)
+    if kind == "joint":
+        params = init_joint(structure, 2, 2, 3)
+        runs = [(lambda: joint_elbo(model, params, data, RngStream(330), n_mc=2), None)]
+    elif kind == "branch":
+        params = init_branch(structure, 2, 2, 3)
+        runs = [(lambda: branch_elbo(model, params, data, RngStream(330), n_mc=2), 3),
+                (lambda: subsampled_branch_elbo(model, params, data, sampler, RngStream(330),
+                                                n_mc=2), 2)]
+    else:
+        params = init_amortized(structure, 2, 2, 2, RngStream(331), AmortArch((3, 3), (4, 4)))
+        runs = [(lambda: amortized_elbo(model, params.v, params.net, data, sampler,
+                                        RngStream(330), n_mc=2), None)]
+    shapes = {k: a.shape for k, a in params_to_tree(params).items()}
+    for run, rows in runs:
+        est, grads = run()
+        assert type(grads) is type(params)
+        gtree = params_to_tree(grads)
+        assert list(gtree) == list(shapes)
+        if rows is not None:
+            assert est.batch.size == rows
+            shapes["w"] = (rows, shapes["w"][1])
+        assert {k: g.shape for k, g in gtree.items()} == shapes
 
 
 class TestEstimatorUnbiasedness:
@@ -411,7 +443,7 @@ class TestAmortizedElbo:
         sampler = MinibatchSampler(2, 2)
         est, grads = amortized_elbo(model, ap.v, ap.net, data, sampler,
                                     RngStream(364), n_mc=2)
-        gflat = flat_grads(grads, params_to_tree(ap))
+        gflat = flat_grads(grads)
         fds = central_differences(ap, lambda a: amortized_elbo(
             model, a.v, a.net, data, sampler, RngStream(364), n_mc=2,
             want_grad=False)[0].value, 1e-5)
