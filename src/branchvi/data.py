@@ -291,8 +291,7 @@ def split(ds: BranchDataset, test_fraction: float, rng: RngStream) -> SplitDatas
     n_test[counts <= 1] = 0
     test = np.zeros(ds.n_obs, dtype=bool)
     for i in np.flatnonzero(n_test).tolist():
-        gen = rng.child(i).generator()
-        chosen = gen.choice(int(counts[i]), size=int(n_test[i]), replace=False)
+        chosen = rng.child(i).choice(int(counts[i]), int(n_test[i]))
         test[ds.starts[i] + chosen] = True
     return SplitDataset(
         BranchDataset(ds.x[~test], ds.y[~test], counts - n_test, ds.has_covariates),

@@ -69,8 +69,7 @@ class MinibatchSampler:
             # Only one possible batch; no randomness consumed, which keeps the
             # full-batch path bitwise identical to the non-subsampled estimator.
             return np.arange(self.n_branches)
-        gen = rng.generator()
-        return np.sort(gen.choice(self.n_branches, size=self.batch_size, replace=False))
+        return np.sort(rng.choice(self.n_branches, self.batch_size))
 
 
 def _log_prior_grad(model, THETA):

@@ -8,7 +8,6 @@ calibrated once and are fixed (documented inline).
 import time
 
 import numpy as np
-import pytest
 
 from branchvi.amortize import (
     AmortArch,

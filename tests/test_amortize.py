@@ -10,7 +10,6 @@ from branchvi import amortize
 from branchvi.amortize import (
     AmortArch,
     MlpWeights,
-    mlp_backward,
     mlp_forward,
     net_backward_batch,
     net_forward_batch,

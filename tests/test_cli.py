@@ -463,7 +463,7 @@ class TestConvert:
 
     def test_identity_joint_converts_to_zero_A(self, tmp_path):
         from branchvi.cli import save_checkpoint
-        from branchvi.families import init_joint, joint_to_branch
+        from branchvi.families import init_joint
 
         fam = init_joint("dense", 1, 1, 2)
         path = tmp_path / "joint.nt"

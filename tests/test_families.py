@@ -8,7 +8,6 @@ from branchvi.amortize import AmortArch, init_amortized
 from branchvi.errors import MalformedParamsError
 from branchvi.families import (
     BranchParams,
-    DiagGaussian,
     JointFamily,
     assemble_joint,
     factor_draw_batch,
@@ -32,7 +31,6 @@ from branchvi.gaussmath import (
     tril_map,
     tril_map_backward,
     tril_map_raw,
-    tril_size,
     tril_unmap,
 )
 from branchvi.rng import RngStream

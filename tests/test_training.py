@@ -235,12 +235,42 @@ def test_same_seed_reproduces_trajectory():
 
 
 def test_subsampled_training_improves_elbo():
+    # Full-data estimates before and after, with common random numbers (one
+    # fixed stream, 2000 copies): record 0's EMA is a single 3-copy draw.
     model, data = _setup()
     sched = LrSchedule(1e-2)
-    res = train(model, init_branch("dense", 1, 1, 3), data, kind="branch",
+    init = init_branch("dense", 1, 1, 3)
+    res = train(model, init, data, kind="branch",
                 schedule=sched, iters=800, rng=RngStream(703), n_mc=3,
                 batch_size=2, trace_every=100)
-    assert res.records[-1].ema_elbo > res.records[0].ema_elbo
+    crn = RngStream(703, 1)
+    before, _ = branch_elbo(model, init, data, crn, n_mc=2000, want_grad=False)
+    after, _ = branch_elbo(model, res.params, data, crn, n_mc=2000, want_grad=False)
+    assert after.value > before.value
+
+
+@pytest.mark.parametrize("kind", ["branch", "amortized", "joint"])
+def test_steps_after_the_first_build_no_seed_sequence_or_philox(monkeypatch, kind):
+    # Streams re-position one thread-local generator; building a SeedSequence
+    # or a Philox inside a step would cost more than the draws it serves.
+    model, data = _setup()
+    params = {"branch": init_branch("dense", 1, 1, 3),
+              "amortized": init_amortized("dense", 1, 1, 1, RngStream(706),
+                                          AmortArch((3, 3), (4, 4))),
+              "joint": init_joint("dense", 1, 1, 3)}[kind]
+    built = {"SeedSequence": 0, "Philox": 0}
+    for name in built:
+        def counting(*args, _name=name, _orig=getattr(np.random, name), **kwargs):
+            built[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, counting)
+    RngStream(1).child(0).generator()
+    assert built == {"SeedSequence": 1, "Philox": 1}  # the counters see the library's calls
+    seen = []
+    train(model, params, data, kind=kind, schedule=LrSchedule(1e-2), iters=6,
+          rng=RngStream(709), n_mc=3, batch_size=0 if kind == "joint" else 2,
+          trace_every=1, on_record=lambda rec: seen.append(dict(built)))
+    assert len(seen) == 6 and all(counts == seen[0] for counts in seen)
 
 
 def test_estimator_error_carries_iteration():
