@@ -31,6 +31,10 @@ from .rng import RngStream
 # the realized std equals the requested one.
 _TRUNC_STD = 0.87962566103423978
 
+# The leaky-ReLU slope of every hidden layer. It is fixed: no checkpoint
+# stores it, so a reloaded net could not otherwise be told which it had.
+SLOPE = 0.01
+
 
 @dataclass
 class MlpWeights:
@@ -38,7 +42,6 @@ class MlpWeights:
 
     weights: list           # (out, in) matrices
     biases: list            # (out,) vectors
-    slope: float = 0.01
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -48,8 +51,6 @@ class MlpWeights:
             if W.ndim != 2 or b.shape != (W.shape[0],):
                 raise MalformedParamsError(
                     f"layer {l} has weights {W.shape} and biases {b.shape}")
-        if not 0.0 <= self.slope <= 1.0:  # _leaky_gain relies on it
-            raise MalformedParamsError(f"leaky-ReLU slope must lie in [0, 1], got {self.slope}")
         for l in range(1, len(self.weights)):
             if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
                 raise MalformedParamsError(f"layer {l} input width does not chain")
@@ -92,16 +93,17 @@ def mlp_forward(mlp: MlpWeights, H: np.ndarray, block_rows: int):
         if l < n_layers - 1:
             mask = X >= 0
             masks.append(mask.reshape(-1, mask.shape[2])[:n])
-            X *= _leaky_gain(mask, mlp.slope)
+            X *= _leaky_gain(mask)
         else:
             masks.append(None)
     return X.reshape(-1, X.shape[2])[:n], (inputs, masks)
 
 
-def _leaky_gain(mask, slope):
-    """1 where ``mask``, else slope. For slope in [0, 1], a * gain is bitwise
-    np.where(mask, a, slope * a) without np.where's per-element branch."""
-    return np.maximum(mask, slope)
+def _leaky_gain(mask):
+    """1 where ``mask``, else SLOPE. As SLOPE lies in [0, 1], a * gain is
+    bitwise np.where(mask, a, SLOPE * a) without np.where's per-element
+    branch."""
+    return np.maximum(mask, SLOPE)
 
 
 def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray, input_grad: bool = True):
@@ -117,7 +119,7 @@ def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray, input_grad: bool = T
     g = g_out
     for l in range(n_layers - 1, -1, -1):
         if masks[l] is not None:
-            g = g * _leaky_gain(masks[l], mlp.slope)
+            g = g * _leaky_gain(masks[l])
         gW[l] = g.T @ inputs[l]
         gb[l] = g.sum(axis=0)
         g = g @ mlp.weights[l] if l or input_grad else None
@@ -132,7 +134,6 @@ def mlp_backward(mlp: MlpWeights, cache, g_out: np.ndarray, input_grad: bool = T
 class AmortArch:
     feat_widths: tuple = (64, 64, 64, 128)
     param_widths: tuple = (256, 256, 256)
-    slope: float = 0.01
 
 
 @dataclass
@@ -184,7 +185,7 @@ def net_init(structure: str, global_dim: int, local_dim: int, x_dim: int,
             Ws.append(_truncated_normal(gen, (width, in_dim), std))
             bs.append(np.zeros(width))
             in_dim = width
-        return MlpWeights(Ws, bs, arch.slope)
+        return MlpWeights(Ws, bs)
 
     feat = build(arch.feat_widths, x_dim + 1, final_small=False)
     param = build((*arch.param_widths, out_dim), 2 * arch.feat_widths[-1], final_small=True)
@@ -248,8 +249,7 @@ def net_backward_batch(net: AmortNet, tape: NetTape, G: np.ndarray) -> AmortNet:
     g_E *= 2.0 * tape.embed
     g_E += gq[:, :K][tape.obs.seg]
     gW_f, gb_f, _ = mlp_backward(net.feat, tape.feat_cache, g_E, input_grad=False)
-    return replace(net, feat=MlpWeights(gW_f, gb_f, net.feat.slope),
-                   param=MlpWeights(gW_p, gb_p, net.param.slope))
+    return replace(net, feat=MlpWeights(gW_f, gb_f), param=MlpWeights(gW_p, gb_p))
 
 
 # Observation rows per chunk of ``net_rows``: bounds a no-grad forward's

@@ -54,6 +54,7 @@ from .rng import RngStream
 from .training import params_to_tree, train
 from .trees import tree_rebind
 
+_MODELS = ("synthetic", "preference")
 _KIND_CODES = {"joint": 0, "branch": 1, "amortized": 2}
 _STRUCT_CODES = {"dense": 0, "block": 1, "diag": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -91,7 +92,7 @@ class RunConfig:
     resume: str = ""
 
     def validate(self) -> None:
-        if self.model not in ("synthetic", "preference"):
+        if self.model not in _MODELS:
             raise InvalidDataError(f"unknown model {self.model!r}")
         if self.family not in _KIND_CODES:
             raise InvalidDataError(f"unknown family {self.family!r}")
@@ -119,6 +120,14 @@ class RunConfig:
                 raise InvalidDataError(f"{flag} must be {rule}, got {value!r}")
 
 
+# Flags and config-file values convert by the field's annotation (a string,
+# under postponed evaluation); the other fields stay strings.
+_NUMBER_TYPES = {"int": (int, "an integer"), "float": (float, "a float")}
+# The flags whose name is not the field's with dashes, and the closed sets.
+_FLAG_NAMES = {"n_branches": "--branches", "obs_per_branch": "--obs"}
+_CHOICES = {"model": _MODELS, "family": tuple(_KIND_CODES), "structure": tuple(_STRUCT_CODES)}
+
+
 def parse_config_file(path: str) -> dict:
     """Flat grammar: one `key = value` per line, '#' comments, blanks ignored."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -135,9 +144,7 @@ def parse_config_file(path: str) -> dict:
             raw = raw.strip()
             if key not in fields:
                 raise InvalidDataError(f"{path}:{lineno}: unknown key {key!r}")
-            # the annotations are strings (postponed evaluation)
-            number = {"int": (int, "an integer"), "float": (float, "a float")}.get(
-                fields[key].type)
+            number = _NUMBER_TYPES.get(fields[key].type)
             if number is None:
                 values[key] = raw
                 continue
@@ -569,29 +576,12 @@ def cmd_check(_cfg: RunConfig) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per RunConfig field."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--family", choices=("joint", "branch", "amortized"))
-    p.add_argument("--structure", choices=("dense", "block", "diag"))
-    p.add_argument("--model", choices=("synthetic", "preference"))
-    p.add_argument("--k-samples", dest="k_samples", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--branches", dest="n_branches", type=int)
-    p.add_argument("--obs", dest="obs_per_branch", type=int)
-    p.add_argument("--n-mc", dest="n_mc", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--drop-every", dest="drop_every", type=int)
-    p.add_argument("--drop-factor", dest="drop_factor", type=float)
-    p.add_argument("--max-drops", dest="max_drops", type=int)
-    p.add_argument("--trace-every", dest="trace_every", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--resume")
+    for f in dataclasses.fields(RunConfig):
+        number = _NUMBER_TYPES.get(f.type)
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                       type=number[0] if number else None, choices=_CHOICES.get(f.name))
 
 
 def main(argv=None) -> int:

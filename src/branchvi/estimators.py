@@ -49,7 +49,6 @@ DEFAULT_N_MC = 10
 @dataclass
 class ElboEstimate:
     value: float       # nats
-    n_mc: int
     batch: np.ndarray  # branch indices used (full range when not subsampled)
 
 
@@ -122,13 +121,13 @@ def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
     lp, G_prior = _log_prior_grad(model, THETA)
     value = float(np.sum(lp + lbs.sum(axis=1) - logq)) / n_mc
     if not want_grad:
-        return ElboEstimate(value, n_mc, batch), None
+        return ElboEstimate(value, batch), None
     G = np.concatenate([G_prior + GT.sum(axis=1), GZ.reshape(n_mc, -1)], axis=1)
     factors, grads = {}, {}
     for (prefix, v, start, stop), aux in zip(joint_factors(fam), auxs):
         factors[prefix] = v
         grads[prefix] = factor_grad(v, aux, EPS[:, start:stop], G[:, start:stop], n_mc)
-    return ElboEstimate(value, n_mc, batch), tree_rebind(fam, factors, grads)
+    return ElboEstimate(value, batch), tree_rebind(fam, factors, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad)
                                       n_mc, want_grad)
     grads = BranchParams(params.structure, params.global_dim, params.local_dim, g_v,
                          G_rows / n_mc) if want_grad else None
-    return ElboEstimate(value, n_mc, np.asarray(batch)), grads
+    return ElboEstimate(value, np.asarray(batch)), grads
 
 
 # ---------------------------------------------------------------------------
@@ -245,4 +244,4 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
                                       batch, scale, rng, n_mc, want_grad)
     grads = (AmortParams(g_v, net_backward_batch(net, tape, G_rows / n_mc))
              if want_grad else None)
-    return ElboEstimate(value, n_mc, batch), grads
+    return ElboEstimate(value, batch), grads

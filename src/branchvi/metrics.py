@@ -15,7 +15,7 @@ undefined).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,20 +42,6 @@ class MetricReport:
     train_ll_per_rating: float
     train_elbo_per_rating: float
     skipped_branches: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "test_ll": self.test_ll,
-            "train_ll": self.train_ll,
-            "train_elbo": self.train_elbo,
-            "k": self.k,
-            "n_test": self.n_test,
-            "n_train": self.n_train,
-            "test_ll_per_rating": self.test_ll_per_rating,
-            "train_ll_per_rating": self.train_ll_per_rating,
-            "train_elbo_per_rating": self.train_elbo_per_rating,
-            "skipped_branches": list(self.skipped_branches),
-        }
 
 
 def log_mean_exp(values: np.ndarray) -> float:
@@ -140,11 +126,12 @@ def evaluate(model: HbdModel, q, split: SplitDataset, k: int = DEFAULT_K,
 def write_report(report: MetricReport, text_path, json_path) -> None:
     import json
 
+    fields = asdict(report)
     with open(text_path, "w") as fh:
-        for key, val in report.to_dict().items():
+        for key, val in fields.items():
             if key == "skipped_branches":
                 val = ",".join(str(v) for v in val)
             fh.write(f"{key} = {val}\n")
     with open(json_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(fields, fh, indent=2)
         fh.write("\n")

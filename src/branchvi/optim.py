@@ -13,7 +13,6 @@ form (see ``catch_up``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,14 +21,16 @@ import numpy as np
 from .errors import NonFiniteGradientError
 
 
+# Kingma & Ba's defaults. They are fixed: no checkpoint stores them, so a
+# resumed run could not otherwise be told which values it ran with.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     s: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Step of each W row's last update (int64, one per row), or None when the
     # parameters have no lazily updated rows.
     tau: np.ndarray | None = None
@@ -70,22 +71,22 @@ def _scratch(state: AdamState, size: int):
     return state.work
 
 
-def _update(state, t, lr, m, s, p, g, u, v):
+def _update(t, lr, m, s, p, g, u, v):
     """The dense bias-corrected update of (m, s, p) by g, with scratch u, v.
 
     Descent on -g op for op: the negation is folded into the signs of the m
     update, which is bitwise the same.
     """
-    m *= state.beta1
-    m -= np.multiply(g, 1.0 - state.beta1, out=u)
-    s *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=u)
+    m *= BETA1
+    m -= np.multiply(g, 1.0 - BETA1, out=u)
+    s *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=u)
     s += np.multiply(u, g, out=u)
-    np.divide(m, 1.0 - state.beta1 ** t, out=u)
+    np.divide(m, 1.0 - BETA1 ** t, out=u)
     u *= lr
-    np.divide(s, 1.0 - state.beta2 ** t, out=v)
+    np.divide(s, 1.0 - BETA2 ** t, out=v)
     np.sqrt(v, out=v)
-    v += state.eps
+    v += EPS
     p -= np.divide(u, v, out=u)
 
 
@@ -111,7 +112,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
         u, v = _scratch(state, min(grads.size, _SLICE))
         for a in range(0, grads.size, _SLICE):
             sl, n = slice(a, a + _SLICE), min(_SLICE, grads.size - a)
-            _update(state, t, lr, state.m[sl], state.s[sl], params[sl], grads[sl],
+            _update(t, lr, state.m[sl], state.s[sl], params[sl], grads[sl],
                     u[:n], v[:n])
         if state.tau is not None:
             state.tau[:] = t
@@ -127,34 +128,32 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     tau = state.tau[rows]
     k = np.where(tau > 0, t - 1 - tau, 0)  # a never-updated row has m = s = 0
     if k.any():
-        catch_up(state, schedule, *(a[head:].reshape(-1, width) for a in (p, m, s)), tau, k)
-    _update(state, t, lr, m, s, p, grads, u, v)
+        catch_up(schedule, *(a[head:].reshape(-1, width) for a in (p, m, s)), tau, k)
+    _update(t, lr, m, s, p, grads, u, v)
     params[idx], state.m[idx], state.s[idx] = p, m, s
     state.tau[rows] = t
     state.t = t
     return state, params
 
 
-def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
+def catch_up(schedule: LrSchedule, p, m, s, tau, k) -> None:
     """Apply to rows (p, m, s) the k zero-gradient steps after step tau, in place.
 
     Row i last moved at step tau_i and missed steps tau_i + 1 .. tau_i + k_i.
-    With g = 0 a step scales m by b1 and s by b2, so after j of them
-    m / sqrt(s) = r^j m_i / sqrt(s_i) with r = b1 / sqrt(b2), and
+    With g = 0 a step scales m by b1 = BETA1 and s by b2 = BETA2, so after j
+    of them m / sqrt(s) = r^j m_i / sqrt(s_i) with r = b1 / sqrt(b2), and
 
         p_i -= F_i m_i / sqrt(s_i),  F_i = sum_{j=1..k_i} r^j w(tau_i + j),
         w(u) = lr(u) sqrt(1 - b2^u) / (1 - b1^u),  lr(u) = lr_at(schedule, u - 1),
 
     then m_i *= b1^k_i and s_i *= b2^k_i. This is dense Adam's k_i steps with
     eps dropped from them (exact up to rounding while |m| / sqrt(s) >> eps).
-    F's sum stops at the first j with r^j < 2^-60 (397 terms at the default
-    betas). w is a function of u and the schedule alone, so a resumed run
-    recomputes the same values. Rows with k_i = 0, and entries with s = 0
-    (never a non-zero gradient, so m = 0), stay as they are.
+    F's sum stops at the first j with r^j < 2^-60 (the 397 entries of _RJ).
+    w is a function of u and the schedule alone, so a resumed run recomputes
+    the same values. Rows with k_i = 0, and entries with s = 0 (never a
+    non-zero gradient, so m = 0), stay as they are.
     """
-    b1, b2 = state.beta1, state.beta2
-    rj, bias = catch_up_tables(b1, b2)
-    n = np.minimum(k, rj.size)                              # terms per row
+    n = np.minimum(k, _RJ.size)                             # terms per row
     j = np.arange(1, int(n.max()) + 1)
     U = tau[:, None] + j                                    # the missed steps (rows, terms)
     # lr(u) = lr_at(schedule, u - 1): the earliest entry's rate, overwritten
@@ -164,35 +163,34 @@ def catch_up(state: AdamState, schedule: LrSchedule, p, m, s, tau, k) -> None:
     for d in range(lo // schedule.drop_every + 1,
                    min(hi // schedule.drop_every, schedule.max_drops) + 1):
         lr[U > d * schedule.drop_every] = lr_at(schedule, d * schedule.drop_every)
-    w = np.where(j <= n[:, None], rj[:j.size], 0.0)         # row i sums its first n_i terms
+    w = np.where(j <= n[:, None], _RJ[:j.size], 0.0)        # row i sums its first n_i terms
     w *= lr
-    w *= bias[np.minimum(U, bias.size - 1)]
+    w *= _BIAS[np.minimum(U, _BIAS.size - 1)]
     F = w.sum(axis=1)
     step = np.sqrt(s)
     np.divide(m, step, out=step, where=step > 0)            # 0 where s = 0 (so m = 0)
     step *= F[:, None]
     p -= step
-    m *= b1 ** k[:, None]
-    s *= b2 ** k[:, None]
+    m *= BETA1 ** k[:, None]
+    s *= BETA2 ** k[:, None]
 
 
-@functools.lru_cache(maxsize=None)
-def catch_up_tables(b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
-    """r^j for j = 1, 2, ... while r^j >= 2^-60, r = b1 / sqrt(b2) (397
-    terms at the default betas), and sqrt(1 - b2^u) / (1 - b1^u) for
-    u = 0 .. L, where L is the first step from which both b^u <= 2^-55, so the
-    factor is exactly 1 for every u >= L (38,105 entries at the default betas;
-    entry 0 is unused)."""
-    r = b1 / math.sqrt(b2)
-    if not r < 1.0:
-        raise ValueError(f"lazy rows need beta1 < sqrt(beta2), got {b1} and {b2}")
+def _catch_up_tables() -> tuple[np.ndarray, np.ndarray]:
+    """r^j for j = 1, 2, ... while r^j >= 2^-60, r = BETA1 / sqrt(BETA2) (397
+    terms), and sqrt(1 - BETA2^u) / (1 - BETA1^u) for u = 0 .. L, where L is
+    the first step from which both BETA^u <= 2^-55, so the factor is exactly 1
+    for every u >= L (38,106 entries; entry 0 is unused). Read-only."""
+    r = BETA1 / math.sqrt(BETA2)
     rj = np.exp(np.arange(1, int(-60.0 // math.log2(r)) + 2) * math.log(r))
-    u = np.arange(1, math.ceil(-55.0 / math.log2(max(b1, b2))) + 1)
+    u = np.arange(1, math.ceil(-55.0 / math.log2(max(BETA1, BETA2))) + 1)
     bias = np.zeros(u.size + 1)
-    bias[1:] = np.sqrt(-np.expm1(u * math.log(b2))) / -np.expm1(u * math.log(b1))
+    bias[1:] = np.sqrt(-np.expm1(u * math.log(BETA2))) / -np.expm1(u * math.log(BETA1))
     for a in (rj, bias):
         a.setflags(write=False)
     return rj, bias
+
+
+_RJ, _BIAS = _catch_up_tables()
 
 
 @dataclass

@@ -41,14 +41,12 @@ _local = threading.local()
 class RngStream:
     """One position in Philox: (key of (seed, stream), counter of the path)."""
 
-    __slots__ = ("seed", "stream", "path", "_key")
+    __slots__ = ("path", "_key")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
         self.path = ()
         self._key = tuple(int(k) for k in np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream,)).generate_state(2, np.uint64))
+            entropy=int(seed), spawn_key=(int(stream),)).generate_state(2, np.uint64))
 
     def child(self, index: int) -> "RngStream":
         """Derived stream one level down; distinct indices never collide."""
@@ -58,8 +56,7 @@ class RngStream:
         if len(self.path) >= MAX_DEPTH:
             raise ValueError(f"stream paths hold at most {MAX_DEPTH} levels")
         out = object.__new__(RngStream)
-        out.seed, out.stream, out.path, out._key = (
-            self.seed, self.stream, self.path + (index,), self._key)
+        out.path, out._key = self.path + (index,), self._key
         return out
 
     def _counter(self) -> list:

@@ -21,7 +21,7 @@ from .errors import (EstimatorError, InvalidDataError, MalformedParamsError,
 from .estimators import MinibatchSampler, amortized_elbo, joint_elbo, subsampled_branch_elbo
 from .families import BranchParams, JointFamily, factor_tree, joint_factors
 from .models import HbdModel
-from .optim import AdamState, LrSchedule, adam_init, adam_step, catch_up_tables, lr_at
+from .optim import AdamState, LrSchedule, adam_init, adam_step, lr_at
 from .rng import RngStream
 from .trees import tree_flatten, tree_rebind, tree_views
 
@@ -66,13 +66,24 @@ class TrainResult:
     final_elbo: float = float("nan")
 
 
+# The parameter container each family kind trains.
+_CONTAINERS = {"joint": JointFamily, "branch": BranchParams, "amortized": AmortParams}
+
+
 def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
-                   batch_size: int, n_mc: int):
+                   batch_size: int, n_mc: int, params):
     """Bind an estimator closure (params, rng) -> (estimate, grads).
 
-    ``batch_size`` is 0 (the full batch) to N, or 0 or N for a joint family,
-    which has no subsampled estimator; anything else raises InvalidDataError.
+    ``params`` must be the container ``kind`` trains (``_CONTAINERS``);
+    anything else raises MalformedParamsError naming both. ``batch_size`` is
+    0 (the full batch) to N, or 0 or N for a joint family, which has no
+    subsampled estimator; anything else raises InvalidDataError.
     """
+    if kind not in _CONTAINERS:
+        raise MalformedParamsError(f"unknown family kind {kind!r}")
+    if not isinstance(params, _CONTAINERS[kind]):
+        raise MalformedParamsError(f"family kind {kind!r} trains {_CONTAINERS[kind].__name__}, "
+                                   f"got {type(params).__name__}")
     N = data.n_branches
     if kind == "joint" and batch_size not in (0, N):
         raise InvalidDataError(f"joint families cannot be subsampled; --batch-size must be "
@@ -91,11 +102,10 @@ def make_estimator(kind: str, model: HbdModel, data: BranchDataset,
         def run(params, rng):
             return subsampled_branch_elbo(model, params, data, sampler, rng, n_mc)
         return run
-    if kind == "amortized":
-        def run(params, rng):
-            return amortized_elbo(model, params.v, params.net, data, sampler, rng, n_mc)
-        return run
-    raise MalformedParamsError(f"unknown family kind {kind!r}")
+
+    def run(params, rng):
+        return amortized_elbo(model, params.v, params.net, data, sampler, rng, n_mc)
+    return run
 
 
 def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
@@ -114,14 +124,12 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     AdamState are copied in once and never written. A branch run with a batch
     smaller than N takes lazy-row Adam steps on W (see ``optim.adam_step``).
     """
-    estimator = make_estimator(kind, model, data, batch_size, n_mc)
+    estimator = make_estimator(kind, model, data, batch_size, n_mc, params)
     tree = params_to_tree(params)
     flat = tree_flatten(tree)  # a copy of the caller's values
     params = tree_rebind(params, tree, tree_views({k: a.shape for k, a in tree.items()}, flat))
     lazy = isinstance(params, BranchParams) and 0 < batch_size < params.n_branches
     adam = _adam_copy(adam, flat.size, params)
-    if lazy:  # build the catch-up's tables now, not inside the step that first needs them
-        catch_up_tables(adam.beta1, adam.beta2)
     records: list = []
     t_start = time.perf_counter()
     est_value = float("nan")

@@ -26,7 +26,7 @@ from branchvi.rng import RngStream
 from branchvi.trees import tree_flatten
 from helpers import central_differences
 
-TINY = AmortArch(feat_widths=(3, 3), param_widths=(4, 4), slope=0.01)
+TINY = AmortArch(feat_widths=(3, 3), param_widths=(4, 4))
 
 
 def _branch(seed, n=5, x_dim=2):
@@ -117,19 +117,13 @@ class TestNetBackward:
         with pytest.raises(MalformedParamsError):
             MlpWeights([np.zeros((3, 2)), np.zeros((4, 5))], [np.zeros(3), np.zeros(4)])
 
-    @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(MalformedParamsError, match="slope"):
-            MlpWeights([np.zeros((3, 2))], [np.zeros(3)], slope)
-
-    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("slope", [amortize.SLOPE])
     def test_leaky_gain_matches_where_bitwise(self, slope):
         gen = RngStream(89).generator()
         a = np.concatenate([gen.standard_normal(200) * 10.0 ** gen.integers(-310, 300, 200),
                             [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
-        with np.errstate(invalid="ignore"):  # 0 * inf at slope 0, on both sides
-            want = np.where(a >= 0, a, slope * a)
-            got = a * amortize._leaky_gain(a >= 0, slope)
+        want = np.where(a >= 0, a, slope * a)
+        got = a * amortize._leaky_gain(a >= 0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

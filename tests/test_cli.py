@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import pytest
 
 from branchvi import checks, gaussmath
 from branchvi.checkpoint import load_tensors, save_tensors
+from branchvi import cli
 from branchvi.cli import load_checkpoint, main, parse_config_file
 from branchvi.data import load_dataset
 from branchvi.errors import InvalidDataError
@@ -552,6 +555,56 @@ class TestConfigFile:
         manifest = (out / "manifest.txt").read_text()
         assert "dim = 2" in manifest      # flag wins
         assert "seed = 41" in manifest    # file value survives
+
+
+# Each RunConfig field's flag, a value for it and the value it sets; no
+# value is the field's default.
+EVERY_FLAG = {
+    "model": ("--model", "preference", "preference"),
+    "family": ("--family", "amortized", "amortized"),
+    "structure": ("--structure", "diag", "diag"),
+    "dim": ("--dim", "3", 3),
+    "n_branches": ("--branches", "7", 7),
+    "obs_per_branch": ("--obs", "5", 5),
+    "seed": ("--seed", "9", 9),
+    "iters": ("--iters", "11", 11),
+    "batch_size": ("--batch-size", "2", 2),
+    "n_mc": ("--n-mc", "4", 4),
+    "lr": ("--lr", "0.02", 0.02),
+    "drop_every": ("--drop-every", "13", 13),
+    "drop_factor": ("--drop-factor", "0.5", 0.5),
+    "max_drops": ("--max-drops", "1", 1),
+    "trace_every": ("--trace-every", "3", 3),
+    "k_samples": ("--k-samples", "17", 17),
+    "test_fraction": ("--test-fraction", "0.25", 0.25),
+    "gamma": ("--gamma", "2.0", 2.0),
+    "data": ("--data", "d", "d"),
+    "out_dir": ("--out-dir", "o", "o"),
+    "checkpoint": ("--checkpoint", "c", "c"),
+    "resume": ("--resume", "r", "r"),
+}
+
+
+def test_every_field_is_set_by_its_flag():
+    fields = dataclasses.fields(cli.RunConfig)
+    assert [f.name for f in fields] == list(EVERY_FLAG)
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    argv = [a for flag, raw, _ in EVERY_FLAG.values() for a in (flag, raw)]
+    cfg = cli.resolve_config(parser.parse_args(argv))
+    default = cli.RunConfig()
+    for name, (_, _, want) in EVERY_FLAG.items():
+        got = getattr(cfg, name)
+        assert got == want and type(got) is type(want) and got != getattr(default, name), name
+
+
+@pytest.mark.parametrize("flag, value", [("--model", "other"), ("--family", "dense"),
+                                         ("--structure", "joint"), ("--dim", "2.5"),
+                                         ("--lr", "fast")])
+def test_flag_rejects_a_value_outside_its_type_or_choices(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", flag, value])
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
 
 
 class TestCheck:

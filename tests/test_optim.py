@@ -4,6 +4,9 @@ import pytest
 from branchvi.errors import NonFiniteGradientError
 from branchvi.optim import (
     _SLICE,
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     LrSchedule,
     _update,
@@ -14,17 +17,18 @@ from branchvi.optim import (
 )
 
 
-def reference_adam_step(state: AdamState, params, grads, lr):
+def reference_adam_step(state: AdamState, params, grads, lr, eps=EPS):
     """The functional Adam step adam_step must match bitwise: new arrays,
-    descent on the negated gradient."""
+    descent on the negated gradient. ``eps=0`` gives the zero-gradient steps
+    the lazy catch-up reproduces."""
     g = -grads
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    s = state.beta2 * state.s + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    s_hat = s / (1.0 - state.beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(s_hat) + state.eps)
-    return AdamState(m, s, t, state.beta1, state.beta2, state.eps), new_params
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    s = BETA2 * state.s + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    s_hat = s / (1.0 - BETA2 ** t)
+    new_params = params - lr * m_hat / (np.sqrt(s_hat) + eps)
+    return AdamState(m, s, t), new_params
 
 
 class TestAdam:
@@ -102,8 +106,7 @@ class TestAdam:
         assert np.all(np.isfinite(params))
 
     def test_default_hyperparameters(self):
-        state = adam_init(1)
-        assert state.beta1 == 0.9 and state.beta2 == 0.999 and state.eps == 1e-8
+        assert BETA1 == 0.9 and BETA2 == 0.999 and EPS == 1e-8
 
 
 class TestLrSchedule:
@@ -189,11 +192,12 @@ class TestLazyRows:
         m0 = gen.uniform(-1.0, 1.0, (n, self.WIDTH)) * np.sqrt(s0)
         p0 = np.zeros((n, self.WIDTH))  # so p holds the displacement without rounding
         # reference: k dense steps with zero gradient and eps dropped
-        ref, ref_p = AdamState(m0.ravel().copy(), s0.ravel().copy(), tau, eps=0.0), p0.ravel()
+        ref, ref_p = AdamState(m0.ravel().copy(), s0.ravel().copy(), tau), p0.ravel()
         for u in range(tau + 1, tau + k + 1):
-            ref, ref_p = reference_adam_step(ref, ref_p, np.zeros(ref_p.size), lr_at(sched, u - 1))
+            ref, ref_p = reference_adam_step(ref, ref_p, np.zeros(ref_p.size),
+                                             lr_at(sched, u - 1), eps=0.0)
         p, m, s = p0.copy(), m0.copy(), s0.copy()
-        catch_up(AdamState(m, s, tau + k), sched, p, m, s, np.full(n, tau), np.full(n, k))
+        catch_up(sched, p, m, s, np.full(n, tau), np.full(n, k))
         np.testing.assert_allclose(p, ref_p.reshape(n, -1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(m, ref.m.reshape(n, -1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(s, ref.s.reshape(n, -1), rtol=1e-12, atol=0)
@@ -205,15 +209,14 @@ class TestLazyRows:
         gen = np.random.default_rng(15)
         size = self.HEAD + self.N * self.WIDTH
         state, params = self._state(gen, 140, [40] * self.N)
-        ref, ref_params = AdamState(state.m.copy(), state.s.copy(), 40, eps=0.0), params.copy()
+        ref, ref_params = AdamState(state.m.copy(), state.s.copy(), 40), params.copy()
         for u in range(41, 141):
             ref, ref_params = reference_adam_step(ref, ref_params, np.zeros(size),
-                                                  lr_at(sched, u - 1))
+                                                  lr_at(sched, u - 1), eps=0.0)
         rows = np.array([0, 3, 4])
         g_rows = gen.standard_normal((rows.size, self.WIDTH))
         dense = np.zeros(size)
         dense[self.HEAD:].reshape(self.N, self.WIDTH)[rows] = g_rows
-        ref.eps = state.eps
         ref, ref_params = reference_adam_step(ref, ref_params, dense, lr_at(sched, 140))
         adam_step(state, params, np.concatenate([np.zeros(self.HEAD), g_rows.ravel()]),
                   lr_at(sched, 140), rows=rows, width=self.WIDTH, schedule=sched)
@@ -240,11 +243,10 @@ class TestLazyRows:
         W = params[self.HEAD:].reshape(self.N, self.WIDTH)
         for r, g in zip(rows, g_rows):
             cols = slice(self.HEAD + r * self.WIDTH, self.HEAD + (r + 1) * self.WIDTH)
-            ref, ref_p = AdamState(m0[cols], s0[cols], tau[r], eps=0.0), p0[cols]
+            ref, ref_p = AdamState(m0[cols], s0[cols], tau[r]), p0[cols]
             for u in range(tau[r] + 1, 180):  # the missed steps, eps dropped
                 ref, ref_p = reference_adam_step(ref, ref_p, np.zeros(self.WIDTH),
-                                                 lr_at(sched, u - 1))
-            ref.eps = state.eps
+                                                 lr_at(sched, u - 1), eps=0.0)
             ref, ref_p = reference_adam_step(ref, ref_p, g, lr_at(sched, 179))
             if tau[r] == 179:
                 assert np.array_equal(W[r], ref_p)
@@ -300,7 +302,7 @@ class TestSlicedDenseStep:
             lr = 1e-2 if k < 3 else 1e-3
             adam_step(state, params, grads, lr)
             ref.t += 1
-            _update(ref, ref.t, lr, ref.m, ref.s, ref_params, grads, u, v)
+            _update(ref.t, lr, ref.m, ref.s, ref_params, grads, u, v)
             assert state.t == ref.t
             assert np.array_equal(params, ref_params), k
             assert np.array_equal(state.m, ref.m) and np.array_equal(state.s, ref.s), k

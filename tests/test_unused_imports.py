@@ -10,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("tests/*.py")) + sorted(
-    p for p in ROOT.glob("src/branchvi/*.py") if p.name != "__init__.py")
+    p for p in ROOT.glob("src/branchvi/*.py") if p.name != "__init__.py") + sorted(
+    ROOT.glob("scripts/*.py"))
 
 
 def unused_imports(source: str) -> list:
