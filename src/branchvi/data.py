@@ -3,7 +3,8 @@
 A dataset is a ragged collection of branches; branch i holds n_i
 (covariate, observation) pairs. Covariates are optional (width-0 rows for
 models without them). In memory a dataset is held once, in columns: the
-rows of every branch in branch order, plus the per-branch row counts.
+rows of every branch in branch order, plus the per-branch row counts (and,
+once a model asks, the per-branch moments X_i'X_i, X_i'y_i, y_i'y_i).
 
 On-disk container (documented bit-exactly in the README):
   <path>.meta  text sidecar: "branches", "covariate_dim", "has_covariates"
@@ -32,7 +33,10 @@ class BranchBatch:
     Batch position j owns rows starts[j] : starts[j] + counts[j] of x and y;
     a branch may own no rows. ``xt`` is x transposed and contiguous. Models
     reduce per-row terms to per-branch terms with ``segment_sum`` (after
-    ``segment_sort`` where the sum must not depend on the rows' order).
+    ``segment_sort`` where the sum must not depend on the rows' order), or
+    read the per-branch sufficient statistics ``moments``, built on first
+    use and cached. A batch's columns must not be written after it is built:
+    ``xt`` and ``moments`` would go on describing the old rows.
     """
 
     x: np.ndarray        # (n, x_dim)
@@ -45,10 +49,21 @@ class BranchBatch:
         self.seg = np.repeat(np.arange(self.counts.size), self.counts)  # row -> position
         self._nonempty = self.counts > 0
         self._all_nonempty = bool(self._nonempty.all())
+        self._moments = None
 
     @property
     def n_branches(self) -> int:
         return self.counts.size
+
+    @property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-branch G_j = X_j'X_j (B, x_dim, x_dim), b_j = X_j'y_j (B, x_dim)
+        and c_j = y_j'y_j (B,), built by ``segment_sum`` on first use (so
+        each branch's entries do not depend on the rest of the batch) and
+        read-only. A branch with no rows has G = 0, b = 0, c = 0."""
+        if self._moments is None:
+            self._moments = _branch_moments(self)
+        return self._moments
 
     def segment_sum(self, a: np.ndarray) -> np.ndarray:
         """Per-branch sums along the last axis: a (..., n) -> (..., B).
@@ -77,6 +92,18 @@ class BranchBatch:
             if c > 1:
                 out[..., s:s + c].sort(axis=-1)
         return out
+
+
+def _branch_moments(obs: BranchBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (G, b, c) of ``BranchBatch.moments``: O(n x_dim^2) for n rows."""
+    xt, y = obs.xt, obs.y
+    G = np.ascontiguousarray(
+        obs.segment_sum(xt[:, None, :] * xt[None, :, :]).transpose(2, 0, 1))
+    b = np.ascontiguousarray(obs.segment_sum(xt * y).T)
+    c = obs.segment_sum(y * y)
+    for a in (G, b, c):
+        a.setflags(write=False)
+    return G, b, c
 
 
 @dataclass

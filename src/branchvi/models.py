@@ -14,6 +14,12 @@ observations (a ``BranchBatch``),
 Entry (m, j) depends only on copy m's theta, z_j and branch j's rows, and
 is bitwise the same whatever else the batch holds; prior entry m depends
 only on copy m. Estimators only ever touch this surface.
+
+The synthetic model is conjugate, so its terms read only the batch's cached
+per-branch moments (``BranchBatch.moments``): O(n_B D^2) once per batch
+object for its n_B rows, then O(M B D^2) per call. Its oracle reads the
+same moments. The preference model works row by row (``_rows_dot``,
+``_rows_grad``).
 """
 
 from __future__ import annotations
@@ -55,16 +61,6 @@ class HbdModel:
     log_obs_vals: Callable          # (THETA, Z, BranchBatch) -> (M, B)
 
 
-def _rows_dot(obs: BranchBatch, Z):
-    """x_r . z_{seg(r)} for every copy and row: (M, n)."""
-    return dot_last(np.take(Z, obs.seg, axis=1), obs.x)
-
-
-def _rows_grad(obs: BranchBatch, resid):
-    """sum over branch j's rows of x_r * resid_r for every copy: (M, B, x_dim)."""
-    return obs.segment_sum(obs.xt * resid[:, None, :]).transpose(0, 2, 1)
-
-
 @dataclass
 class SyntheticConfig:
     dim: int                 # theta and z_i dimension (covariates share it)
@@ -95,23 +91,30 @@ def synthetic_model(D: int) -> HbdModel:
     def log_prior_grad(THETA):
         return log_prior(THETA), -THETA
 
+    def _sq_resid(Z, obs: BranchBatch):
+        # sum_r (y_r - x_r'z)^2 over branch j's rows, from its moments
+        # (G, b, c): c - 2 b'z + z'G z, with z-gradient 2 (G z - b). The
+        # cost is O(M B D^2) whatever the branches' row counts.
+        G, b, c = obs.moments
+        Gz = dot_last(G, Z[:, :, None, :])                       # (M, B, D)
+        return c - 2.0 * dot_last(b, Z) + dot_last(Z, Gz), b - Gz
+
     def _parts(THETA, Z, obs: BranchBatch):
         R = Z - THETA[:, None, :]
-        resid = obs.y - _rows_dot(obs, Z)
-        vals = (-0.5 * np.einsum("mbk,mbk->mb", R, R) - 0.5 * obs.segment_sum(resid * resid)
+        sq, g_obs = _sq_resid(Z, obs)
+        vals = (-0.5 * np.einsum("mbk,mbk->mb", R, R) - 0.5 * sq
                 - 0.5 * (D + obs.counts) * LOG_2PI)
-        return vals, R, resid
+        return vals, R, g_obs
 
     def log_branch_vals(THETA, Z, obs: BranchBatch):
         return _parts(THETA, Z, obs)[0]
 
     def log_branch_grad(THETA, Z, obs: BranchBatch):
-        vals, R, resid = _parts(THETA, Z, obs)
-        return vals, R, -R + _rows_grad(obs, resid)
+        vals, R, g_obs = _parts(THETA, Z, obs)
+        return vals, R, g_obs - R
 
     def log_obs_vals(THETA, Z, obs: BranchBatch):
-        resid = obs.y - _rows_dot(obs, Z)
-        return -0.5 * obs.segment_sum(resid * resid) - 0.5 * obs.counts * LOG_2PI
+        return -0.5 * _sq_resid(Z, obs)[0] - 0.5 * obs.counts * LOG_2PI
 
     return HbdModel(D, D, True, log_prior, log_prior_grad,
                     log_branch_vals, log_branch_grad, log_obs_vals)
@@ -151,18 +154,19 @@ class SyntheticOracle:
 def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
     """Exact posterior over theta, conditionals over z_i, and log p(y | x).
 
-    Everything comes from per-branch statistics G_i = X_i'X_i, b_i = X_i'y_i
-    and y_i'y_i of the (n_i, D) covariates X_i, through K_i = I + G_i
-    (Woodbury and the matrix determinant lemma on I + X_i X_i'):
+    Everything comes from the per-branch statistics the model itself reads,
+    ``data.moments``: G_i = X_i'X_i, b_i = X_i'y_i and c_i = y_i'y_i of the
+    (n_i, D) covariates X_i, through K_i = I + G_i (Woodbury and the matrix
+    determinant lemma on I + X_i X_i'):
       theta | y, x   precision I + sum_i G_i K_i^{-1}, linear term sum_i K_i^{-1} b_i
       z_i | theta    N(K_i^{-1} (b_i + theta), K_i^{-1})
-      log p(y | x)   sum_i [-(y_i'y_i - b_i'K_i^{-1}b_i)/2 - log|K_i|/2 - n_i log(2 pi)/2]
+      log p(y | x)   sum_i [-(c_i - b_i'K_i^{-1}b_i)/2 - log|K_i|/2 - n_i log(2 pi)/2]
                      + lin' prec^{-1} lin / 2 - log|prec| / 2
-    Cost O(sum n_i D^2 + N D^3); branches with no rows contribute nothing.
+    Cost O(sum n_i D^2 + N D^3), the first term once per dataset; branches
+    with no rows contribute nothing.
     """
     eye = np.eye(data.covariate_dim)
-    G = data.segment_sum(data.xt[:, None, :] * data.xt[None, :, :]).transpose(2, 0, 1)
-    b = data.segment_sum(data.xt * data.y).T                      # (N, D)
+    G, b, c = data.moments
     K = eye + G
     Kinv = np.linalg.inv(K)
     Kinv = 0.5 * (Kinv + Kinv.transpose(0, 2, 1))
@@ -177,7 +181,7 @@ def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
         return spec_from_moments(Kinv[i] @ (b[i] + theta), Kinv[i])
 
     log_marginal = float(
-        -0.5 * (data.y @ data.y - np.einsum("ni,ni->", b, Kinv_b))
+        -0.5 * (c.sum() - np.einsum("ni,ni->", b, Kinv_b))
         - 0.5 * np.linalg.slogdet(K)[1].sum() - 0.5 * data.y.size * LOG_2PI
         + 0.5 * lin @ posterior_global.mean - 0.5 * np.linalg.slogdet(prec)[1])
     return SyntheticOracle(posterior_global, posterior_local, log_marginal)
@@ -187,6 +191,16 @@ def synthetic_oracle(data: BranchDataset) -> SyntheticOracle:
 # Bernoulli preference model:
 #   theta = [theta_mu, theta_sigma],  z_i ~ N(theta_mu, Sigma(theta)),
 #   y_ij ~ Bernoulli(sigmoid(x_ij' z_i)),  Sigma(theta) = tril(theta_sigma)' tril(theta_sigma)
+
+
+def _rows_dot(obs: BranchBatch, Z):
+    """x_r . z_{seg(r)} for every copy and row: (M, n)."""
+    return dot_last(np.take(Z, obs.seg, axis=1), obs.x)
+
+
+def _rows_grad(obs: BranchBatch, resid):
+    """sum over branch j's rows of x_r * resid_r for every copy: (M, B, x_dim)."""
+    return obs.segment_sum(obs.xt * resid[:, None, :]).transpose(0, 2, 1)
 
 
 def _softplus(x):

@@ -13,6 +13,7 @@ form (see ``catch_up``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -148,12 +149,14 @@ def catch_up(schedule: LrSchedule, p, m, s, tau, k) -> None:
 
     then m_i *= b1^k_i and s_i *= b2^k_i. This is dense Adam's k_i steps with
     eps dropped from them (exact up to rounding while |m| / sqrt(s) >> eps).
-    F's sum stops at the first j with r^j < 2^-60 (the 397 entries of _RJ).
+    F's sum stops at the first j with r^j < 2^-60 (the 397 entries of
+    ``_catch_up_tables``' first table, built on the first catch-up).
     w is a function of u and the schedule alone, so a resumed run recomputes
     the same values. Rows with k_i = 0, and entries with s = 0 (never a
     non-zero gradient, so m = 0), stay as they are.
     """
-    n = np.minimum(k, _RJ.size)                             # terms per row
+    rj, bias = _catch_up_tables()
+    n = np.minimum(k, rj.size)                              # terms per row
     j = np.arange(1, int(n.max()) + 1)
     U = tau[:, None] + j                                    # the missed steps (rows, terms)
     # lr(u) = lr_at(schedule, u - 1): the earliest entry's rate, overwritten
@@ -163,9 +166,9 @@ def catch_up(schedule: LrSchedule, p, m, s, tau, k) -> None:
     for d in range(lo // schedule.drop_every + 1,
                    min(hi // schedule.drop_every, schedule.max_drops) + 1):
         lr[U > d * schedule.drop_every] = lr_at(schedule, d * schedule.drop_every)
-    w = np.where(j <= n[:, None], _RJ[:j.size], 0.0)        # row i sums its first n_i terms
+    w = np.where(j <= n[:, None], rj[:j.size], 0.0)         # row i sums its first n_i terms
     w *= lr
-    w *= _BIAS[np.minimum(U, _BIAS.size - 1)]
+    w *= bias[np.minimum(U, bias.size - 1)]
     F = w.sum(axis=1)
     step = np.sqrt(s)
     np.divide(m, step, out=step, where=step > 0)            # 0 where s = 0 (so m = 0)
@@ -175,11 +178,13 @@ def catch_up(schedule: LrSchedule, p, m, s, tau, k) -> None:
     s *= BETA2 ** k[:, None]
 
 
+@functools.cache
 def _catch_up_tables() -> tuple[np.ndarray, np.ndarray]:
     """r^j for j = 1, 2, ... while r^j >= 2^-60, r = BETA1 / sqrt(BETA2) (397
     terms), and sqrt(1 - BETA2^u) / (1 - BETA1^u) for u = 0 .. L, where L is
     the first step from which both BETA^u <= 2^-55, so the factor is exactly 1
-    for every u >= L (38,106 entries; entry 0 is unused). Read-only."""
+    for every u >= L (38,106 entries; entry 0 is unused). Read-only, built
+    once per process on first use: only lazy runs read them."""
     r = BETA1 / math.sqrt(BETA2)
     rj = np.exp(np.arange(1, int(-60.0 // math.log2(r)) + 2) * math.log(r))
     u = np.arange(1, math.ceil(-55.0 / math.log2(max(BETA1, BETA2))) + 1)
@@ -188,9 +193,6 @@ def _catch_up_tables() -> tuple[np.ndarray, np.ndarray]:
     for a in (rj, bias):
         a.setflags(write=False)
     return rj, bias
-
-
-_RJ, _BIAS = _catch_up_tables()
 
 
 @dataclass

@@ -301,6 +301,37 @@ def test_batch_gathers_branch_rows_in_batch_order():
     assert empty.segment_sum(np.zeros((2, 0))).shape == (2, 1)
 
 
+class TestBranchMoments:
+    COUNTS = (3, 0, 4, 2, 1, 0, 6)
+
+    def _data(self, D=2):
+        gen = RngStream(61).generator()
+        return from_branches([(gen.standard_normal((n, D)), gen.standard_normal(n))
+                              for n in self.COUNTS], D)
+
+    @pytest.mark.parametrize("idx", [[0, 2, 3, 6], [2], [1], list(range(7))])
+    def test_batch_moments_are_the_dataset_moments_at_idx(self, idx):
+        data = self._data()
+        for got, full in zip(data.batch(idx).moments, data.moments):
+            assert np.array_equal(got, full[idx])
+
+    def test_branch_without_rows_has_zero_moments(self):
+        data = self._data(D=3)
+        G, b, c = data.moments
+        assert G.shape == (7, 3, 3) and b.shape == (7, 3) and c.shape == (7,)
+        for j in (1, 5):
+            assert not G[j].any() and not b[j].any() and c[j] == 0.0
+        G1, b1, c1 = data.batch([5]).moments
+        assert not G1.any() and not b1.any() and c1.tolist() == [0.0]
+
+    def test_moments_are_cached_and_read_only(self):
+        data = self._data()
+        assert data.moments is data.moments
+        for a in data.moments:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
 class TestContainerValidation:
     """Corrupt .bin files raise InvalidDataError naming the file and byte offset."""
 

@@ -465,6 +465,81 @@ def test_batched_preference_value_is_bitwise_invariant_to_permuting_a_branch():
         assert np.array_equal(m.log_branch_vals(THETA, Z, obs), base)
 
 
+def _per_row_synthetic(THETA, Z, data):
+    """The synthetic terms written out row by row from the residuals
+    y_r - x_r'z: (branch values, obs values, g_theta, g_z)."""
+    M, B, D = Z.shape
+    obs = np.zeros((M, B))
+    g_obs = np.zeros((M, B, D))
+    for j in range(B):
+        s, n = int(data.starts[j]), int(data.counts[j])
+        x, y = data.x[s:s + n], data.y[s:s + n]
+        for k in range(M):
+            resid = y - x @ Z[k, j]
+            obs[k, j] = -0.5 * resid @ resid - 0.5 * n * LOG_2PI
+            g_obs[k, j] = x.T @ resid
+    R = Z - THETA[:, None, :]
+    local = -0.5 * np.sum(R * R, axis=2) - 0.5 * D * LOG_2PI
+    return local + obs, obs, R, g_obs - R
+
+
+def _assert_close_by_scale(got, want, rel):
+    """|got - want| <= rel * max|want|, entry by entry."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestSyntheticFromMoments:
+    """The synthetic terms come from the batch's moments; the per-row
+    residual form is the reference."""
+
+    COUNTS = (4, 0, 11, 1, 7, 30, 0)
+
+    def _data(self, D, seed, z_scale=0.0):
+        # With z_scale > 0 the rows follow y = x'z_j + noise for a z_j of that
+        # size, so |y| ~ z_scale while the residuals at z near z_j stay small.
+        gen = RngStream(seed).generator()
+        z_true = z_scale * gen.standard_normal((len(self.COUNTS), D))
+        branches = []
+        for j, n in enumerate(self.COUNTS):
+            x = gen.standard_normal((n, D))
+            branches.append((x, x @ z_true[j] + gen.standard_normal(n)))
+        return from_branches(branches, D), z_true, gen
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_matches_the_per_row_residual_form(self, D):
+        data, _, gen = self._data(D, seed=50 + D)
+        m, M = synthetic_model(D), 3
+        THETA = gen.standard_normal((M, D))
+        Z = gen.standard_normal((M, data.n_branches, D))
+        vals, gt, gz = m.log_branch_grad(THETA, Z, data)
+        want_vals, want_obs, want_gt, want_gz = _per_row_synthetic(THETA, Z, data)
+        assert np.allclose(vals, want_vals, rtol=1e-10, atol=0)
+        assert np.array_equal(m.log_branch_vals(THETA, Z, data), vals)
+        obs_vals = m.log_obs_vals(THETA, Z, data)
+        assert np.allclose(obs_vals, want_obs, rtol=1e-10, atol=0)
+        assert np.all(obs_vals[:, [1, 6]] == 0.0)           # the branches without rows
+        assert np.array_equal(gt, want_gt)
+        _assert_close_by_scale(gz, want_gz, 1e-10)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_large_observation_offset(self, D):
+        # |y| ~ 1e3 with residuals ~ 1: the expanded c - 2 b'z + z'G z cancels
+        # about six digits, so the observation terms agree with the per-row
+        # sum only to about 1e-9 relative (at most 3.3e-10 on these draws). The
+        # branch values and g_z, both dominated by the prior's z - theta at
+        # this z, stay within 1e-12 of their scale.
+        data, z_true, gen = self._data(D, seed=60 + D, z_scale=1e3 / np.sqrt(D))
+        assert 1e3 < np.abs(data.y).max() < 1e4
+        m, M = synthetic_model(D), 3
+        THETA = gen.standard_normal((M, D))
+        Z = z_true[None] + 0.1 * gen.standard_normal((M, data.n_branches, D))
+        vals, _, gz = m.log_branch_grad(THETA, Z, data)
+        want_vals, want_obs, _, want_gz = _per_row_synthetic(THETA, Z, data)
+        assert np.allclose(m.log_obs_vals(THETA, Z, data), want_obs, rtol=1e-8, atol=0)
+        assert np.allclose(vals, want_vals, rtol=1e-12, atol=0)
+        _assert_close_by_scale(gz, want_gz, 1e-12)
+
+
 def _masked_sigmoid(x):
     """The sigmoid as a boolean-mask gather and scatter, one formula per sign."""
     out = np.empty_like(x)

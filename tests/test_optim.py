@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import branchvi
 from branchvi.errors import NonFiniteGradientError
 from branchvi.optim import (
     _SLICE,
@@ -285,6 +290,34 @@ class TestLazyRows:
         state = AdamState(np.zeros(27), np.zeros(27), 4, tau=np.zeros(6, dtype=np.int64))
         adam_step(state, np.zeros(27), np.ones(27), 0.1)
         assert np.all(state.tau == 5)
+
+
+def test_catch_up_tables_are_built_on_the_first_catch_up_only():
+    # Only lazy branch runs read the tables, so importing the library builds
+    # nothing; a lazy run builds them once, on its first catch-up.
+    code = (
+        "import branchvi\n"
+        "from branchvi import optim\n"
+        "assert optim._catch_up_tables.cache_info().currsize == 0\n"
+        "from branchvi.families import init_branch\n"
+        "from branchvi.models import SyntheticConfig, synthetic_forward_sample, "
+        "synthetic_model\n"
+        "from branchvi.rng import RngStream\n"
+        "from branchvi.training import train\n"
+        "data, _ = synthetic_forward_sample(SyntheticConfig(1, 4, (3,) * 4), RngStream(5))\n"
+        "train(synthetic_model(1), init_branch('dense', 1, 1, 4), data, kind='branch',\n"
+        "      schedule=optim.LrSchedule(1e-2), iters=12, rng=RngStream(6), n_mc=2,\n"
+        "      batch_size=1, trace_every=0)\n"
+        "info = optim._catch_up_tables.cache_info()\n"
+        "assert info.misses == 1 and info.currsize == 1 and info.hits > 0, info\n"
+        "rj, bias = optim._catch_up_tables()\n"
+        "assert (rj.size, bias.size) == (397, 38106)\n"
+        "assert not rj.flags.writeable and not bias.flags.writeable\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(branchvi.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSlicedDenseStep:

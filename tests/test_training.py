@@ -273,6 +273,31 @@ def test_steps_after_the_first_build_no_seed_sequence_or_philox(monkeypatch, kin
     assert len(seen) == 6 and all(counts == seen[0] for counts in seen)
 
 
+def test_a_full_batch_run_builds_the_moments_once_and_a_step_only_its_own(monkeypatch):
+    # The synthetic model reads its batch's cached moments: a full batch is
+    # the dataset, so a run builds them once; a subsampled step builds them
+    # from its own B branches, never from all N.
+    import branchvi.data as bdata
+
+    shapes = []
+
+    def counting(obs, _orig=bdata._branch_moments):
+        out = _orig(obs)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(bdata, "_branch_moments", counting)
+    data, _ = synthetic_forward_sample(SyntheticConfig(2, 6, (3, 4, 2, 5, 3, 1)),
+                                       RngStream(711))
+    model = synthetic_model(2)
+    for batch_size, want in ((0, [(6, 2, 2)]), (2, [(2, 2, 2)] * 5)):
+        shapes.clear()
+        train(model, init_branch("dense", 2, 2, 6), data, kind="branch",
+              schedule=LrSchedule(1e-2), iters=5, rng=RngStream(712), n_mc=3,
+              batch_size=batch_size, trace_every=1)
+        assert shapes == want
+
+
 def test_estimator_error_carries_iteration():
     model, data = _setup()
     # blow up one branch of one MC copy after a few calls to exercise the error path
