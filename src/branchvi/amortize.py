@@ -144,7 +144,6 @@ class AmortNet:
     global_dim: int
     local_dim: int
     x_dim: int
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.feat.in_dim != self.x_dim + 1:
@@ -170,7 +169,7 @@ def _truncated_normal(gen, shape, std):
 
 
 def net_init(structure: str, global_dim: int, local_dim: int, x_dim: int,
-             rng: RngStream, arch: AmortArch = AmortArch(), gamma: float = 1.0) -> AmortNet:
+             rng: RngStream, arch: AmortArch = AmortArch()) -> AmortNet:
     """Truncated-normal init (|draw| <= 2 std, rescaled so the realized std is
     exactly sqrt(1/fan_in)); the final output layer uses std 0.001 so the
     emitted conditionals start out almost standard normal. Biases are zero.
@@ -189,7 +188,7 @@ def net_init(structure: str, global_dim: int, local_dim: int, x_dim: int,
 
     feat = build(arch.feat_widths, x_dim + 1, final_small=False)
     param = build((*arch.param_widths, out_dim), 2 * arch.feat_widths[-1], final_small=True)
-    return AmortNet(feat, param, structure, global_dim, local_dim, x_dim, gamma)
+    return AmortNet(feat, param, structure, global_dim, local_dim, x_dim)
 
 
 @dataclass
@@ -318,5 +317,5 @@ def init_amortized(structure: str, global_dim: int, local_dim: int, x_dim: int,
                    rng: RngStream, arch: AmortArch = AmortArch(),
                    gamma: float = 1.0) -> AmortParams:
     v = init_branch(structure, global_dim, local_dim, 0, gamma).v
-    net = net_init(structure, global_dim, local_dim, x_dim, rng, arch, gamma)
+    net = net_init(structure, global_dim, local_dim, x_dim, rng, arch)
     return AmortParams(v, net)

@@ -204,15 +204,18 @@ def _checkpoint_meta(params):
     amortized families and x_dim is 0 for the others.
     """
     if isinstance(params, JointFamily):
-        gamma = factor_gamma(joint_factors(params)[0][1])
+        gammas = [(prefix, factor_gamma(v)) for prefix, v, _, _ in joint_factors(params)]
+        if len({g for _, g in gammas}) > 1:
+            raise MalformedParamsError("a checkpoint holds one gamma; the joint family has "
+                                       + " and ".join(f"{p} gamma {g!r}" for p, g in gammas))
         return "joint", params.structure, [params.global_dim, params.local_dim,
-                                           params.n_branches, 0], gamma
+                                           params.n_branches, 0], gammas[0][1]
     if isinstance(params, BranchParams):
         return "branch", params.structure, [params.global_dim, params.local_dim,
                                             params.n_branches, 0], params.gamma
     if isinstance(params, AmortParams):
         return "amortized", params.structure, [params.global_dim, params.local_dim, 0,
-                                               params.net.x_dim], params.net.gamma
+                                               params.net.x_dim], factor_gamma(params.v)
     raise MalformedParamsError(f"cannot checkpoint {type(params).__name__}")
 
 
@@ -284,7 +287,7 @@ def load_checkpoint(path: str):
             template = init_branch(structure, gdim, ldim, nb, gamma)
         else:
             template = AmortParams(init_branch(structure, gdim, ldim, 0, gamma).v,
-                                   _load_net(structure, gdim, ldim, x_dim, gamma, ptree))
+                                   _load_net(structure, gdim, ldim, x_dim, ptree))
     except KeyError as exc:
         raise InvalidDataError(f"{path}: checkpoint lacks 'params.{exc.args[0]}'") from None
     except MalformedParamsError as exc:  # network layers that do not fit together
@@ -339,7 +342,7 @@ def _stack_v1_locals(ptree, structure, gdim, ldim, nb) -> None:
     ptree["w"] = W
 
 
-def _load_net(structure, gdim, ldim, x_dim, gamma, ptree):
+def _load_net(structure, gdim, ldim, x_dim, ptree):
     def layers(prefix):
         # runs until a layer has neither array, so a missing one is named
         # (as is layer 0's weights when the MLP has no layers at all)
@@ -350,7 +353,7 @@ def _load_net(structure, gdim, ldim, x_dim, gamma, ptree):
             l += 1
         return MlpWeights(Ws, bs)
 
-    return AmortNet(layers("feat"), layers("param"), structure, gdim, ldim, x_dim, gamma)
+    return AmortNet(layers("feat"), layers("param"), structure, gdim, ldim, x_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .families import (
     BranchParams,
     JointFamily,
     factor_draw_batch,
+    factor_gamma,
     factor_grad,
     joint_draw_batch,
     joint_factors,
@@ -134,18 +135,18 @@ def joint_elbo(model: HbdModel, fam: JointFamily, data: BranchDataset,
 # Branch-family estimators (shared core).
 
 
-def _branch_core(model, v, rows, structure, gamma, obs, batch, scale, rng, n_mc,
-                 want_grad):
+def _branch_core(model, v, rows, structure, obs, batch, scale, rng, n_mc, want_grad):
     """Common machinery for branch / subsampled / amortized estimates.
 
     rows (B, P_w) are the batch's packed locals (BranchParams.W layout) with
-    the family's structure and gamma, and obs the batch's observations. All
+    the family's structure and v's gamma, and obs the batch's observations. All
     copies and branches go through one batched draw, one model call and one
     backward pass. Returns (value, v's gradient as a factor like v, gradient
     rows (B, P_w) summed over copies), the last two None without ``want_grad``.
     """
     D = model.global_dim
     dz = model.local_dim
+    gamma = factor_gamma(v)
     eps_glob = rng.child(_STREAM_GLOBAL).normal((n_mc, D))
     eps_loc = rng.child(_STREAM_LOCAL).normal((n_mc, len(batch), dz))
     THETA, logq_v, aux_v = factor_draw_batch(v, eps_glob)
@@ -204,8 +205,7 @@ def _branch_params_core(model, params, data, batch, scale, rng, n_mc, want_grad)
     W's gradient.
     """
     value, g_v, G_rows = _branch_core(model, params.v, params.W[batch], params.structure,
-                                      params.gamma, data.batch(batch), batch, scale, rng,
-                                      n_mc, want_grad)
+                                      data.batch(batch), batch, scale, rng, n_mc, want_grad)
     grads = BranchParams(params.structure, params.global_dim, params.local_dim, g_v,
                          G_rows / n_mc) if want_grad else None
     return ElboEstimate(value, np.asarray(batch)), grads
@@ -240,8 +240,8 @@ def amortized_elbo(model: HbdModel, v, net: AmortNet, data: BranchDataset,
         rows, tape = net_forward_batch(net, obs, batch)
     else:
         rows = net_rows(net, data, batch)
-    value, g_v, G_rows = _branch_core(model, v, rows, net.structure, net.gamma, obs,
-                                      batch, scale, rng, n_mc, want_grad)
+    value, g_v, G_rows = _branch_core(model, v, rows, net.structure, obs, batch, scale,
+                                      rng, n_mc, want_grad)
     grads = (AmortParams(g_v, net_backward_batch(net, tape, G_rows / n_mc))
              if want_grad else None)
     return ElboEstimate(value, batch), grads

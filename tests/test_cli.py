@@ -441,6 +441,33 @@ class TestNumericValidation:
         assert not (tmp_path / "gen").exists()
 
 
+class TestCheckpointGamma:
+    def test_amortized_family_saves_the_gamma_of_v(self, tmp_path):
+        from branchvi.amortize import AmortArch, AmortParams, net_init
+        from branchvi.families import factor_gamma, init_branch
+        from branchvi.rng import RngStream
+
+        net = net_init("dense", 2, 2, 2, RngStream(540), AmortArch((3, 3), (4, 4)))
+        params = AmortParams(init_branch("dense", 2, 2, 0, gamma=3.0).v, net)
+        path = tmp_path / "amortized.nt"
+        cli.save_checkpoint(str(path), params)
+        assert load_tensors(path)["meta.gamma"].tolist() == [3.0]
+        back, _, _, _ = load_checkpoint(path)
+        assert factor_gamma(back.v) == 3.0
+
+    def test_block_joint_with_two_gammas_is_not_saved(self, tmp_path):
+        from branchvi.errors import MalformedParamsError
+        from branchvi.families import init_joint
+
+        fam = init_joint("block", 1, 1, 3, gamma=1.0)
+        fam.locals_spec = init_joint("block", 1, 1, 3, gamma=4.0).locals_spec
+        path = tmp_path / "joint.nt"
+        with pytest.raises(MalformedParamsError,
+                           match="theta gamma 1.0 and locals gamma 4.0"):
+            cli.save_checkpoint(str(path), fam)
+        assert not path.exists()
+
+
 class TestConvert:
     def test_convert_then_warm_start(self, tmp_path):
         gen_dir = tmp_path / "gen"
