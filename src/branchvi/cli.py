@@ -501,8 +501,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         test_data = load_dataset(test_path)
     else:
         test_data = BranchDataset(np.zeros((0, train_data.covariate_dim)), np.zeros(0),
-                                  np.zeros(train_data.n_branches, dtype=np.int64),
-                                  train_data.has_covariates)
+                                  np.zeros(train_data.n_branches, dtype=np.int64))
     split_ds = SplitDataset(train_data, test_data)
     model = build_model(cfg, train_data)
     params, _, _, _ = load_checkpoint(cfg.checkpoint)

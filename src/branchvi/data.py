@@ -7,7 +7,7 @@ rows of every branch in branch order, plus the per-branch row counts (and,
 once a model asks, the per-branch moments X_i'X_i, X_i'y_i, y_i'y_i).
 
 On-disk container (documented bit-exactly in the README):
-  <path>.meta  text sidecar: "branches", "covariate_dim", "has_covariates"
+  <path>.meta  text sidecar: "branches", "covariate_dim" (other keys are ignored)
   <path>.bin   per branch: n_i as little-endian int64, then the covariate
                block (n_i x covariate_dim, row-major float64 LE), then the
                observation block (n_i float64 LE)
@@ -113,8 +113,6 @@ class BranchDataset(BranchBatch):
     Branch i owns rows starts[i] : starts[i] + counts[i] of x and y.
     """
 
-    has_covariates: bool = True
-
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
@@ -150,7 +148,7 @@ class BranchDataset(BranchBatch):
         return BranchBatch(self.x[rows], self.y[rows], counts)
 
 
-def from_branches(branches, covariate_dim: int, has_covariates: bool = True) -> BranchDataset:
+def from_branches(branches, covariate_dim: int) -> BranchDataset:
     """A dataset from per-branch (x (n_i, covariate_dim), y (n_i,)) pairs."""
     xs, ys = [], []
     for i, (x, y) in enumerate(branches):
@@ -166,7 +164,7 @@ def from_branches(branches, covariate_dim: int, has_covariates: bool = True) -> 
         ys.append(y)
     counts = np.array([y.size for y in ys], dtype=np.int64)
     return BranchDataset(np.concatenate([np.zeros((0, covariate_dim)), *xs]),
-                         np.concatenate([np.zeros(0), *ys]), counts, has_covariates)
+                         np.concatenate([np.zeros(0), *ys]), counts)
 
 
 @dataclass
@@ -179,10 +177,9 @@ class SplitDataset:
     def __post_init__(self):
         if self.train.n_branches != self.test.n_branches:
             raise InvalidDataError("train and test must have identical branch counts")
-        for name in ("covariate_dim", "has_covariates"):
-            a, b = getattr(self.train, name), getattr(self.test, name)
-            if a != b:
-                raise InvalidDataError(f"train and test differ in {name}: {a} vs {b}")
+        a, b = self.train.covariate_dim, self.test.covariate_dim
+        if a != b:
+            raise InvalidDataError(f"train and test differ in covariate_dim: {a} vs {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +252,31 @@ def preprocess(table: RatingsTable, max_ratings_per_user: int, threshold: float)
     to 0. Branch order is sorted by user id so the result does not depend on
     row order in the file.
     """
-    rank = {uid: r for r, uid in enumerate(sorted(set(table.user_ids)))}
-    user = np.array([rank[uid] for uid in table.user_ids], dtype=np.int64)
-    counts = np.bincount(user, minlength=len(rank))
+    ids, user = np.unique(np.asarray(table.user_ids, dtype=object), return_inverse=True)
+    counts = np.bincount(user, minlength=ids.size)
     keep = counts <= max_ratings_per_user
     order = np.argsort(user, kind="stable")      # by user, then file order
     order = order[keep[user[order]]]
     y = (table.ratings[order] > threshold).astype(float)
-    return BranchDataset(table.features[order], y, counts[keep], has_covariates=True)
+    return BranchDataset(table.features[order], y, counts[keep])
 
 
 def pca_features(table: RatingsTable, k: int) -> RatingsTable:
     """Project item features onto their top-k principal components.
 
-    Power iteration with deflation on the feature covariance; each
-    component's sign is fixed by making its largest-magnitude loading
-    positive, so the output is deterministic given the data.
+    The components are the top-k eigenvectors of the feature covariance
+    (one ``eigh``); each one's sign is fixed by making its largest-magnitude
+    loading positive, so the output is deterministic given the data.
     """
     dim = table.feature_dim
     if k > dim:
         raise InvalidDataError(f"k={k} exceeds feature dim {dim}")
     X = table.features - table.features.mean(axis=0)
-    n = max(X.shape[0] - 1, 1)
-    C = (X.T @ X) / n
-    comps = np.empty((dim, k))
-    gen = RngStream(0x9CA, 0).generator()  # fixed internal stream: deterministic
-    for j in range(k):
-        v = gen.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        for _ in range(10_000):
-            w = C @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:  # exhausted the spectrum (rank < k)
-                break
-            w /= norm
-            if w @ v < 0:
-                w = -w
-            if np.linalg.norm(w - v) < 1e-10:
-                v = w
-                break
-            v = w
-        lam = float(v @ C @ v)
-        pivot = np.argmax(np.abs(v))
-        if v[pivot] < 0:
-            v = -v
-        comps[:, j] = v
-        C = C - lam * np.outer(v, v)
+    C = (X.T @ X) / max(X.shape[0] - 1, 1)
+    comps = np.linalg.eigh(C)[1][:, ::-1][:, :k]   # eigh sorts eigenvalues up
+    if k:
+        pivot = np.abs(comps).argmax(axis=0)
+        comps = comps * np.where(comps[pivot, np.arange(k)] < 0, -1.0, 1.0)
     return RatingsTable(table.user_ids, table.item_ids, table.ratings, X @ comps)
 
 
@@ -321,8 +297,8 @@ def split(ds: BranchDataset, test_fraction: float, rng: RngStream) -> SplitDatas
         chosen = rng.child(i).choice(int(counts[i]), int(n_test[i]))
         test[ds.starts[i] + chosen] = True
     return SplitDataset(
-        BranchDataset(ds.x[~test], ds.y[~test], counts - n_test, ds.has_covariates),
-        BranchDataset(ds.x[test], ds.y[test], n_test, ds.has_covariates),
+        BranchDataset(ds.x[~test], ds.y[~test], counts - n_test),
+        BranchDataset(ds.x[test], ds.y[test], n_test),
     )
 
 
@@ -349,7 +325,6 @@ def save_dataset(ds: BranchDataset, path: str) -> None:
     with open(f"{path}.meta", "w") as fh:
         fh.write(f"branches = {ds.n_branches}\n")
         fh.write(f"covariate_dim = {ds.covariate_dim}\n")
-        fh.write(f"has_covariates = {int(ds.has_covariates)}\n")
     count_at, x_at, y_at = _layout(ds.counts, ds.covariate_dim)
     words = np.empty(ds.n_branches + ds.x.size + ds.y.size, dtype="<f8")
     words.view("<i8")[count_at] = ds.counts
@@ -417,4 +392,4 @@ def load_dataset(path: str) -> BranchDataset:
     x = sliding_window_view(words, cov_dim)[x_at] if x_at.size else np.zeros((0, cov_dim))
     y = words[y_at]
     del buf, words, x_at, y_at  # hold the data once
-    return BranchDataset(x, y, counts, bool(meta.get("has_covariates", 1)))
+    return BranchDataset(x, y, counts)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BranchBatch, BranchDataset, from_branches
+from .data import BranchBatch, BranchDataset
 from .errors import InvalidDataError
 from .gaussmath import (
     LOG_2PI,
@@ -127,19 +127,19 @@ class SyntheticLatents:
 
 
 def synthetic_forward_sample(config: SyntheticConfig, rng: RngStream):
-    """Forward-sample a dataset; covariates are i.i.d. standard normal."""
+    """Forward-sample a dataset; covariates are i.i.d. standard normal.
+
+    The one generator draws whole columns, in this order: theta (D,), the
+    z_i noise (N, D), every covariate row (n, D), then the n noises behind y.
+    """
     D = config.dim
+    counts = np.array(config.obs_per_branch, dtype=np.int64)
     gen = rng.generator()
     theta = gen.standard_normal(D)
-    branches = []
-    zs = np.empty((config.n_branches, D))
-    for i, n_i in enumerate(config.obs_per_branch):
-        z = theta + gen.standard_normal(D)
-        x = gen.standard_normal((n_i, D))
-        y = x @ z + gen.standard_normal(n_i)
-        zs[i] = z
-        branches.append((x, y))
-    return from_branches(branches, D), SyntheticLatents(theta, zs)
+    z = theta + gen.standard_normal((config.n_branches, D))
+    x = gen.standard_normal((int(counts.sum()), D))
+    y = dot_last(x, np.repeat(z, counts, axis=0)) + gen.standard_normal(x.shape[0])
+    return BranchDataset(x, y, counts), SyntheticLatents(theta, z)
 
 
 @dataclass
@@ -303,18 +303,19 @@ class PreferenceConfig:
 
 
 def preference_forward_sample(config: PreferenceConfig, rng: RngStream):
-    """Forward-sample preference data; covariates i.i.d. standard normal."""
+    """Forward-sample preference data; covariates i.i.d. standard normal.
+
+    The one generator draws whole columns, in this order: theta, the z_i
+    noise (N, D), every covariate row (n, D), then the n uniforms behind y.
+    """
     D = config.dim
+    counts = np.array(config.obs_per_branch, dtype=np.int64)
     gen = rng.generator()
     theta = gen.standard_normal(preference_global_dim(D))
     Lfac = tril_map(UnconstrainedChol(theta[D:], D, config.gamma))
-    branches = []
-    zs = np.empty((config.n_branches, D))
-    for i, n_i in enumerate(config.obs_per_branch):
-        # z ~ N(mu, L'L): draw via the upper factor L'.
-        z = theta[:D] + Lfac.T @ gen.standard_normal(D)
-        x = gen.standard_normal((n_i, D))
-        y = (gen.random(n_i) < _sigmoid(x @ z)).astype(float)
-        zs[i] = z
-        branches.append((x, y))
-    return from_branches(branches, D), SyntheticLatents(theta, zs)
+    # z_i ~ N(mu, L'L): each row e_i of the noise maps to e_i L.
+    z = theta[:D] + gen.standard_normal((config.n_branches, D)) @ Lfac
+    x = gen.standard_normal((int(counts.sum()), D))
+    eta = dot_last(x, np.repeat(z, counts, axis=0))
+    y = (gen.random(x.shape[0]) < _sigmoid(eta)).astype(float)
+    return BranchDataset(x, y, counts), SyntheticLatents(theta, z)

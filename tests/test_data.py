@@ -238,12 +238,26 @@ class TestContainer:
         assert back.counts.tolist() == [0, 0] and back.x.shape == (0, 3)
 
     def test_fixture_saves_back_byte_for_byte(self, tmp_path):
-        # The on-disk format is pinned by a committed file, not only by round trips.
+        # The on-disk format is pinned by a committed file, not only by round
+        # trips. The fixture's .meta also holds the has_covariates line that
+        # older writers added; the writer now leaves it out.
         fixture = Path(__file__).parent / "fixtures" / "v1_branch_dense" / "data"
         save_dataset(load_dataset(str(fixture)), str(tmp_path / "ds"))
-        for ext in ("bin", "meta"):
-            assert ((tmp_path / f"ds.{ext}").read_bytes()
-                    == Path(f"{fixture}.{ext}").read_bytes())
+        assert (tmp_path / "ds.bin").read_bytes() == Path(f"{fixture}.bin").read_bytes()
+        old_meta = Path(f"{fixture}.meta").read_text().splitlines(keepends=True)
+        assert (tmp_path / "ds.meta").read_text() == "".join(
+            line for line in old_meta if not line.startswith("has_covariates"))
+
+    @pytest.mark.parametrize("extra", ["has_covariates = 1\n", "has_covariates = 0\n",
+                                       "# a comment\nsome_future_key = 7\n"])
+    def test_meta_keys_it_does_not_read_are_ignored(self, tmp_path, extra):
+        ds = from_branches([(np.ones((2, 2)), np.arange(2.0)), (np.zeros((1, 2)), np.ones(1))], 2)
+        save_dataset(ds, str(tmp_path / "ds"))
+        meta = tmp_path / "ds.meta"
+        meta.write_text(meta.read_text() + extra)
+        back = load_dataset(str(tmp_path / "ds"))
+        assert back.counts.tolist() == [2, 1]
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
 
     def test_layout_is_documented_order(self, tmp_path):
         ds = from_branches([(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])),
@@ -330,6 +344,50 @@ class TestBranchMoments:
         for a in data.moments:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+
+class TestSegmentSort:
+    COUNTS = (3, 0, 1, 5, 2, 1, 0, 4)
+
+    def _data_and_values(self, M=3):
+        gen = RngStream(62).generator()
+        data = from_branches([(gen.standard_normal((n, 2)), gen.standard_normal(n))
+                              for n in self.COUNTS], 2)
+        vals = gen.standard_normal((M, data.n_obs))
+        vals[:, 5] = vals[:, 4]  # a tie inside branch 3 (rows 4 to 8)
+        return data, vals
+
+    def test_each_branch_is_sorted_alone(self):
+        data, vals = self._data_and_values()
+        before = vals.copy()
+        out = data.segment_sort(vals)
+        assert np.array_equal(vals, before)  # the input is not written
+        for s, c in zip(data.starts, data.counts):
+            assert np.array_equal(out[:, s:s + c], np.sort(vals[:, s:s + c], axis=-1))
+
+    def test_empty_and_one_row_branches_are_left_as_they_are(self):
+        data, vals = self._data_and_values()
+        out = data.segment_sort(vals)
+        for j in np.flatnonzero(data.counts == 1):
+            s = data.starts[j]
+            assert np.array_equal(out[:, s], vals[:, s])
+        none = data.batch([1, 6])
+        assert none.segment_sort(np.zeros((3, 0))).shape == (3, 0)
+        one = data.batch([5, 2])
+        assert np.array_equal(one.segment_sort(vals[:, :2]), vals[:, :2])
+
+    def test_a_branch_alone_is_bitwise_the_branch_inside_a_batch(self):
+        data, vals = self._data_and_values()
+        idx = [3, 1, 7, 0]
+        batch = data.batch(idx)
+        rows = np.concatenate([np.arange(s, s + c)
+                               for s, c in zip(data.starts[idx], data.counts[idx])])
+        out = batch.segment_sort(vals[:, rows])
+        for pos, j in enumerate(idx):
+            alone = data.batch([j])
+            s, c = data.starts[j], data.counts[j]
+            got = out[:, batch.starts[pos]:batch.starts[pos] + c]
+            assert got.tobytes() == alone.segment_sort(vals[:, s:s + c]).tobytes()
 
 
 class TestContainerValidation:

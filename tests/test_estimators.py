@@ -171,7 +171,7 @@ class TestBranchElbo:
         keep = np.repeat(np.arange(40) != 1, full.counts)
         counts = full.counts.copy()
         counts[1] = 0
-        data = BranchDataset(full.x[keep], full.y[keep], counts, full.has_covariates)
+        data = BranchDataset(full.x[keep], full.y[keep], counts)
         model, oracle = synthetic_model(D), synthetic_oracle(data)
         params = _oracle_matched_branch(data, oracle)
         for k in range(50):

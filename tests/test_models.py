@@ -11,7 +11,7 @@ import branchvi
 
 from branchvi.data import BranchDataset, from_branches
 from branchvi.errors import InvalidDataError
-from branchvi.gaussmath import LOG_2PI, dot_last, mvn_logpdf
+from branchvi.gaussmath import LOG_2PI, UnconstrainedChol, dot_last, mvn_logpdf, tril_map
 from branchvi.models import (
     PreferenceConfig,
     SyntheticConfig,
@@ -132,20 +132,26 @@ class TestForwardSampling:
         (synthetic_forward_sample, SyntheticConfig(2, 3, (4, 5, 6))),
         (preference_forward_sample, PreferenceConfig(2, 3, (4, 5, 6))),
     ])
-    def test_columns_follow_the_per_branch_draw_order(self, sample, config):
-        # theta first, then per branch z_i, x_i and the noise behind y_i: the
-        # columns hold each branch's rows in turn.
+    def test_columns_follow_the_column_draw_order(self, sample, config):
+        # theta first, then whole columns: the (N, D) z noise, the (n, D)
+        # covariates and the n noises (synthetic) or uniforms (preference)
+        # behind y.
         data, lat = sample(config, RngStream(5))
         gen = RngStream(5).generator()
-        gen.standard_normal(lat.theta.size)
+        assert np.array_equal(lat.theta, gen.standard_normal(lat.theta.size))
+        noise = gen.standard_normal((3, 2))
+        if sample is synthetic_forward_sample:
+            assert np.array_equal(lat.z, lat.theta + noise)
+        else:
+            Lfac = tril_map(UnconstrainedChol(lat.theta[2:], 2, config.gamma))
+            assert np.array_equal(lat.z, lat.theta[:2] + noise @ Lfac)
         assert data.counts.tolist() == [4, 5, 6]
-        for i, n in enumerate(config.obs_per_branch):
-            gen.standard_normal(2)                          # z_i's noise
-            assert np.array_equal(data.batch([i]).x, gen.standard_normal((n, 2)))
-            if sample is synthetic_forward_sample:
-                gen.standard_normal(n)                      # y_i's noise
-            else:
-                gen.random(n)
+        assert np.array_equal(data.x, gen.standard_normal((15, 2)))
+        eta = dot_last(data.x, np.repeat(lat.z, data.counts, axis=0))
+        if sample is synthetic_forward_sample:
+            assert np.array_equal(data.y, eta + gen.standard_normal(15))
+        else:
+            assert np.array_equal(data.y, (gen.random(15) < _sigmoid(eta)).astype(float))
 
     def test_observation_mean_is_zero(self):
         # E[y] = 0 marginally; CLT bound over 10^5 draws

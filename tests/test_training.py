@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,3 +429,53 @@ def test_full_batch_branch_estimator_is_branch_elbo_bitwise(batch_size):
     assert list(tree) == list(ref_tree)
     for k in tree:
         assert np.array_equal(tree[k], ref_tree[k]), k
+
+
+def _step_peaks(kind, n_branches, batch_size, iters=30):
+    """The tracemalloc peak of each step after the first, in bytes.
+
+    Each record (trace_every=1) reads the peak since the previous
+    ``reset_peak`` less the memory still traced right after that reset, so
+    the run's held state (the flat copy, Adam's m, s and tau: O(N)) never
+    counts, only what a step allocates on top of it. numpy reports its
+    array buffers to tracemalloc, so every array a step builds shows here.
+    The first step's peak also holds train's set-up and is dropped.
+    """
+    data, _ = synthetic_forward_sample(
+        SyntheticConfig(2, n_branches, (10,) * n_branches), RngStream(760, n_branches))
+    params = (init_branch("dense", 2, 2, n_branches) if kind == "branch"
+              else init_amortized("dense", 2, 2, 2, RngStream(761)))
+    peaks, held = [], [0]
+
+    def on_record(rec):
+        peaks.append(tracemalloc.get_traced_memory()[1] - held[0])
+        tracemalloc.reset_peak()
+        held[0] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        train(synthetic_model(2), params, data, kind=kind, schedule=LrSchedule(1e-2),
+              iters=iters, rng=RngStream(762), batch_size=batch_size, n_mc=10,
+              trace_every=1, on_record=on_record)
+    finally:
+        tracemalloc.stop()
+    return peaks[1:]
+
+
+@pytest.mark.parametrize("kind, batch_size", [("branch", 10), ("amortized", 25)])
+def test_a_step_allocates_the_same_at_n_100_and_10_000(kind, batch_size):
+    # The paper's scaling claim, deterministically: a subsampled (lazy
+    # branch) or amortized step costs O(|B|), so what it allocates must not
+    # grow with N. About 27.8 KB a lazy branch step (B = 10) and 3.50 MB an
+    # amortized one (B = 25) at both N; the slack, 1% + 1 KiB, is far below
+    # one O(N) array at N = 10^4 (a copy of W alone is 720 KB). A lazy run
+    # at N = 100 builds Adam's catch-up tables (1.5 MB, once per process)
+    # in one of its steps, so it runs once before the measured ones. A peak
+    # sees an O(N) array only if it is alive at the step's own peak or
+    # larger than it: a transient 1.6 MB copy of x inside an amortized step
+    # passes, the same copy held across the step fails.
+    if kind == "branch":
+        _step_peaks(kind, 100, batch_size)
+    small = max(_step_peaks(kind, 100, batch_size))
+    large = max(_step_peaks(kind, 10_000, batch_size))
+    assert abs(large - small) <= 0.01 * small + 1024, (small, large)
