@@ -226,9 +226,11 @@ def net_forward_batch(net: AmortNet, obs: BranchBatch, branches):
     K = E.shape[1]
     pooled = np.empty((obs.n_branches, 2 * K))
     for j, (s, c) in enumerate(zip(obs.starts.tolist(), obs.counts.tolist())):
-        S = np.sort(E[s:s + c], axis=0)
-        pooled[j, :K] = S.sum(axis=0)
-        pooled[j, K:] = (S * S).sum(axis=0)
+        S = E[s:s + c].copy()
+        S.sort(axis=0)
+        S.sum(axis=0, out=pooled[j, :K])
+        np.multiply(S, S, out=S)
+        S.sum(axis=0, out=pooled[j, K:])
     pooled /= obs.counts[:, None]
     out, param_cache = mlp_forward(net.param, pooled, PARAM_BLOCK_ROWS)
     return out, NetTape(feat_cache, E, param_cache, obs)

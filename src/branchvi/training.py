@@ -118,8 +118,9 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
     ``rng`` is the run-level stream; iteration t uses rng.child(t) so the
     trajectory is independent of how the run is segmented across resumes.
 
-    The run holds one flat parameter vector, and flattens each gradient, in
-    the order of ``params_to_tree``. The parameters it trains (and returns)
+    The run holds one flat parameter vector in the order of
+    ``params_to_tree``, and hands Adam each gradient as its arrays in that
+    order, unflattened. The parameters it trains (and returns)
     have every array as a view into that vector; the caller's params and
     AdamState are copied in once and never written. A branch run with a batch
     smaller than N takes lazy-row Adam steps on W (see ``optim.adam_step``).
@@ -143,7 +144,7 @@ def train(model: HbdModel, params, data: BranchDataset, *, kind: str,
         est_value = float(est.value)
         ema = est_value if ema is None else (
             EMA_SMOOTHING * est_value + (1.0 - EMA_SMOOTHING) * ema)
-        g = tree_flatten(params_to_tree(grads))
+        g = list(params_to_tree(grads).values())
         try:
             if lazy:
                 adam_step(adam, flat, g, lr, rows=est.batch, width=params.W.shape[1],

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from branchvi.optim import (
     EPS,
     AdamState,
     LrSchedule,
+    _factors,
     _update,
     adam_init,
     adam_step,
@@ -24,8 +26,23 @@ from branchvi.optim import (
 
 def reference_adam_step(state: AdamState, params, grads, lr, eps=EPS):
     """The functional Adam step adam_step must match bitwise: new arrays,
-    descent on the negated gradient. ``eps=0`` gives the zero-gradient steps
-    the lazy catch-up reproduces."""
+    descent on the negated gradient, in Kingma & Ba's efficient form and the
+    update's operation order. ``eps=0`` gives the zero-gradient steps the
+    lazy catch-up reproduces."""
+    g = -grads
+    t = state.t + 1
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    s = BETA2 * state.s + (1.0 - BETA2) * g * g
+    root = math.sqrt(1.0 - BETA2 ** t)
+    alpha = lr * root / (1.0 - BETA1 ** t)
+    new_params = params - m / (np.sqrt(s) + eps * root) * alpha
+    return AdamState(m, s, t), new_params
+
+
+def textbook_adam_step(state: AdamState, params, grads, lr, eps=EPS):
+    """Kingma & Ba's Algorithm 1 as written: bias-corrected moments m_hat and
+    s_hat, then lr m_hat / (sqrt(s_hat) + eps). The same update as
+    reference_adam_step in exact arithmetic."""
     g = -grads
     t = state.t + 1
     m = BETA1 * state.m + (1.0 - BETA1) * g
@@ -36,12 +53,22 @@ def reference_adam_step(state: AdamState, params, grads, lr, eps=EPS):
     return AdamState(m, s, t), new_params
 
 
+def _gradient_sequence(gen, n, steps=40):
+    """(gradient, lr) pairs: entries spanning 1e-12 .. 1e6 with zeros among
+    them, and the learning rate dropping half way."""
+    scales = 10.0 ** gen.uniform(-12, 6, size=n)
+    for k in range(steps):
+        grads = gen.standard_normal(n) * scales
+        grads[gen.random(n) < 0.2] = 0.0
+        yield grads, 1e-2 if k < steps // 2 else 1e-3
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         state = adam_init(3)
         params = np.array([1.0, -2.0, 0.5])
         before = params.copy()
-        new_state, new_params = adam_step(state, params, np.zeros(3), lr=0.1)
+        new_state, new_params = adam_step(state, params, [np.zeros(3)], lr=0.1)
         assert np.array_equal(new_params, before)
         assert new_state.t == 1
 
@@ -50,27 +77,38 @@ class TestAdam:
         n = 257
         ref_state, ref_params = adam_init(n), gen.standard_normal(n)
         state, params = adam_init(n), ref_params.copy()
-        # gradients spanning 1e-12 .. 1e6 with zeros among them, and the
-        # learning rate dropping part way
-        scales = 10.0 ** gen.uniform(-12, 6, size=n)
-        for k in range(40):
-            grads = gen.standard_normal(n) * scales
-            grads[gen.random(n) < 0.2] = 0.0
-            lr = 1e-2 if k < 20 else 1e-3
+        for k, (grads, lr) in enumerate(_gradient_sequence(gen, n)):
             ref_state, ref_params = reference_adam_step(ref_state, ref_params, grads, lr)
-            out_state, out_params = adam_step(state, params, grads, lr)
+            out_state, out_params = adam_step(state, params, [grads], lr)
             assert out_state is state and out_params is params  # updated in place
             assert state.t == ref_state.t == k + 1
             assert np.array_equal(params, ref_params), k
             assert np.array_equal(state.m, ref_state.m), k
             assert np.array_equal(state.s, ref_state.s), k
 
+    @pytest.mark.parametrize("t0", [0, 38_105, 10 ** 6])
+    def test_efficient_form_is_the_textbook_update(self, t0):
+        # Each step from the same (m, s, t), with params 0 so the new params
+        # are exactly minus the update: the two forms agree to rounding,
+        # from the first step and past step 38,106 (where both bias
+        # corrections round to 1 and only the operation order differs).
+        gen = np.random.default_rng(6)
+        n = 257
+        state = AdamState(np.zeros(n), np.zeros(n), t0)
+        for grads, lr in _gradient_sequence(gen, n):
+            ref, want = textbook_adam_step(state, np.zeros(n), grads, lr)
+            got_state, got = reference_adam_step(state, np.zeros(n), grads, lr)
+            assert np.array_equal(got_state.m, ref.m) and np.array_equal(got_state.s, ref.s)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert np.count_nonzero(want) > n // 2
+            state = ref
+
     def test_first_step_magnitude(self):
         # bias correction makes m_hat/sqrt(s_hat) = g/|g| on the first step
         state = adam_init(2)
         params = np.zeros(2)
         g = np.array([3.0, -0.004])
-        _, new_params = adam_step(state, params, g, lr=0.01)
+        _, new_params = adam_step(state, params, [g], lr=0.01)
         assert np.allclose(np.abs(new_params), 0.01, rtol=1e-5)
         assert np.all(np.sign(new_params) == np.sign(g))  # ascent
 
@@ -80,13 +118,13 @@ class TestAdam:
         x = np.zeros(1)
         for _ in range(2000):
             g = -2.0 * (x - 3.0)
-            state, x = adam_step(state, x, g, lr=0.05)
+            state, x = adam_step(state, x, [g], lr=0.05)
         assert abs(x[0] - 3.0) < 1e-2
 
     def test_scale_covariance_of_first_step(self):
         g = np.array([0.7, -1.3, 2.2])
-        _, p1 = adam_step(adam_init(3), np.zeros(3), g, lr=0.01)
-        _, p2 = adam_step(adam_init(3), np.zeros(3), 1000.0 * g, lr=0.01)
+        _, p1 = adam_step(adam_init(3), np.zeros(3), [g], lr=0.01)
+        _, p2 = adam_step(adam_init(3), np.zeros(3), [1000.0 * g], lr=0.01)
         assert np.allclose(np.sign(p1), np.sign(p2))
         assert np.max(np.abs(p1 - p2) / np.abs(p1)) < 1e-6
 
@@ -94,11 +132,11 @@ class TestAdam:
         state = adam_init(2)
         params = np.zeros(2)
         with pytest.raises(NonFiniteGradientError):
-            adam_step(state, params, np.array([1.0, np.nan]), lr=0.1)
+            adam_step(state, params, [np.array([1.0, np.nan])], lr=0.1)
         with pytest.raises(NonFiniteGradientError, match="flat index 0"):
-            adam_step(state, params, np.array([np.inf, 0.0]), lr=0.1)
+            adam_step(state, params, [np.array([np.inf, 0.0])], lr=0.1)
         with pytest.raises(NonFiniteGradientError, match="flat index 2"):
-            adam_step(adam_init(4), np.zeros(4), np.array([1.0, 2.0, -np.inf, np.inf]),
+            adam_step(adam_init(4), np.zeros(4), [np.array([1.0, 2.0, -np.inf, np.inf])],
                       lr=0.1)
         # state and parameters untouched on rejection
         assert state.t == 0 and np.all(state.m == 0) and np.all(params == 0)
@@ -107,7 +145,7 @@ class TestAdam:
         # the sum of finite gradients can overflow; only a non-finite entry fails
         grads = np.array([1e308, 1e308, -3.0])
         with np.errstate(over="ignore"):  # g * g overflows in the second moment
-            _, params = adam_step(adam_init(3), np.zeros(3), grads, lr=0.1)
+            _, params = adam_step(adam_init(3), np.zeros(3), [grads], lr=0.1)
         assert np.all(np.isfinite(params))
 
     def test_default_hyperparameters(self):
@@ -158,7 +196,7 @@ class TestLazyRows:
         before = [a.copy() for a in (params, state.m, state.s, state.tau)]
         rows = np.array([1, 4])
         grads = gen.standard_normal(self.HEAD + rows.size * self.WIDTH)
-        adam_step(state, params, grads, 1e-2, rows=rows, width=self.WIDTH,
+        adam_step(state, params, [grads], 1e-2, rows=rows, width=self.WIDTH,
                   schedule=LrSchedule(1e-2))
         keep = np.setdiff1d(np.arange(self.N), rows)
         for new, old in zip((params, state.m, state.s), before):
@@ -180,7 +218,7 @@ class TestLazyRows:
         dense[:self.HEAD] = g_head
         dense[self.HEAD:].reshape(self.N, self.WIDTH)[rows] = g_rows
         ref_state, ref_params = reference_adam_step(ref_state, ref_params, dense, 3e-3)
-        adam_step(state, params, np.concatenate([g_head, g_rows.ravel()]), 3e-3, rows=rows,
+        adam_step(state, params, [g_head, g_rows], 3e-3, rows=rows,
                   width=self.WIDTH, schedule=LrSchedule(3e-3))
         W, W_ref = (a[self.HEAD:].reshape(self.N, self.WIDTH) for a in (params, ref_params))
         assert np.array_equal(params[:self.HEAD], ref_params[:self.HEAD])
@@ -223,7 +261,7 @@ class TestLazyRows:
         dense = np.zeros(size)
         dense[self.HEAD:].reshape(self.N, self.WIDTH)[rows] = g_rows
         ref, ref_params = reference_adam_step(ref, ref_params, dense, lr_at(sched, 140))
-        adam_step(state, params, np.concatenate([np.zeros(self.HEAD), g_rows.ravel()]),
+        adam_step(state, params, [np.zeros(self.HEAD), g_rows],
                   lr_at(sched, 140), rows=rows, width=self.WIDTH, schedule=sched)
         W, W_ref = (a[self.HEAD:].reshape(self.N, self.WIDTH)[rows] for a in (params, ref_params))
         np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=0)
@@ -240,7 +278,7 @@ class TestLazyRows:
         rows = np.array([0, 1, 4])
         g_head = gen.standard_normal(self.HEAD)
         g_rows = gen.standard_normal((rows.size, self.WIDTH))
-        adam_step(state, params, np.concatenate([g_head, g_rows.ravel()]), lr_at(sched, 179),
+        adam_step(state, params, [g_head, g_rows], lr_at(sched, 179),
                   rows=rows, width=self.WIDTH, schedule=sched)
         _, head_ref = reference_adam_step(AdamState(m0[:self.HEAD], s0[:self.HEAD], 179),
                                           p0[:self.HEAD], g_head, lr_at(sched, 179))
@@ -272,7 +310,7 @@ class TestLazyRows:
                                                     params.copy(), np.concatenate(
                                                         [g[:self.HEAD], np.zeros(12),
                                                          g[self.HEAD:], np.zeros(8)]), 1e-2)
-        adam_step(state, params, g, 1e-2, rows=rows, width=self.WIDTH,
+        adam_step(state, params, [g], 1e-2, rows=rows, width=self.WIDTH,
                   schedule=LrSchedule(1e-2))
         assert np.array_equal(params, ref_params)
         assert np.all(np.isfinite(state.m)) and np.all(np.isfinite(state.s))
@@ -282,13 +320,13 @@ class TestLazyRows:
         g = np.zeros(3 + 2 * 4)
         g[3 + 4 + 2] = np.nan  # second touched row (W row 5), column 2
         with pytest.raises(NonFiniteGradientError, match=f"flat index {3 + 5 * 4 + 2}"):
-            adam_step(state, np.zeros(27), g, 0.1, rows=np.array([1, 5]), width=4,
+            adam_step(state, np.zeros(27), [g], 0.1, rows=np.array([1, 5]), width=4,
                       schedule=LrSchedule(0.1))
         assert state.t == 0 and np.all(state.tau == 0)
 
     def test_dense_step_marks_every_row_updated(self):
         state = AdamState(np.zeros(27), np.zeros(27), 4, tau=np.zeros(6, dtype=np.int64))
-        adam_step(state, np.zeros(27), np.ones(27), 0.1)
+        adam_step(state, np.zeros(27), [np.ones(27)], 0.1)
         assert np.all(state.tau == 5)
 
 
@@ -333,13 +371,74 @@ class TestSlicedDenseStep:
             grads = gen.standard_normal(n) * 10.0 ** gen.uniform(-8, 4, size=n)
             grads[gen.random(n) < 0.1] = 0.0
             lr = 1e-2 if k < 3 else 1e-3
-            adam_step(state, params, grads, lr)
+            adam_step(state, params, [grads], lr)
             ref.t += 1
-            _update(ref.t, lr, ref.m, ref.s, ref_params, grads, u, v)
+            _update(*_factors(ref.t, lr), ref.m, ref.s, ref_params, grads, u, v)
             assert state.t == ref.t
             assert np.array_equal(params, ref_params), k
             assert np.array_equal(state.m, ref.m) and np.array_equal(state.s, ref.s), k
             assert all(w.size == min(n, _SLICE) for w in state.work)
+
+
+class TestGradientArrays:
+    """The gradient as the container's arrays: the dense step reads each array
+    of at least _SLICE entries in place and gathers runs of smaller ones."""
+
+    SIZES = [1, 5, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7]
+
+    @pytest.mark.parametrize("order", [SIZES, SIZES[::-1], [5, _SLICE, 1, _SLICE - 1,
+                                                            3 * _SLICE + 7, _SLICE + 1]])
+    def test_dense_step_is_the_step_on_the_concatenation_bitwise(self, order):
+        gen = np.random.default_rng(len(order) + order[0])
+        n = sum(order)
+        state, params = adam_init(n), gen.standard_normal(n)
+        ref, ref_params = adam_init(n), params.copy()
+        for k in range(3):
+            flat = gen.standard_normal(n) * 10.0 ** gen.uniform(-8, 4, size=n)
+            parts = np.split(flat, np.cumsum(order)[:-1])
+            assert [a.size for a in parts] == order
+            adam_step(state, params, [a.copy() for a in parts], 1e-2)
+            adam_step(ref, ref_params, [flat], 1e-2)
+            assert np.array_equal(params, ref_params), k
+            assert np.array_equal(state.m, ref.m) and np.array_equal(state.s, ref.s), k
+            assert all(w.size == _SLICE for w in state.work)
+
+    def test_arrays_keep_their_shapes_and_are_not_written(self):
+        gen = np.random.default_rng(52)
+        parts = [gen.standard_normal((3, 4)), gen.standard_normal(5),
+                 gen.standard_normal((_SLICE // 8, 9))]
+        before = [a.copy() for a in parts]
+        n = sum(a.size for a in parts)
+        state, params = adam_init(n), np.zeros(n)
+        ref, ref_params = adam_init(n), np.zeros(n)
+        adam_step(state, params, parts, 1e-2)
+        adam_step(ref, ref_params, [np.concatenate([a.ravel() for a in parts])], 1e-2)
+        assert np.array_equal(params, ref_params)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, before))
+
+    def test_a_gradient_of_the_wrong_size_is_rejected(self):
+        state = adam_init(6)
+        with pytest.raises(ValueError, match="5 entries, the parameters 6"):
+            adam_step(state, np.zeros(6), [np.zeros(2), np.zeros(3)], 0.1)
+        assert state.t == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 3, 5])
+    def test_non_finite_entry_names_its_flat_index_and_writes_nothing(self, bad, which):
+        gen = np.random.default_rng(53)
+        parts = [gen.standard_normal(k) for k in self.SIZES]
+        n = sum(self.SIZES)
+        state = AdamState(gen.uniform(-1, 1, n), gen.uniform(0.5, 2.0, n), 7)
+        params = gen.standard_normal(n)
+        before = params.copy(), state.m.copy(), state.s.copy()
+        j = parts[which].size // 2
+        parts[which][j] = bad
+        flat = sum(self.SIZES[:which]) + j
+        with pytest.raises(NonFiniteGradientError, match=rf"flat index {flat}$"):
+            adam_step(state, params, parts, 0.1)
+        assert state.t == 7
+        for got, want in zip((params, state.m, state.s), before):
+            assert np.array_equal(got, want)
 
 
 def _bad_positions(size):
@@ -362,7 +461,7 @@ class TestFiniteCheck:
         j = _bad_positions(n)[where]
         grads[j] = bad
         with pytest.raises(NonFiniteGradientError, match=rf"flat index {j}$"):
-            adam_step(state, params, grads, 0.1)
+            adam_step(state, params, [grads], 0.1)
         assert state.t == 7
         for got, want in zip((params, state.m, state.s), before):
             assert np.array_equal(got, want)
@@ -385,7 +484,7 @@ class TestFiniteCheck:
             r, c = divmod(j - self.HEAD, self.WIDTH)
             flat = self.HEAD + self.ROWS[r] * self.WIDTH + c
         with pytest.raises(NonFiniteGradientError, match=rf"flat index {flat}$"):
-            adam_step(state, params, grads, 0.1, rows=self.ROWS, width=self.WIDTH,
+            adam_step(state, params, [grads], 0.1, rows=self.ROWS, width=self.WIDTH,
                       schedule=LrSchedule(0.1))
         assert state.t == 9
         for got, want in zip((params, state.m, state.s, state.tau), before):
@@ -402,5 +501,5 @@ class TestFiniteCheck:
         kw = dict(rows=self.ROWS, width=self.WIDTH, schedule=LrSchedule(0.1)) if lazy else {}
         with np.errstate(over="ignore"):  # g . g and g * g overflow
             assert not np.isfinite(np.dot(grads, grads))
-            adam_step(state, params, grads, 0.1, **kw)
+            adam_step(state, params, [grads], 0.1, **kw)
         assert state.t == 1 and np.all(np.isfinite(params))
